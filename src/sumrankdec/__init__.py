@@ -12,9 +12,7 @@ from .linalg import (
     Inconsistent,
     Matrix,
     NonUniqueSolution,
-    RefResult,
     block_diag,
-    ref_with_transform,
     rank,
     right_kernel,
     row_space_basis,

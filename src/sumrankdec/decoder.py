@@ -5,8 +5,8 @@ recovers the error support from the syndrome matrix alone and then solves a
 linear system for the error values (column-erasure decoding):
 
 1. S = H @ Y^T collapses the received matrix to syndromes.
-2. Row-reduce S with a tracked transform P; the rows of P @ H aligned with
-   the zero rows of the reduced S annihilate the error.
+2. Row-reduce [S | H] pivoting only in the columns of S; the H part of the
+   rows below rank(S) annihilates the error.
 3. Per block, the right kernel of the expanded annihilator equals the GF(q)
    row space of the error block, yielding a block-diagonal support basis B.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.
@@ -29,9 +29,10 @@ from .gf import FieldTower
 from .linalg import (
     Matrix,
     block_diag,
+    hstack,
     matrix_to_dict,
-    ref_with_transform,
     right_kernel,
+    rref,
     solve_unique,
 )
 from .sumrank import LengthPartition, sum_rank_weight
@@ -51,19 +52,33 @@ __all__ = [
 
 
 class DecodingFailure(Exception):
-    """Base class for typed decoding failures."""
+    """Base class for typed decoding failures; keyword fields become attributes."""
+
+    def __init__(self, message: str, **fields):
+        super().__init__(message)
+        self.__dict__.update(fields)
 
 
 class SupportSpaceEmpty(DecodingFailure):
-    """rank(S) = n - k: the syndrome leaves no annihilator rows to work with."""
+    """rank(S) = n - k: the syndrome leaves no annihilator rows to work with.
+
+    Fields: t_hat, redundancy.
+    """
 
 
 class SupportMismatch(DecodingFailure):
-    """Per-block kernel dimensions do not add up to rank(S)."""
+    """Per-block kernel dimensions do not add up to rank(S).
+
+    Fields: t_hat, per_block_t.
+    """
 
 
 class ResidualCheckFailed(DecodingFailure):
-    """The decoded candidate failed post-decoding verification."""
+    """The decoded candidate failed post-decoding verification.
+
+    Fields: t_hat, check ("residual": the candidate has a nonzero syndrome;
+    "weight": the recovered error weight differs from t_hat).
+    """
 
 
 @dataclass(frozen=True)
@@ -91,16 +106,12 @@ class DecodingReport:
     B_hat: Matrix
     t_hat: int
     per_block_t: tuple[int, ...]
-    residual_ok: bool
-    weight_ok: bool
 
     def to_dict(self, tower: FieldTower) -> dict:
         return {
             "status": "success",
             "t_hat": self.t_hat,
             "per_block_t": list(self.per_block_t),
-            "residual_ok": self.residual_ok,
-            "weight_ok": self.weight_ok,
             "C_hat": matrix_to_dict(self.C_hat, tower),
             "E_hat": matrix_to_dict(self.E_hat, tower),
             "A_hat": matrix_to_dict(self.A_hat, tower),
@@ -109,20 +120,22 @@ class DecodingReport:
 
 
 def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int]:
-    """Annihilator rows of P @ H aligned with the zero rows of the reduced S.
+    """Annihilator rows: [S | H] row-reduced with pivots only in S's columns.
 
-    Returns (h_sub, t_hat) with t_hat = rank(S).  Raises SupportSpaceEmpty
-    when rank(S) = n - k, i.e. when no zero syndrome rows remain.
+    The H part of the rows below rank(S) is P[t_hat:] @ H for the transform
+    P that reduces S.  Returns (h_sub, t_hat) with t_hat = rank(S).  Raises
+    SupportSpaceEmpty when rank(S) = n - k (no zero syndrome rows remain).
     """
-    res = ref_with_transform(S)
-    t_hat = res.rank
+    R, pivots = rref(hstack([S, H]), pivot_cols=S.cols)
+    t_hat = len(pivots)
     if t_hat >= H.rows:
         raise SupportSpaceEmpty(
             f"syndrome rank {t_hat} equals the redundancy {H.rows}; "
-            "error too heavy for support recovery"
+            "error too heavy for support recovery",
+            t_hat=t_hat,
+            redundancy=H.rows,
         )
-    ph = res.P @ H
-    return ph[t_hat:, :], t_hat
+    return R[t_hat:, S.cols :], t_hat
 
 
 def recover_block_supports(
@@ -141,7 +154,9 @@ def recover_block_supports(
     if sum(per_block_t) != t_hat:
         raise SupportMismatch(
             f"recovered block weights {per_block_t} sum to {sum(per_block_t)}, "
-            f"expected {t_hat}; full-rank condition likely violated"
+            f"expected {t_hat}; full-rank condition likely violated",
+            t_hat=t_hat,
+            per_block_t=per_block_t,
         )
     return SupportRecovery(h_sub, t_hat, tuple(kernels), per_block_t)
 
@@ -181,12 +196,14 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     E_hat = A @ tower.lift(B)
     C_hat = Y - E_hat
 
-    residual_ok = syndrome(code.H, C_hat).is_zero
-    weight_ok = sum_rank_weight(tower, E_hat, partition) == t_hat
-    if not residual_ok:
-        raise ResidualCheckFailed("decoded candidate is not a codeword stack")
-    if not weight_ok:
-        raise ResidualCheckFailed("recovered error weight differs from the syndrome rank")
+    if not syndrome(code.H, C_hat).is_zero:
+        raise ResidualCheckFailed(
+            "decoded candidate is not a codeword stack", t_hat=t_hat, check="residual"
+        )
+    if sum_rank_weight(tower, E_hat, partition) != t_hat:
+        raise ResidualCheckFailed(
+            "recovered error weight differs from the syndrome rank", t_hat=t_hat, check="weight"
+        )
     return DecodingReport(
         C_hat=C_hat,
         E_hat=E_hat,
@@ -194,6 +211,4 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
         B_hat=B,
         t_hat=t_hat,
         per_block_t=support.per_block_t,
-        residual_ok=residual_ok,
-        weight_ok=weight_ok,
     )

@@ -33,6 +33,7 @@ __all__ = [
 
 # Largest field order for which exp/log tables are built.
 TABLE_LIMIT = 1 << 20
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _is_prime(n: int) -> bool:
@@ -224,6 +225,9 @@ class PrimeField:
     """GF(p) with elements 0..p-1."""
 
     def __init__(self, p: int):
+        # one product of two elements must fit int64 (mul and matmul rely on it)
+        if p > 1 and (p - 1) ** 2 > _INT64_MAX:
+            raise ValueError(f"p = {p} is too large: (p-1)^2 overflows int64")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -279,11 +283,13 @@ class PrimeField:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if a.shape[1] == 0:
-            return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        # int64 is safe: entries < p, so products sum to < p^2 * inner
-        assert self.p * self.p * a.shape[1] < 2**62
-        return (a @ b) % self.p
+        # sum the inner dimension in chunks whose partial sums of products
+        # (each at most (p-1)^2) cannot overflow int64
+        step = _INT64_MAX // (self.p - 1) ** 2
+        out = (a[:, :step] @ b[:step]) % self.p
+        for i in range(step, a.shape[1], step):
+            out = (out + (a[:, i : i + step] @ b[i : i + step]) % self.p) % self.p
+        return out
 
     def sum_axis(self, x: np.ndarray, axis: int) -> np.ndarray:
         return np.asarray(x, dtype=np.int64).sum(axis=axis) % self.p

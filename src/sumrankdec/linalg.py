@@ -9,15 +9,13 @@ kernels and row-space bases are canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Matrix",
-    "RefResult",
-    "ref_with_transform",
+    "rref",
     "rank",
     "right_kernel",
     "solve_unique",
@@ -204,18 +202,19 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref_arrays(field, arr: np.ndarray, transform: bool):
-    """Reduced row-echelon form with optional transform tracking.
+def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None):
+    """Reduced row-echelon form, pivoting only in the first pivot_cols columns.
 
-    Returns (R, T, pivots) where T @ arr == R (T None unless requested).
-    Pivot choice: leftmost unprocessed column, topmost nonzero row.
+    Returns (R, None, pivots); the None keeps pivots at index 2, where
+    decodebench/spans.py reads them.  Pivot choice: leftmost unprocessed
+    column, topmost nonzero row.  Later columns get the same row operations,
+    so [S | X] with pivot_cols = S.cols reduces to [R | P @ X].
     """
     a = np.array(arr, dtype=np.int64)
     r, c = a.shape
-    t = np.eye(r, dtype=np.int64) if transform else None
     pivots: list[int] = []
     row = 0
-    for col in range(c):
+    for col in range(c if pivot_cols is None else pivot_cols):
         if row == r:
             break
         nz = np.nonzero(a[row:, col])[0]
@@ -224,53 +223,30 @@ def _rref_arrays(field, arr: np.ndarray, transform: bool):
         pr = row + int(nz[0])
         if pr != row:
             a[[row, pr]] = a[[pr, row]]
-            if transform:
-                t[[row, pr]] = t[[pr, row]]
         pv = int(a[row, col])
         if pv != 1:
-            f = field.inv(pv)
-            a[row, :] = field.mul(f, a[row, :])
-            if transform:
-                t[row, :] = field.mul(f, t[row, :])
+            a[row, :] = field.mul(field.inv(pv), a[row, :])
         others = np.nonzero(a[:, col])[0]
         others = others[others != row]
         if others.size:
             fac = a[others, col][:, None]
             a[others, :] = field.sub(a[others, :], field.mul(fac, a[row, :][None, :]))
-            if transform:
-                t[others, :] = field.sub(t[others, :], field.mul(fac, t[row, :][None, :]))
         pivots.append(col)
         row += 1
-    return a, t, pivots
+    return a, None, pivots
 
 
-@dataclass(frozen=True)
-class RefResult:
-    """Output of ref_with_transform: P invertible with P @ S = R reduced."""
+def rref(M: Matrix, pivot_cols: int | None = None) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row-echelon form and pivot columns of M.
 
-    P: Matrix
-    R: Matrix
-    rank: int
-    pivots: tuple[int, ...]
-
-
-def ref_with_transform(M: Matrix) -> RefResult:
-    a, t, pivots = _rref_arrays(M.field, M.array, transform=True)
-    return RefResult(
-        P=Matrix(M.field, t, _checked=True),
-        R=Matrix(M.field, a, _checked=True),
-        rank=len(pivots),
-        pivots=tuple(pivots),
-    )
-
-
-def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    a, _, pivots = _rref_arrays(M.field, M.array, transform=False)
+    With pivot_cols set, pivots come only from the first pivot_cols columns.
+    """
+    a, _, pivots = _rref_arrays(M.field, M.array, pivot_cols)
     return Matrix(M.field, a, _checked=True), tuple(pivots)
 
 
 def rank(M: Matrix) -> int:
-    _, _, pivots = _rref_arrays(M.field, M.array, transform=False)
+    _, _, pivots = _rref_arrays(M.field, M.array)
     return len(pivots)
 
 
@@ -302,7 +278,7 @@ def right_kernel(M: Matrix) -> Matrix:
         basis[bi, fcol] = 1
         for pi, pcol in enumerate(pivots):
             basis[bi, pcol] = field.neg(int(rarr[pi, fcol]))
-    out, _, piv = _rref_arrays(field, basis, transform=False)
+    out, _, piv = _rref_arrays(field, basis)
     return Matrix(field, out[: len(piv), :], _checked=True)
 
 

@@ -130,6 +130,4 @@ def skew_decode(icode: InterleavedCode, iso: SkewIsometry, Y: Matrix) -> Decodin
         B_hat=report.B_hat,
         t_hat=report.t_hat,
         per_block_t=report.per_block_t,
-        residual_ok=report.residual_ok,
-        weight_ok=report.weight_ok,
     )

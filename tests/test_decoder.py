@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import code_with_distance, make_instance
+from sumrankdec import decoder
 from sumrankdec.code import syndrome
 from sumrankdec.decoder import (
     ResidualCheckFailed,
@@ -20,11 +23,13 @@ from sumrankdec.linalg import (
     Matrix,
     NonUniqueSolution,
     block_diag,
+    hstack,
     rank,
     right_kernel,
     row_space_basis,
     row_space_intersection,
     row_spaces_equal,
+    rref,
 )
 from sumrankdec.sumrank import (
     LengthPartition,
@@ -34,6 +39,40 @@ from sumrankdec.sumrank import (
 )
 
 FAILURES = (SupportSpaceEmpty, SupportMismatch, ResidualCheckFailed, NonUniqueSolution, Inconsistent)
+
+# Small towers for the property tests, including a two-level GF(4) <= GF(16).
+PROPERTY_TOWERS = [
+    FieldTower.standard(2, 2),
+    FieldTower.standard(2, 3),
+    FieldTower.standard(3, 2),
+    FieldTower.standard(5, 2),
+    FieldTower.standard(2, 2, e=2),
+]
+
+
+@st.composite
+def annihilator_cases(draw):
+    """(H, E) with E full-rank of weight t <= s, of any per-block weights, or zero."""
+    tower = draw(st.sampled_from(PROPERTY_TOWERS))
+    parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    s = draw(st.integers(1, 4))
+    redundancy = sum(parts) - draw(st.integers(0, sum(parts) - 1))
+    kind = draw(st.sampled_from(["inside", "outside", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    part = LengthPartition(parts)
+    H = Matrix.random(tower.ext_field, redundancy, part.n, rng)
+    if kind == "zero":
+        return H, Matrix.zeros(tower.ext_field, s, part.n)
+    # Weights are drawn as a shortfall from the largest feasible one, so the
+    # simplest examples are the heaviest errors.
+    budget = s if kind == "inside" else tower.m * s * len(parts)
+    profile = []
+    for ni in parts:
+        top = min(ni, tower.m * s, budget)
+        profile.append(top - draw(st.integers(0, top)))
+        budget -= profile[-1]
+    em = sample_error(tower, part, profile, s, require_full_rank=kind == "inside", rng=rng)
+    return H, em.E
 
 
 class TestReferenceInstance:
@@ -59,7 +98,6 @@ class TestReferenceInstance:
         assert report.E_hat == ref.E
         assert report.t_hat == 3
         assert report.per_block_t == (1, 2, 0)
-        assert report.residual_ok and report.weight_ok
         assert report.C_hat + report.E_hat == ref.Y
 
     def test_decode_deterministic(self, ref):
@@ -102,11 +140,32 @@ class TestComputeHsub:
             em = sample_error(ref_tower, part, (2, 1, 1), s=4, rng=rng)
             S = syndrome(code.H, em.E)
             if rank(S) == 4:
-                with pytest.raises(SupportSpaceEmpty):
+                with pytest.raises(SupportSpaceEmpty) as info:
                     compute_hsub(code.H, S)
+                assert (info.value.t_hat, info.value.redundancy) == (4, 4)
                 break
         else:
             pytest.fail("never hit a full-rank syndrome")
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(annihilator_cases())
+    def test_annihilator_properties(self, case):
+        H, E = case
+        S = H @ E.T
+        if rank(S) == H.rows:
+            with pytest.raises(SupportSpaceEmpty) as info:
+                compute_hsub(H, S)
+            assert info.value.t_hat == info.value.redundancy == H.rows
+            return
+        h_sub, t_hat = compute_hsub(H, S)
+        assert t_hat == rank(S)
+        assert h_sub.rows == H.rows - t_hat
+        assert (h_sub @ E.T).is_zero
+        assert row_space_basis(h_sub) == row_space_basis(right_kernel(S.T) @ H)
+        # entry-identical to P[t:] @ H for the transform P that reduces S
+        RP, _ = rref(hstack([S, Matrix.identity(H.field, H.rows)]), pivot_cols=S.cols)
+        P = RP[:, S.cols :]
+        assert h_sub == (P @ H)[t_hat:, :]
 
 
 class TestLemmaInvariants:
@@ -258,12 +317,28 @@ class TestRobustness:
                 continue
             try:
                 decode(inst.icode, inst.Y)
-            except SupportMismatch:
+            except SupportMismatch as ex:
+                assert ex.t_hat == rank(syndrome(code.H, inst.Y))
+                assert len(ex.per_block_t) == 3 and sum(ex.per_block_t) != ex.t_hat
                 hit = True
                 break
             except FAILURES:
                 continue
         assert hit
+
+    @pytest.mark.parametrize("check", ["residual", "weight"])
+    def test_residual_check_failed_fields(self, ref, monkeypatch, check):
+        # Both checks hold whenever the earlier stages are exact, so a faulty
+        # stage is injected through the names decode() calls.
+        if check == "residual":
+            monkeypatch.setattr(
+                decoder, "erasure_decode", lambda H, B, S: Matrix.zeros(H.field, S.cols, B.rows)
+            )
+        else:
+            monkeypatch.setattr(decoder, "sum_rank_weight", lambda tower, E, part: 0)
+        with pytest.raises(ResidualCheckFailed) as info:
+            decode(ref.icode, ref.Y)
+        assert (info.value.t_hat, info.value.check) == (3, check)
 
 
 class TestSpecialCaseReductions:

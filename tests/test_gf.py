@@ -1,8 +1,14 @@
 """Field tower arithmetic, expansion maps and serialization."""
 
+import subprocess
+import sys
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sumrankdec import gf
 from sumrankdec.gf import FieldTower, PrimeField, Scalar, default_modulus, is_irreducible
 from sumrankdec.linalg import Matrix
 
@@ -204,6 +210,45 @@ class TestConstructionValidation:
         for p, deg in [(2, 4), (3, 3), (5, 2)]:
             K = PrimeField(p)
             assert is_irreducible(K, default_modulus(K, deg))
+
+
+class TestLargePrime:
+    # (p-1)^2 is just under 2^62, so an int64 sum holds only two products
+    P = 2**31 - 1
+
+    def test_matmul_sums_in_chunks(self):
+        f = PrimeField(self.P)
+        a = np.full((1, 4), f.p - 1, dtype=np.int64)
+        b = np.full((4, 1), f.p - 1, dtype=np.int64)
+        assert f.matmul(a, b).tolist() == [[4]]
+
+    def test_matmul_matches_scalar_oracle(self):
+        f = PrimeField(self.P)
+        rng = np.random.default_rng(12)
+        a, b = f.random(rng, (3, 7)), f.random(rng, (7, 2))
+        expect = [
+            [reduce(f._add_i, (f._mul_i(int(x), int(y)) for x, y in zip(row, col))) for col in b.T]
+            for row in a
+        ]
+        assert f.matmul(a, b).tolist() == expect
+
+    def test_matmul_under_optimize_flag(self):
+        code = (
+            "import numpy as np; from sumrankdec.gf import PrimeField; "
+            f"f = PrimeField({self.P}); x = np.full((1, 4), f.p - 1); "
+            "print(f.matmul(x, x.T).tolist())"
+        )
+        src = str(Path(gf.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[[4]]"
+
+    def test_oversized_prime_rejected(self):
+        # (p-1)^2 overflows int64, so even element-wise mul would be wrong
+        with pytest.raises(ValueError, match="overflows int64"):
+            PrimeField(2**61 - 1)
 
 
 class TestTwoLevelTower:

@@ -12,7 +12,6 @@ from sumrankdec.linalg import (
     matrix_from_dict,
     matrix_to_dict,
     rank,
-    ref_with_transform,
     right_kernel,
     row_space_basis,
     row_space_intersection,
@@ -74,22 +73,31 @@ class TestMatrixBasics:
         assert vstack([a, c]).shape == (3, 3)
 
 
+def _ref_with_transform(S):
+    """[R | P] from the rref of [S | I] pivoting only in S's columns."""
+    f = S.field
+    RP, pivots = rref(hstack([S, Matrix.identity(f, S.rows)]), pivot_cols=S.cols)
+    return RP[:, : S.cols], RP[:, S.cols :], pivots
+
+
 class TestRefWithTransform:
+    """Row reduction with its transform, via the pivot-limited rref of [S | I]."""
+
     def test_reference_syndrome(self, ref):
-        res = ref_with_transform(ref.S)
-        assert res.rank == 3
+        R, P, pivots = _ref_with_transform(ref.S)
+        assert len(pivots) == 3
         expect = np.zeros((4, 3), dtype=np.int64)
         expect[:3, :3] = np.eye(3)
-        assert res.R.array.tolist() == expect.tolist()
-        assert res.P @ ref.S == res.R
+        assert R.array.tolist() == expect.tolist()
+        assert P @ ref.S == R
 
     def test_zero_matrix(self, ref_tower):
         f = ref_tower.ext_field
         S = Matrix.zeros(f, 3, 4)
-        res = ref_with_transform(S)
-        assert res.rank == 0
-        assert res.R == S
-        assert res.P == Matrix.identity(f, 3)
+        R, P, pivots = _ref_with_transform(S)
+        assert pivots == ()
+        assert R == S
+        assert P == Matrix.identity(f, 3)
 
     def test_invertible_matrix(self, ref_tower):
         rng = np.random.default_rng(2)
@@ -97,32 +105,34 @@ class TestRefWithTransform:
         S = Matrix.random(f, 4, 4, rng)
         while rank(S) < 4:
             S = Matrix.random(f, 4, 4, rng)
-        res = ref_with_transform(S)
-        assert res.R == Matrix.identity(f, 4)
-        assert res.P @ S == Matrix.identity(f, 4)
+        R, P, _ = _ref_with_transform(S)
+        assert R == Matrix.identity(f, 4)
+        assert P @ S == Matrix.identity(f, 4)
 
     def test_transform_invertible_and_idempotent(self, ref_tower):
         rng = np.random.default_rng(3)
         f = ref_tower.ext_field
         for _ in range(20):
             S = Matrix.random(f, 4, 3, rng)
-            res = ref_with_transform(S)
-            assert res.P @ S == res.R
-            assert rank(res.P) == 4
-            again, _ = rref(res.R)
-            assert again == res.R
+            R, P, pivots = _ref_with_transform(S)
+            assert P @ S == R
+            assert rank(P) == 4
+            again, _ = rref(R)
+            assert again == R
+            assert rref(S) == (R, pivots)
 
     def test_pivot_structure(self, ref_tower):
         rng = np.random.default_rng(4)
         f = ref_tower.ext_field
         for _ in range(10):
             S = Matrix.random(f, 5, 4, rng)
-            res = ref_with_transform(S)
-            for i, col in enumerate(res.pivots):
-                assert res.R[i, col] == 1
-                column = res.R.array[:, col]
+            R, _, pivots = _ref_with_transform(S)
+            assert all(p < S.cols for p in pivots)
+            for i, col in enumerate(pivots):
+                assert R[i, col] == 1
+                column = R.array[:, col]
                 assert np.count_nonzero(column) == 1
-            assert not np.any(res.R.array[res.rank :, :])
+            assert not np.any(R.array[len(pivots) :, :])
 
 
 class TestRank:
