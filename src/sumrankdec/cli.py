@@ -498,7 +498,9 @@ def cmd_decode(args) -> int:
         report = decode(icode, Y)
         payload = report.to_dict(code.tower)
     except _FAILURE_TYPES as ex:
-        payload = {"status": type(ex).__name__, "message": str(ex)}
+        # a typed failure's fields (t_hat, redundancy, per_block_t, check)
+        fields = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(ex).items()}
+        payload = {"status": type(ex).__name__, "message": str(ex), **fields}
     if args.out:
         _write_json(args.out, payload)
     print(f"status: {payload['status']}")

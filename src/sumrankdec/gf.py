@@ -9,15 +9,24 @@ mod p, and 0 / 1 always encode the additive / multiplicative identities.
 GF(q) embeds into GF(q^m) without re-encoding (codes below q are the
 constant polynomials).
 
-Field objects expose vectorised operations on numpy int64 arrays of codes.
-Fields of order up to TABLE_LIMIT get discrete exp/log tables built from a
-multiplicative generator; larger fields fall back to per-element polynomial
-arithmetic (correct but slow, see the package README for scale limits).
+Field objects expose vectorised operations on numpy int64 arrays of codes;
+no kernel loops over digits in Python.  In characteristic 2, add, sub and
+neg are XOR, and matmul XOR-reduces the tensor of table products.  In odd
+characteristic, add/sub/neg take digits from a per-field digit table (or
+compute them above TABLE_LIMIT), and matmul is one GF(p) product: x -> x*b
+is GF(p)-linear, so A @ B is digits(A) times the stacked multiplication
+matrices of B's entries.  GF(p) products run in float64 BLAS while
+inner * (p-1)^2 < 2^53, where every partial sum is an exact integer, and in
+int64 chunks otherwise.  Fields of order up to TABLE_LIMIT get exp/log
+tables, built by doubling (about a second at 2^20); larger fields multiply
+element by element in polynomial arithmetic (correct but slow).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -283,6 +292,9 @@ class PrimeField:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if a.shape[1] * (self.p - 1) ** 2 < 2**53:
+            # every partial sum is an integer below 2^53, so float64 BLAS is exact
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % self.p
         # sum the inner dimension in chunks whose partial sums of products
         # (each at most (p-1)^2) cannot overflow int64
         step = _INT64_MAX // (self.p - 1) ** 2
@@ -290,9 +302,6 @@ class PrimeField:
         for i in range(step, a.shape[1], step):
             out = (out + (a[:, i : i + step] @ b[i : i + step]) % self.p) % self.p
         return out
-
-    def sum_axis(self, x: np.ndarray, axis: int) -> np.ndarray:
-        return np.asarray(x, dtype=np.int64).sum(axis=axis) % self.p
 
     def random(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.order, size=size, dtype=np.int64)
@@ -324,6 +333,10 @@ class ExtField:
         self.order = subfield.order ** self.deg
         self.char = subfield.char
         self.pdigits = subfield.pdigits * self.deg
+        # codes of the GF(p)-basis whose coordinates are the base-p digits
+        self._powers = self.char ** np.arange(self.pdigits, dtype=np.int64)
+        self._gfp = PrimeField(self.char)
+        self._mod_p = (np.arange(3 * self.char) % self.char).astype(np.float64)
         # x^deg reduced: the negated non-leading modulus coefficients
         self._xred = tuple(subfield._neg_i(c) for c in modulus[:-1])
         self._exp: np.ndarray | None = None
@@ -414,11 +427,8 @@ class ExtField:
     def _find_generator(self) -> int:
         n1 = self.order - 1
         factors = _prime_factors(n1)
-        candidates = []
-        if self.deg >= 2:
-            candidates.append(self.subfield.order)  # the residue class of x
-        candidates.extend(c for c in range(2, self.order) if c not in candidates)
-        for g in candidates:
+        first = [self.subfield.order] if self.deg >= 2 else []  # the residue class of x
+        for g in chain(first, (c for c in range(2, self.order) if c not in first)):
             if all(self._pow_i(g, n1 // r) != 1 for r in factors):
                 return g
         raise RuntimeError("no multiplicative generator found")  # unreachable
@@ -430,54 +440,67 @@ class ExtField:
             return False
         g = self._find_generator()
         n1 = self.order - 1
-        exp = np.zeros(n1, dtype=np.int64)
-        log = np.zeros(self.order, dtype=np.int64)
-        v = 1
-        for i in range(n1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_i(v, g)
+        exp = np.ones(n1, dtype=np.int64)
+        size, g_size = 1, g
+        while size < n1:
+            # exp[size:2*size] = exp[:size] * g^size, one GF(p) product with
+            # the matrix of x -> x * g^size
+            k = min(size, n1 - size)
+            mat = self._digits(np.array([self._mul_i(int(e), g_size) for e in self._powers]))
+            exp[size : size + k] = self._gfp.matmul(self._digits(exp[:k]), mat) @ self._powers
+            size, g_size = 2 * size, self._mul_i(g_size, g_size)
+        # log(0) = 2*n1 and exp is doubled then padded with zeros, so
+        # exp[log(a) + log(b)] is a*b for every a, b, zero or not
+        log = np.full(self.order, 2 * n1, dtype=np.int64)
+        log[exp] = np.arange(n1)
         self.generator = g
-        self._exp = exp
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)])
         self._log = log
         return True
 
+    @cached_property
+    def _digit_table(self) -> np.ndarray | None:
+        # digits of every code in the smallest signed dtype holding +-3p;
+        # characteristic 2 adds by XOR instead
+        if self.char == 2 or self.order > TABLE_LIMIT:
+            return None
+        codes = np.arange(self.order, dtype=np.int64)
+        return (codes[:, None] // self._powers % self.char).astype(np.min_scalar_type(-3 * self.char))
+
+    def _digits(self, a: np.ndarray) -> np.ndarray:
+        """Base-p digits of the codes in a, along a new last axis."""
+        if self._digit_table is None:
+            return a[..., None] // self._powers % self.char
+        return np.take(self._digit_table, a, axis=0)
+
     # ---- vectorised paths ------------------------------------------------
-    def add(self, a, b):
+    def _digitwise(self, op, a, b):
+        """op (np.add or np.subtract) digit by digit mod p; XOR in characteristic 2."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        p = self.char
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.pdigits):
-            out += ((a % p) + (b % p)) % p * mult
-            a = a // p
-            b = b // p
-            mult *= p
-        return _unwrap(out)
+        if self.char == 2:
+            return _unwrap(a ^ b)
+        # + p keeps the lookup indices nonnegative, which np.take handles fastest
+        s = op(self._digits(a), self._digits(b)) + self.char
+        if self._digit_table is None:
+            return _unwrap(s % self.char @ self._powers)
+        # reduce by lookup, recompose in float64 BLAS (exact: codes are below 2^53)
+        return _unwrap((np.take(self._mod_p, s) @ self._powers.astype(np.float64)).astype(np.int64))
+
+    def add(self, a, b):
+        return self._digitwise(np.add, a, b)
 
     def neg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        p = self.char
-        out = np.zeros(a.shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.pdigits):
-            out += (p - a % p) % p * mult
-            a = a // p
-            mult *= p
-        return _unwrap(out)
+        return self._digitwise(np.subtract, 0, a)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._digitwise(np.subtract, a, b)
 
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self._ensure_tables():
-            mask = (a == 0) | (b == 0)
-            idx = (self._log[a] + self._log[b]) % (self.order - 1)
-            out = np.where(mask, 0, self._exp[idx])
-            return _unwrap(out)
+            return _unwrap(np.take(self._exp, np.take(self._log, a) + np.take(self._log, b)))
         if a.ndim == 0 and b.ndim == 0:
             return self._mul_i(int(a), int(b))
         fn = np.frompyfunc(self._mul_i, 2, 1)
@@ -488,8 +511,7 @@ class ExtField:
         if np.any(a == 0):
             raise ZeroDivisionError("division by zero in GF(q^m)")
         if self._ensure_tables():
-            n1 = self.order - 1
-            return _unwrap(self._exp[(n1 - self._log[a]) % n1])
+            return _unwrap(np.take(self._exp, self.order - 1 - np.take(self._log, a)))
         if a.ndim == 0:
             return self._inv_i(int(a))
         fn = np.frompyfunc(self._inv_i, 1, 1)
@@ -498,35 +520,21 @@ class ExtField:
     def pow(self, a: int, k: int) -> int:
         return self._pow_i(int(a), int(k))
 
-    def sum_axis(self, x: np.ndarray, axis: int) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        p = self.char
-        out = np.zeros(tuple(s for i, s in enumerate(x.shape) if i != axis % x.ndim), dtype=np.int64)
-        mult = 1
-        for _ in range(self.pdigits):
-            out += (x % p).sum(axis=axis) % p * mult
-            x = x // p
-            mult *= p
-        return out
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        rows, inner = a.shape
-        cols = b.shape[1]
-        if inner == 0:
-            return np.zeros((rows, cols), dtype=np.int64)
-        if self._ensure_tables():
-            prods = self.mul(a[:, :, None], b[None, :, :])
-            return self.sum_axis(prods, axis=1)
-        out = np.zeros((rows, cols), dtype=np.int64)
-        for i in range(rows):
-            for j in range(cols):
-                acc = 0
-                for k in range(inner):
-                    acc = self._add_i(acc, self._mul_i(int(a[i, k]), int(b[k, j])))
-                out[i, j] = acc
-        return out
+        if self.char == 2:
+            # addition is XOR, so the inner sum is one XOR reduction
+            return np.bitwise_xor.reduce(self.mul(a[:, :, None], b[None, :, :]), axis=1, initial=0)
+        # x -> x * b[k, c] is GF(p)-linear and row i of its matrix is the digit
+        # vector of p^i * b[k, c], so a @ b is digits(a) times these stacked
+        # matrices over GF(p).  Expand the operand with fewer columns.
+        if b.shape[1] > a.shape[0]:
+            return self.matmul(b.T, a.T).T
+        (rows, inner), cols, d = a.shape, b.shape[1], self.pdigits
+        mats = self._digits(self.mul(b[:, None, :], self._powers[:, None]))
+        prod = self._gfp.matmul(self._digits(a).reshape(rows, inner * d), mats.reshape(inner * d, cols * d))
+        return prod.reshape(rows, cols, d) @ self._powers
 
     def random(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.order, size=size, dtype=np.int64)
@@ -597,6 +605,7 @@ class FieldTower:
         self.ext_modulus = tuple(int(c) for c in ext_modulus)
         self.q = self.base_field.order
         self.order = self.ext_field.order
+        self._qpowers = self.q ** np.arange(m, dtype=np.int64)
 
         if basis is None:
             self.basis = tuple(self.q**j for j in range(m))
@@ -611,7 +620,7 @@ class FieldTower:
             self.basis = basis
             bmat = np.zeros((m, m), dtype=np.int64)
             for j, b in enumerate(basis):
-                bmat[:, j] = self._poly_digits(b)
+                bmat[:, j] = b // self._qpowers % self.q
             self._bmat = bmat
             self._bmat_inv = self._invert_base_matrix(bmat)
 
@@ -625,12 +634,6 @@ class FieldTower:
         return cls(p, e, m, default_modulus(base, m), base_modulus=base_mod)
 
     # ---- small helpers ---------------------------------------------------
-    def _poly_digits(self, a: int) -> np.ndarray:
-        out = np.zeros(self.m, dtype=np.int64)
-        for j in range(self.m):
-            a, out[j] = divmod(a, self.q)
-        return out
-
     def _invert_base_matrix(self, bmat: np.ndarray) -> np.ndarray:
         # tiny Gauss-Jordan over GF(q); raises if the basis is dependent
         K = self.base_field
@@ -696,7 +699,7 @@ class FieldTower:
     # ---- expansion maps ---------------------------------------------------
     def ext(self, a: int) -> np.ndarray:
         """Coordinates of a in the configured basis (length-m GF(q) codes)."""
-        digits = self._poly_digits(int(a))
+        digits = int(a) // self._qpowers % self.q
         if self._bmat_inv is None:
             return digits
         return self.base_field.matmul(self._bmat_inv, digits[:, None])[:, 0]
@@ -708,10 +711,7 @@ class FieldTower:
         if np.any(v < 0) or np.any(v >= self.q):
             raise ValueError("coordinates out of range for GF(q)")
         digits = v if self._bmat is None else self.base_field.matmul(self._bmat, v[:, None])[:, 0]
-        code = 0
-        for d in reversed(digits.tolist()):
-            code = code * self.q + int(d)
-        return code
+        return int(digits @ self._qpowers)
 
     def ext_array(self, arr: np.ndarray) -> np.ndarray:
         """Element-wise expansion of an (r, c) code array into (r*m, c).
@@ -720,11 +720,7 @@ class FieldTower:
         """
         arr = np.asarray(arr, dtype=np.int64)
         r, c = arr.shape
-        digits = np.zeros((r, self.m, c), dtype=np.int64)
-        work = arr.copy()
-        for j in range(self.m):
-            digits[:, j, :] = work % self.q
-            work //= self.q
+        digits = arr[:, None, :] // self._qpowers[:, None] % self.q
         if self._bmat_inv is not None:
             flat = digits.transpose(1, 0, 2).reshape(self.m, r * c)
             flat = self.base_field.matmul(self._bmat_inv, flat)

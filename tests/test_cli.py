@@ -138,7 +138,9 @@ class TestDecodeFiles:
                   "--out", str(report)])
         assert rc == 1
         payload = json.loads(report.read_text())
-        assert payload["status"] != "success" and "message" in payload
+        assert payload["status"] == "SupportMismatch" and "message" in payload
+        # the exception's fields ride along, tuples as lists
+        assert payload["t_hat"] == 2 and payload["per_block_t"] == [0, 0, 1]
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumrankdec import gf
-from sumrankdec.gf import FieldTower, PrimeField, Scalar, default_modulus, is_irreducible
+from sumrankdec.gf import ExtField, FieldTower, PrimeField, Scalar, default_modulus, is_irreducible
 from sumrankdec.linalg import Matrix
 
 
@@ -285,3 +287,160 @@ class TestSerialization:
             x = int(rng.integers(0, 25))
             coords = t.ext(x).tolist()
             assert x == coords[0] + 5 * coords[1]
+
+
+def _oracle_matmul(f, a, b):
+    return [
+        [reduce(f._add_i, (f._mul_i(int(x), int(y)) for x, y in zip(row, col)), 0) for col in b.T]
+        for row in a
+    ]
+
+
+def _above_table_limit(p, deg):
+    K = PrimeField(p)
+    return ExtField(K, default_modulus(K, deg))
+
+
+# Characteristic 2 and odd p, two-level towers, an extension of GF(257)
+# (digits wider than 8 bits) and one field of each kind above TABLE_LIMIT.
+KERNEL_FIELDS = [
+    FieldTower.standard(2, 3).ext_field,
+    FieldTower.standard(2, 12).ext_field,
+    FieldTower(5, 1, 2, [2, 4, 1]).ext_field,
+    FieldTower.standard(3, 3).ext_field,
+    FieldTower.standard(2, 2, e=2).ext_field,
+    FieldTower.standard(3, 2, e=2).ext_field,
+    FieldTower.standard(257, 2).ext_field,
+    _above_table_limit(2, 21),
+    _above_table_limit(3, 13),
+]
+
+
+def _with_basis(tower, basis):
+    return FieldTower(tower.p, tower.e, tower.m, tower.ext_modulus,
+                      base_modulus=tower.base_modulus, basis=basis)
+
+
+# towers whose expansion maps go through base_field.matmul (custom bases),
+# over GF(p) and over char-2 and odd extension subfields
+CUSTOM_BASIS_TOWERS = [
+    _with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
+    _with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
+    _with_basis(FieldTower.standard(3, 2, e=2), [11, 28]),
+]
+
+
+class TestVectorisedKernels:
+    """add/sub/neg/mul/inv/matmul on arrays against the scalar _*_i oracles."""
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(3, 0, 2), seed=0)
+    @example(shape=(2, 3, 4), seed=1)
+    @example(shape=(4, 3, 2), seed=2)
+    def test_matches_scalar_oracles(self, field, shape, seed):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(seed)
+        a, c = field.random(rng, (rows, inner)), field.random(rng, (rows, inner))
+        b = field.random(rng, (inner, cols))
+        a[:, ::3] = 0  # zeros take their own path through the log table
+        pairs = list(zip(a.ravel().tolist(), c.ravel().tolist()))
+        assert field.add(a, c).ravel().tolist() == [field._add_i(x, y) for x, y in pairs]
+        assert field.sub(a, c).ravel().tolist() == [field._add_i(x, field._neg_i(y)) for x, y in pairs]
+        assert field.neg(c).ravel().tolist() == [field._neg_i(y) for _, y in pairs]
+        assert field.mul(a, c).ravel().tolist() == [field._mul_i(x, y) for x, y in pairs]
+        nonzero = c[c != 0]
+        assert field.inv(nonzero).tolist() == [field._inv_i(y) for y in nonzero.tolist()]
+        out = field.matmul(a, b)
+        assert out.dtype == np.int64 and out.shape == (rows, cols)
+        assert out.tolist() == _oracle_matmul(field, a, b)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    def test_scalars_stay_ints(self, field):
+        x, y = field.order - 1, field.order // 2
+        for got, want in [
+            (field.add(x, y), field._add_i(x, y)),
+            (field.sub(x, y), field._add_i(x, field._neg_i(y))),
+            (field.neg(x), field._neg_i(x)),
+            (field.mul(x, y), field._mul_i(x, y)),
+            (field.mul(x, 0), 0),
+        ]:
+            assert type(got) is int and got == want
+
+    @pytest.mark.parametrize("tower", CUSTOM_BASIS_TOWERS, ids=repr)
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_custom_basis_expansion(self, tower, seed):
+        rng = np.random.default_rng(seed)
+        arr = tower.ext_field.random(rng, (3, 2))
+        coords = tower.ext_array(arr)
+        F = tower.ext_field
+        for i, j in np.ndindex(arr.shape):
+            col = coords[i * tower.m : (i + 1) * tower.m, j].tolist()
+            assert all(0 <= x < tower.q for x in col)
+            acc = reduce(F._add_i, (F._mul_i(bj, x) for bj, x in zip(tower.basis, col)), 0)
+            assert acc == arr[i, j]
+            assert tower.unext(col) == arr[i, j]
+
+
+class TestPrimeMatmulSwitch:
+    # (p-1)^2 has 50 bits, so inner <= 8 takes float64 BLAS, inner >= 9 int64
+    P = 33554393
+
+    def test_threshold(self):
+        assert 8 * (self.P - 1) ** 2 < 2**53 <= 9 * (self.P - 1) ** 2
+
+    @pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 16])
+    def test_large_odd_products(self, inner):
+        # (p-2)^2 is odd and = 4 mod p: an odd sum past 2^53 is inexact in float64
+        f = PrimeField(self.P)
+        x = np.full((2, inner), f.p - 2, dtype=np.int64)
+        assert f.matmul(x, x.T).tolist() == [[4 * inner] * 2] * 2
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(inner=st.integers(0, 16), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_oracle(self, inner, seed):
+        f = PrimeField(self.P)
+        rng = np.random.default_rng(seed)
+        a, b = f.random(rng, (3, inner)), f.random(rng, (inner, 2))
+        assert f.matmul(a, b).tolist() == _oracle_matmul(f, a, b)
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "tower, generator",
+        [
+            (FieldTower(5, 1, 2, [2, 4, 1]), 5),
+            (FieldTower.standard(2, 3), 2),
+            (FieldTower.standard(3, 2), 4),
+            (FieldTower.standard(2, 2, e=2), 4),
+            (FieldTower.standard(3, 2, e=2), 10),
+            (FieldTower.standard(2, 12), 3),
+        ],
+        ids=repr,
+    )
+    def test_match_element_loop(self, tower, generator):
+        # the generator search order and the exp table the per-element
+        # loop v <- v * g builds
+        F = tower.ext_field
+        F.mul(1, 1)
+        assert F.generator == generator
+        n1 = F.order - 1
+        expect, v = [], 1
+        for _ in range(n1):
+            expect.append(v)
+            v = F._mul_i(v, generator)
+        assert F._exp[:n1].tolist() == expect
+        assert F._log[F._exp[:n1]].tolist() == list(range(n1))
+
+    def test_gf2_16_by_doubling(self):
+        F = FieldTower.standard(2, 16).ext_field
+        F.mul(1, 1)
+        n1, g = F.order - 1, F.generator
+        exp = F._exp[:n1]
+        assert np.array_equal(np.sort(exp), np.arange(1, F.order))
+        assert np.array_equal(F._log[exp], np.arange(n1))
+        for i in np.random.default_rng(16).integers(0, n1 - 1, size=200).tolist() + [0, n1 - 2]:
+            assert exp[i + 1] == F._mul_i(int(exp[i]), g)
