@@ -38,7 +38,6 @@ from .linalg import (
     Inconsistent,
     Matrix,
     NonUniqueSolution,
-    block_diag,
     matrix_from_dict,
     matrix_to_dict,
     row_spaces_equal,
@@ -166,7 +165,7 @@ def cmd_example(args) -> int:
         print(f"stage support recovery: ok (block weights {support.per_block_t})")
 
         stage = "erasure decoding"
-        B = block_diag(support.per_block_kernels)
+        B = support.B
         A = erasure_decode(ref.code.H, B, S)
         show("A", A)
         if A != ref.A:

@@ -9,6 +9,11 @@ linear system for the error values (column-erasure decoding):
    rows below rank(S) annihilates the error.
 3. Per block, the right kernel of the expanded annihilator equals the GF(q)
    row space of the error block, yielding a block-diagonal support basis B.
+   All blocks are reduced at once over GF(q^m), in one stacked elimination,
+   to at most n_i basis rows; the GF(q)-kernel is GF(q)^{n_i} meet the
+   GF(q^m)-kernel, so a block of full GF(q^m)-rank (typically every
+   error-free one) has kernel {0}, and only the other blocks' basis rows
+   are expanded over GF(q) and reduced in a second stacked elimination.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.
 
 Recovery is guaranteed when the error weight t is at most d - 2, the
@@ -24,18 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .code import InterleavedCode, syndrome
 from .gf import FieldTower
-from .linalg import (
-    Matrix,
-    block_diag,
-    hstack,
-    matrix_to_dict,
-    right_kernel,
-    rref,
-    solve_unique,
-)
-from .sumrank import LengthPartition, sum_rank_weight
+from .linalg import LinearSystemError, Matrix, hstack, matrix_to_dict, rref, solve_unique
+from .sumrank import LengthPartition, block_kernels, sum_rank_weight
 
 __all__ = [
     "SupportRecovery",
@@ -52,48 +51,70 @@ __all__ = [
 
 
 class DecodingFailure(Exception):
-    """Base class for typed decoding failures; keyword fields become attributes."""
+    """Base class for typed decoding failures.
+
+    Keyword fields become attributes, and so does stage, the decoder stage
+    that raised the failure, so vars() of a failure holds all of them.
+    """
+
+    stage: str
 
     def __init__(self, message: str, **fields):
         super().__init__(message)
-        self.__dict__.update(fields)
+        self.__dict__.update(stage=self.stage, **fields)
 
 
 class SupportSpaceEmpty(DecodingFailure):
     """rank(S) = n - k: the syndrome leaves no annihilator rows to work with.
 
-    Fields: t_hat, redundancy.
+    Fields: stage ("annihilator"), t_hat, redundancy.
     """
+
+    stage = "annihilator"
 
 
 class SupportMismatch(DecodingFailure):
     """Per-block kernel dimensions do not add up to rank(S).
 
-    Fields: t_hat, per_block_t.
+    Fields: stage ("supports"), t_hat, per_block_t.
     """
+
+    stage = "supports"
 
 
 class ResidualCheckFailed(DecodingFailure):
     """The decoded candidate failed post-decoding verification.
 
-    Fields: t_hat, check ("residual": the candidate has a nonzero syndrome;
-    "weight": the recovered error weight differs from t_hat).
+    Fields: stage ("verify"), t_hat, check ("residual": the candidate has a
+    nonzero syndrome; "weight": the recovered error weight differs from t_hat).
     """
+
+    stage = "verify"
 
 
 @dataclass(frozen=True)
 class SupportRecovery:
     """Result of the support-recovery stage.
 
-    h_sub rows annihilate the error; per_block_kernels[i] is the canonical
+    h_sub rows annihilate the error; B is the block-diagonal GF(q) support
+    basis whose i-th diagonal block, per_block_kernels[i], is the canonical
     kernel basis of the i-th expanded block of h_sub (the recovered support
-    basis of error block i) and per_block_t its row count.
+    of error block i), with per_block_t[i] rows.
     """
 
     h_sub: Matrix
     t_hat: int
-    per_block_kernels: tuple[Matrix, ...]
+    partition: LengthPartition
+    B: Matrix
     per_block_t: tuple[int, ...]
+
+    @property
+    def per_block_kernels(self) -> tuple[Matrix, ...]:
+        ends = np.cumsum(self.per_block_t)
+        return tuple(
+            self.B[end - ti : end, sl]
+            for ti, end, sl in zip(self.per_block_t, ends, self.partition.slices)
+        )
 
 
 @dataclass(frozen=True)
@@ -147,10 +168,8 @@ def recover_block_supports(
     of error block i.  Raises SupportMismatch when the recovered per-block
     weights do not sum to t_hat.
     """
-    kernels = []
-    for blk in partition.blocks(h_sub):
-        kernels.append(right_kernel(tower.ext_matrix(blk)))
-    per_block_t = tuple(k.rows for k in kernels)
+    K, lead = block_kernels(tower, h_sub.array[None], partition)
+    per_block_t = tuple(lead[0].sum(axis=1).tolist())
     if sum(per_block_t) != t_hat:
         raise SupportMismatch(
             f"recovered block weights {per_block_t} sum to {sum(per_block_t)}, "
@@ -158,7 +177,15 @@ def recover_block_supports(
             t_hat=t_hat,
             per_block_t=per_block_t,
         )
-    return SupportRecovery(h_sub, t_hat, tuple(kernels), per_block_t)
+    # the kernel rows in block order are the rows of B; each is written at
+    # its block's first column, into zero padding past the last block
+    blk, o = np.nonzero(lead[0])
+    w = K.shape[-1]
+    starts = np.cumsum(partition.parts) - partition.parts
+    B = np.zeros((t_hat, partition.n + w), dtype=np.int64)
+    B[np.arange(t_hat)[:, None], starts[blk][:, None] + np.arange(w)] = K[0, blk, o]
+    B = Matrix(tower.base_field, B[:, : partition.n], _checked=True)
+    return SupportRecovery(h_sub, t_hat, partition, B, per_block_t)
 
 
 def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
@@ -179,7 +206,8 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
 
     Succeeds whenever wt(E) = t <= d - 2, s >= t and E has GF(q^m)-rank t.
     Every returned report has verified residual and weight; all failure
-    modes raise a DecodingFailure subclass or a solver error.
+    modes raise a DecodingFailure subclass or a solver error, whose stage
+    attribute names the stage that failed ("erasure" for a solver error).
     """
     code = icode.constituent
     tower, partition = code.tower, code.partition
@@ -191,8 +219,12 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     S = syndrome(code.H, Y)
     h_sub, t_hat = compute_hsub(code.H, S)
     support = recover_block_supports(tower, h_sub, partition, t_hat)
-    B = block_diag(support.per_block_kernels)
-    A = erasure_decode(code.H, B, S)
+    B = support.B
+    try:
+        A = erasure_decode(code.H, B, S)
+    except LinearSystemError as ex:
+        ex.stage = "erasure"
+        raise
     E_hat = A @ tower.lift(B)
     C_hat = Y - E_hat
 

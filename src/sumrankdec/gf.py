@@ -278,13 +278,25 @@ class PrimeField:
 
     def inv(self, a):
         arr = np.asarray(a, dtype=np.int64)
-        if np.any(arr == 0):
+        if (arr == 0).any():
             raise ZeroDivisionError("division by zero in GF(p)")
+        if self.p > TABLE_LIMIT:
+            return _unwrap(self._fermat_inv(arr))
         if self._inv_table is None:
-            self._inv_table = np.array(
-                [0] + [pow(x, self.p - 2, self.p) for x in range(1, self.p)], dtype=np.int64
-            )
-        return _unwrap(self._inv_table[arr])
+            self._inv_table = self._fermat_inv(np.arange(self.p, dtype=np.int64))
+        return _unwrap(self._inv_table.take(arr))
+
+    def _fermat_inv(self, a: np.ndarray) -> np.ndarray:
+        # a^(p-2) by square and multiply; products of two residues fit int64
+        out = np.ones_like(a)
+        base = a % self.p
+        k = self.p - 2
+        while k:
+            if k & 1:
+                out = out * base % self.p
+            base = base * base % self.p
+            k >>= 1
+        return out
 
     def pow(self, a: int, k: int) -> int:
         return pow(int(a), int(k), self.p)
@@ -336,7 +348,7 @@ class ExtField:
         # codes of the GF(p)-basis whose coordinates are the base-p digits
         self._powers = self.char ** np.arange(self.pdigits, dtype=np.int64)
         self._gfp = PrimeField(self.char)
-        self._mod_p = (np.arange(3 * self.char) % self.char).astype(np.float64)
+        self._fpowers = self._powers.astype(np.float64)
         # x^deg reduced: the negated non-leading modulus coefficients
         self._xred = tuple(subfield._neg_i(c) for c in modulus[:-1])
         self._exp: np.ndarray | None = None
@@ -467,11 +479,17 @@ class ExtField:
         codes = np.arange(self.order, dtype=np.int64)
         return (codes[:, None] // self._powers % self.char).astype(np.min_scalar_type(-3 * self.char))
 
+    @cached_property
+    def _mod_p(self) -> np.ndarray:
+        # residues of the digit sums 0..3p-1; only fields with a digit table
+        # use it, so p <= TABLE_LIMIT bounds its size
+        return (np.arange(3 * self.char) % self.char).astype(np.float64)
+
     def _digits(self, a: np.ndarray) -> np.ndarray:
         """Base-p digits of the codes in a, along a new last axis."""
         if self._digit_table is None:
             return a[..., None] // self._powers % self.char
-        return np.take(self._digit_table, a, axis=0)
+        return self._digit_table.take(a, axis=0)
 
     # ---- vectorised paths ------------------------------------------------
     def _digitwise(self, op, a, b):
@@ -480,12 +498,12 @@ class ExtField:
         b = np.asarray(b, dtype=np.int64)
         if self.char == 2:
             return _unwrap(a ^ b)
-        # + p keeps the lookup indices nonnegative, which np.take handles fastest
+        # + p keeps the lookup indices nonnegative, which take handles fastest
         s = op(self._digits(a), self._digits(b)) + self.char
         if self._digit_table is None:
             return _unwrap(s % self.char @ self._powers)
         # reduce by lookup, recompose in float64 BLAS (exact: codes are below 2^53)
-        return _unwrap((np.take(self._mod_p, s) @ self._powers.astype(np.float64)).astype(np.int64))
+        return _unwrap((self._mod_p.take(s) @ self._fpowers).astype(np.int64))
 
     def add(self, a, b):
         return self._digitwise(np.add, a, b)
@@ -500,7 +518,7 @@ class ExtField:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self._ensure_tables():
-            return _unwrap(np.take(self._exp, np.take(self._log, a) + np.take(self._log, b)))
+            return _unwrap(self._exp.take(self._log.take(a) + self._log.take(b)))
         if a.ndim == 0 and b.ndim == 0:
             return self._mul_i(int(a), int(b))
         fn = np.frompyfunc(self._mul_i, 2, 1)
@@ -508,10 +526,10 @@ class ExtField:
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if (a == 0).any():
             raise ZeroDivisionError("division by zero in GF(q^m)")
         if self._ensure_tables():
-            return _unwrap(np.take(self._exp, self.order - 1 - np.take(self._log, a)))
+            return _unwrap(self._exp.take(self.order - 1 - self._log.take(a)))
         if a.ndim == 0:
             return self._inv_i(int(a))
         fn = np.frompyfunc(self._inv_i, 1, 1)

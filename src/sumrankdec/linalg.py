@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "Matrix",
     "rref",
+    "rref_stack",
     "rank",
     "right_kernel",
     "solve_unique",
@@ -234,6 +235,48 @@ def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None):
         pivots.append(col)
         row += 1
     return a, None, pivots
+
+
+def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms of a (batch, r, c) stack, all members at once.
+
+    Returns (R, pivots) with pivots a (batch, c) boolean mask of pivot
+    columns; R[b] equals _rref_arrays(field, arr[b])[0] (same pivot choice).
+    Every step updates the whole stack: a member without a pivot in the
+    column swaps a row with itself and gets zero elimination factors.
+    Single matrices stay on _rref_arrays, which is faster at batch 1.
+    """
+    a = np.array(arr, dtype=np.int64)
+    batch, r, c = a.shape
+    pivots = np.zeros((batch, c), dtype=bool)
+    if batch == 0 or r == 0:
+        return a, pivots
+    members = np.arange(batch)
+    below = np.arange(r)
+    row = np.zeros(batch, dtype=np.int64)  # next pivot row of each member
+    for col in range(c):
+        x = a[:, :, col]  # a view: it follows the row operations below
+        cand = (x != 0) & (below >= row[:, None])
+        pr = cand.argmax(axis=1)  # 0 where there is no candidate
+        has = cand[members, pr]
+        if not has.any():
+            continue
+        # rows at or below a member's next pivot row are zero left of col,
+        # so only columns col: change; members without a pivot swap row 0
+        # with itself
+        top = row * has
+        prow = a[members, pr, col:]
+        a[members, pr, col:] = a[members, top, col:]
+        pv = np.where(has, prow[:, 0], 1)
+        if (pv != 1).any():
+            prow = field.mul(field.inv(pv)[:, None], prow)
+        a[members, top, col:] = prow
+        fac = x * has[:, None]
+        fac[members, top] = 0
+        a[:, :, col:] = field.sub(a[:, :, col:], field.mul(fac[:, :, None], prow[:, None, :]))
+        pivots[:, col] = has
+        row += has
+    return a, pivots
 
 
 def rref(M: Matrix, pivot_cols: int | None = None) -> tuple[Matrix, tuple[int, ...]]:

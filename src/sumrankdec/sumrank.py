@@ -14,11 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import Matrix, block_diag, hstack, rank, row_space_basis, solve_unique
+from .linalg import Matrix, block_diag, hstack, rank, row_space_basis, rref_stack, solve_unique
 
 __all__ = [
     "LengthPartition",
     "ErrorModel",
+    "block_ranks",
+    "block_kernels",
     "sum_rank_weight",
     "rank_support",
     "sum_rank_support",
@@ -90,11 +92,89 @@ class LengthPartition:
         return cls((n,))
 
 
+def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition):
+    """The two stacked eliminations behind block_ranks and block_kernels.
+
+    Every column block of every matrix in the (batch, r, n) stack arr is one
+    member, gathered with its columns reversed and zero-padded to w, the
+    largest block length.  The GF(q)-kernel of a block is GF(q)^{n_i} meet
+    its GF(q^m)-kernel, which row operations over GF(q^m) keep; so every
+    member is first reduced over GF(q^m) to at most n_i rows.  A member of
+    full GF(q^m)-rank n_i has kernel {0}; only the others are expanded over
+    GF(q) and reduced in a second stacked call.  Zero columns never pivot,
+    and reversing the columns makes the free-column kernel vectors, reversed
+    back, a reduced echelon basis (see block_kernels).
+
+    Returns (ranks, deficient, Rq, pq, rev, real): the GF(q)-ranks of all
+    batch * l expanded blocks, the members below full GF(q^m)-rank, their
+    GF(q)-reduced rows and pivot masks (reversed columns), and per block the
+    column reversal and the mask of real (unpadded) columns.
+    """
+    parts = np.array(partition.parts)
+    ell, w = parts.size, int(parts.max())
+    if arr.shape[1] == 0:  # a zero row leaves every kernel as it is
+        arr = np.zeros((arr.shape[0], 1, arr.shape[2]), dtype=np.int64)
+    batch, r, _ = arr.shape
+    j = np.arange(w)
+    real = j < parts[:, None]
+    rev = np.where(real, parts[:, None] - 1 - j, j)  # an involution on 0..w-1
+    cols = np.cumsum(parts)[:, None] - 1 - j  # pad entries land anywhere; masked
+    X = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
+
+    R, piv = rref_stack(tower.ext_field, X)
+    ranks = np.tile(parts, batch)
+    deficient = np.flatnonzero(piv.sum(axis=1) < ranks)
+    h = min(r, w)  # rows below the GF(q^m)-rank are zero
+    ext = tower.ext_array(R[deficient, :h].reshape(-1, w))
+    Rq, pq = rref_stack(tower.base_field, ext.reshape(deficient.size, h * tower.m, w))
+    ranks[deficient] = pq.sum(axis=1)
+    return ranks, deficient, Rq, pq, rev, real
+
+
+def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) -> np.ndarray:
+    """GF(q)-ranks of the expanded column blocks of a (batch, r, n) stack, as (batch, l)."""
+    return _reduce_blocks(tower, arr, partition)[0].reshape(arr.shape[0], partition.ell)
+
+
+def block_kernels(
+    tower: FieldTower, arr: np.ndarray, partition: LengthPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """GF(q)-kernels of the expanded column blocks of a stack of GF(q^m) matrices.
+
+    arr is a (batch, r, n) array of GF(q^m) codes.  Returns (K, lead) with K
+    of shape (batch, l, w, w) and lead of shape (batch, l, w), w the largest
+    block length: K[b, i][lead[b, i]] is the canonical (reduced echelon)
+    basis of {v in GF(q)^{n_i} : block_i(arr[b]) @ v = 0}, in the first n_i
+    columns, and equals right_kernel(tower.ext_matrix(block_i)).  Row o of
+    K[b, i] is the basis vector whose leading entry is in column o, and is
+    zero where lead[b, i, o] is False; lead.sum(-1) are the kernel dimensions.
+    """
+    _, deficient, Rq, pq, rev, real = _reduce_blocks(tower, arr, partition)
+    ell, w = real.shape
+    K = np.zeros((arr.shape[0] * ell, w, w), dtype=np.int64)
+    lead = np.zeros((arr.shape[0] * ell, w), dtype=bool)
+    if deficient.size:
+        # T[d, p] is the reduced row with its pivot in column p, zero if p is
+        # free; the kernel vector of free column f is e_f - T[d, :, f], with
+        # its leading entry at f once the columns are reversed back
+        d = np.arange(deficient.size)[:, None]
+        T = Rq[d, np.cumsum(pq, axis=1) - 1] * pq[:, :, None]
+        rv = rev[deficient % ell]
+        j = np.arange(w)
+        kern = tower.base_field.neg(T[d[:, :, None], rv[:, None, :], rv[:, :, None]])
+        kern[:, j, j] = 1
+        lead[deficient] = (~pq & real[deficient % ell])[d, rv]
+        K[deficient] = kern * lead[deficient][:, :, None]
+    return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w)
+
+
 def sum_rank_weight(tower: FieldTower, M: Matrix, partition: LengthPartition) -> int:
     """Sum over blocks of the GF(q)-rank of the expanded block."""
     if M.field != tower.ext_field:
         raise ValueError("matrix is not over the tower's extension field")
-    return sum(rank(tower.ext_matrix(blk)) for blk in partition.blocks(M))
+    if M.cols != partition.n:
+        raise ValueError(f"matrix has {M.cols} columns, partition needs {partition.n}")
+    return int(block_ranks(tower, M.array[None], partition).sum())
 
 
 def rank_support(tower: FieldTower, block: Matrix) -> Matrix:

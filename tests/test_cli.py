@@ -141,6 +141,7 @@ class TestDecodeFiles:
         assert payload["status"] == "SupportMismatch" and "message" in payload
         # the exception's fields ride along, tuples as lists
         assert payload["t_hat"] == 2 and payload["per_block_t"] == [0, 0, 1]
+        assert payload["stage"] == "supports"
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

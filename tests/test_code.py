@@ -15,6 +15,7 @@ from sumrankdec.code import (
     random_code,
     syndrome,
 )
+from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, rank, row_spaces_equal
 from sumrankdec.sumrank import LengthPartition
 
@@ -163,6 +164,26 @@ class TestMinDistance:
         for c0 in range(1, ref_tower.order):
             msg = Matrix(ref_tower.ext_field, [[c0]])
             weights.append(sum_rank_weight(ref_tower, msg @ G, part))
+        assert min_sum_rank_distance(code) == min(weights)
+
+
+    @pytest.mark.parametrize(
+        "tower,parts,k,seed",
+        [
+            (FieldTower.standard(3, 2), (2, 1, 2), 3, 1),  # 728 codewords, d = 2: two chunks
+            (FieldTower.standard(2, 3), (1, 3, 2), 3, 1),  # characteristic 2
+            (FieldTower.standard(2, 2, e=2), (2, 2), 2, 2),  # GF(4) <= GF(16)
+        ],
+    )
+    def test_matches_per_codeword_loop(self, tower, parts, k, seed):
+        part = LengthPartition(parts)
+        code = random_code(tower, part, k, seed=seed)
+        F = tower.ext_field
+        weights = []
+        for msg in itertools.product(range(tower.order), repeat=k):
+            if any(msg):
+                cw = Matrix(F, F.matmul(np.array([msg]), code.generator.array))
+                weights.append(sum(rank(tower.ext_matrix(blk)) for blk in part.blocks(cw)))
         assert min_sum_rank_distance(code) == min(weights)
 
 

@@ -143,6 +143,7 @@ class TestComputeHsub:
                 with pytest.raises(SupportSpaceEmpty) as info:
                     compute_hsub(code.H, S)
                 assert (info.value.t_hat, info.value.redundancy) == (4, 4)
+                assert info.value.stage == "annihilator"
                 break
         else:
             pytest.fail("never hit a full-rank syndrome")
@@ -318,7 +319,7 @@ class TestRobustness:
             try:
                 decode(inst.icode, inst.Y)
             except SupportMismatch as ex:
-                assert ex.t_hat == rank(syndrome(code.H, inst.Y))
+                assert ex.t_hat == rank(syndrome(code.H, inst.Y)) and ex.stage == "supports"
                 assert len(ex.per_block_t) == 3 and sum(ex.per_block_t) != ex.t_hat
                 hit = True
                 break
@@ -339,6 +340,17 @@ class TestRobustness:
         with pytest.raises(ResidualCheckFailed) as info:
             decode(ref.icode, ref.Y)
         assert (info.value.t_hat, info.value.check) == (3, check)
+        assert vars(info.value)["stage"] == "verify"
+
+    @pytest.mark.parametrize("error", [NonUniqueSolution, Inconsistent])
+    def test_erasure_failure_names_its_stage(self, ref, monkeypatch, error):
+        def failing(H, B, S):
+            raise error("injected")
+
+        monkeypatch.setattr(decoder, "erasure_decode", failing)
+        with pytest.raises(error) as info:
+            decode(ref.icode, ref.Y)
+        assert vars(info.value)["stage"] == "erasure"
 
 
 class TestSpecialCaseReductions:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sumrankdec import gf
 from sumrankdec.gf import ExtField, FieldTower, PrimeField, Scalar, default_modulus, is_irreducible
-from sumrankdec.linalg import Matrix
+from sumrankdec.linalg import Matrix, rank, right_kernel
 
 
 def towers():
@@ -247,10 +247,60 @@ class TestLargePrime:
         )
         assert out.stdout.strip() == "[[4]]"
 
+    @pytest.mark.parametrize("p", [P, 1000003])
+    def test_inv_matches_scalar_oracle(self, p):
+        f = PrimeField(p)
+        x = np.array([1, 2, 3, p // 2, p - 2, p - 1], dtype=np.int64)
+        assert f.inv(x).tolist() == [f._inv_i(int(v)) for v in x]
+        assert f.inv(3) == f._inv_i(3) and type(f.inv(3)) is int
+
+    def test_inverse_table_only_up_to_table_limit(self):
+        big = PrimeField(self.P)
+        big.inv(np.arange(1, 1000))
+        assert big._inv_table is None
+        small = PrimeField(1000003)  # just below TABLE_LIMIT
+        small.inv(3)
+        assert small._inv_table.shape == (small.p,)
+
+    def test_rank_and_kernel_against_oracle(self):
+        f = PrimeField(self.P)
+        rng = np.random.default_rng(13)
+        # rank 2: the third row is a combination of the first two
+        rows = f.random(rng, (2, 5)).tolist()
+        rows.append([(3 * x + (f.p - 5) * y) % f.p for x, y in zip(*rows)])
+        R, pivots = _oracle_rref(rows, f.p)
+        assert rank(Matrix(f, rows)) == len(pivots) == 2
+        free = [j for j in range(5) if j not in pivots]
+        basis = [[1 if j == fc else 0 for j in range(5)] for fc in free]
+        for v, fc in zip(basis, free):
+            for i, pc in enumerate(pivots):
+                v[pc] = -R[i][fc] % f.p
+        assert right_kernel(Matrix(f, rows)).tolist() == _oracle_rref(basis, f.p)[0]
+
     def test_oversized_prime_rejected(self):
         # (p-1)^2 overflows int64, so even element-wise mul would be wrong
         with pytest.raises(ValueError, match="overflows int64"):
             PrimeField(2**61 - 1)
+
+
+def _oracle_rref(rows, p):
+    """Reduced echelon form (zero rows dropped) and pivots, in Python ints."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        top = len(pivots)
+        pr = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[top], rows[pr] = rows[pr], rows[top]
+        inv = pow(rows[top][col], p - 2, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
 class TestTwoLevelTower:

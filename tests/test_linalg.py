@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumrankdec.gf import FieldTower, PrimeField
 from sumrankdec.linalg import (
+    _rref_arrays,
     Inconsistent,
     Matrix,
     NonUniqueSolution,
@@ -17,9 +21,23 @@ from sumrankdec.linalg import (
     row_space_intersection,
     row_spaces_equal,
     rref,
+    rref_stack,
     solve_unique,
     vstack,
 )
+
+# characteristic 2 and odd p, prime and extension fields, the two-level
+# GF(4) <= GF(16) and a prime above TABLE_LIMIT (inverses without a table)
+STACK_FIELDS = [
+    PrimeField(2),
+    PrimeField(5),
+    FieldTower.standard(2, 3).ext_field,
+    FieldTower.standard(5, 2).ext_field,
+    FieldTower.standard(2, 2, e=2).base_field,
+    FieldTower.standard(2, 2, e=2).ext_field,
+    FieldTower.standard(2, 12).ext_field,
+    PrimeField(2**31 - 1),
+]
 
 
 class TestMatrixBasics:
@@ -298,3 +316,33 @@ class TestSerialization:
     def test_bad_label(self, ref_tower):
         with pytest.raises(ValueError):
             matrix_from_dict({"rows": 1, "cols": 1, "field": "huh", "data": [[0]]}, ref_tower)
+
+
+class TestRrefStack:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(STACK_FIELDS),
+        shape=st.tuples(st.integers(1, 4), st.integers(0, 5), st.integers(0, 5)),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_single_matrix_engine(self, field, shape, density, seed):
+        # sparse members exercise zero columns, missing pivots and row swaps
+        rng = np.random.default_rng(seed)
+        arr = field.random(rng, shape) * (rng.random(shape) < density)
+        R, pivots = rref_stack(field, arr)
+        assert R.shape == arr.shape and pivots.shape == (shape[0], shape[2])
+        for b in range(shape[0]):
+            want, _, piv = _rref_arrays(field, arr[b])
+            assert R[b].tolist() == want.tolist()
+            assert np.flatnonzero(pivots[b]).tolist() == piv
+
+    def test_mixed_members(self, ref_tower):
+        # one stack holding a zero, a full-rank and a rank-1 member
+        f = ref_tower.ext_field
+        arr = np.array([[[0, 0], [0, 0]], [[3, 1], [7, 2]], [[0, 4], [0, 8]]])
+        R, pivots = rref_stack(f, arr)
+        assert R[0].tolist() == [[0, 0], [0, 0]] and not pivots[0].any()
+        assert R[1].tolist() == [[1, 0], [0, 1]] and pivots[1].tolist() == [True, True]
+        assert R[2].tolist() == rref(Matrix(f, arr[2]))[0].tolist()
+        assert pivots[2].tolist() == [False, True]

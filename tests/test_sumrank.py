@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sumrankdec.linalg import Matrix, rank, row_space_basis
+from sumrankdec.gf import FieldTower
+from sumrankdec.linalg import Matrix, rank, right_kernel, row_space_basis
 from sumrankdec.sumrank import (
     Infeasible,
     LengthPartition,
+    block_kernels,
+    block_ranks,
     decompose_error,
     hamming_support,
     random_profile,
@@ -236,3 +241,86 @@ class TestRandomProfile:
         rng = np.random.default_rng(10)
         with pytest.raises(Infeasible):
             random_profile(rng, ref_tower, LengthPartition([1, 1]), 3, s=1)
+
+
+def _with_basis(tower, basis):
+    return FieldTower(tower.p, tower.e, tower.m, tower.ext_modulus,
+                      base_modulus=tower.base_modulus, basis=basis)
+
+
+# characteristic 2 and odd p, the two-level GF(4) <= GF(16), custom bases
+BLOCK_TOWERS = [
+    FieldTower.standard(2, 3),
+    FieldTower.standard(5, 2),
+    FieldTower.standard(3, 2),
+    FieldTower.standard(2, 2, e=2),
+    _with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
+    _with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
+]
+# GF(p^2) for p = 2^31 - 1: no tables at either level, so tiny shapes only
+LARGE_TOWER = FieldTower.standard(2**31 - 1, 2)
+BLOCK_KINDS = ["zero", "random", "q-deficient", "qm-deficient"]
+
+
+@st.composite
+def block_stacks(draw):
+    """(tower, partition, stack) with every block drawn as one of BLOCK_KINDS.
+
+    A q-deficient block is A @ B with B over GF(q) of fewer rows than
+    columns (a nonzero GF(q)-kernel); a qm-deficient one is A @ C over
+    GF(q^m) of GF(q^m)-rank below n_i, whose GF(q)-kernel may still be {0}.
+    """
+    large = draw(st.booleans()) and draw(st.booleans())
+    tower = LARGE_TOWER if large else draw(st.sampled_from(BLOCK_TOWERS))
+    small = 2 if large else 4
+    parts = draw(st.lists(st.integers(1, 3 if not large else 2), min_size=1, max_size=small))
+    batch = draw(st.integers(1, 1 if large else 3))
+    rows = draw(st.integers(1, small))  # rho = 1 included
+    kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=batch * len(parts),
+                          max_size=batch * len(parts)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F, Fq = tower.ext_field, tower.base_field
+    members = []
+    for b in range(batch):
+        blocks = []
+        for ni, kind in zip(parts, kinds[b * len(parts):]):
+            t = int(rng.integers(0, ni))
+            if kind == "zero":
+                blocks.append(np.zeros((rows, ni), dtype=np.int64))
+            elif kind == "random":
+                blocks.append(F.random(rng, (rows, ni)))
+            else:
+                right = Fq.random(rng, (t, ni)) if kind == "q-deficient" else F.random(rng, (t, ni))
+                blocks.append(F.matmul(F.random(rng, (rows, t)), right))
+        members.append(np.hstack(blocks))
+    return tower, LengthPartition(parts), np.stack(members)
+
+
+class TestBlockKernels:
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(block_stacks())
+    def test_matches_per_block_kernels(self, case):
+        tower, part, arr = case
+        K, lead = block_kernels(tower, arr, part)
+        ranks = block_ranks(tower, arr, part)
+        for b in range(arr.shape[0]):
+            M = Matrix(tower.ext_field, arr[b])
+            expanded = [tower.ext_matrix(blk) for blk in part.blocks(M)]
+            for i, (ni, ext) in enumerate(zip(part.parts, expanded)):
+                # the per-block loop that block_kernels replaces is the oracle
+                want = right_kernel(ext)
+                assert K[b, i][lead[b, i], :ni].tolist() == want.tolist()
+                assert not K[b, i][~lead[b, i]].any() and not K[b, i][:, ni:].any()
+                # row o holds the basis vector whose leading entry is in column o
+                assert np.flatnonzero(lead[b, i]).tolist() == [
+                    int(np.flatnonzero(v)[0]) for v in want.array
+                ]
+                assert ranks[b, i] == rank(ext) == ni - want.rows
+            assert sum_rank_weight(tower, M, part) == sum(rank(ext) for ext in expanded)
+
+    def test_zero_row_matrix(self, ref_tower):
+        part = LengthPartition([2, 1])
+        K, lead = block_kernels(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part)
+        assert lead.tolist() == [[[True, True], [True, False]]]
+        assert K[0, 0].tolist() == [[1, 0], [0, 1]] and K[0, 1].tolist() == [[1, 0], [0, 0]]
+        assert block_ranks(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part).tolist() == [[0, 0]]
