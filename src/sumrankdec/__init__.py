@@ -7,7 +7,7 @@ sum-rank weights and supports, a brute-force minimum-distance oracle, a
 skew-metric front end, and a CLI harness.
 """
 
-from .gf import ExtField, FieldTower, PrimeField, Scalar, default_modulus
+from .gf import ExtField, FieldTower, PrimeField, default_modulus
 from .linalg import (
     Inconsistent,
     Matrix,
@@ -30,7 +30,6 @@ from .sumrank import (
     random_profile,
     rank_support,
     sample_error,
-    sum_rank_support,
     sum_rank_weight,
 )
 from .code import (
@@ -41,6 +40,7 @@ from .code import (
     generator_from_parity,
     min_sum_rank_distance,
     random_code,
+    random_instance,
     syndrome,
 )
 from .decoder import (
@@ -55,12 +55,6 @@ from .decoder import (
     erasure_decode,
     recover_block_supports,
 )
-from .skew import (
-    SkewCodeDescriptor,
-    SkewIsometry,
-    skew_code_from_sumrank,
-    skew_decode,
-    skew_weight,
-)
+from .skew import SkewIsometry, skew_decode, skew_weight
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Subcommands:
-  example   replay the embedded reference instance and diff every intermediate
+  example   decode the embedded reference instance and diff the report stage by stage
   trial     seeded Monte Carlo decoding trials with a failure histogram
   bench     decode-time scaling table over lengths / interleaving orders
   decode    decode a received-matrix file against a code file
@@ -30,26 +30,20 @@ from .code import (
     LinearCode,
     min_sum_rank_distance,
     random_code,
-    syndrome,
+    random_instance,
 )
-from .decoder import DecodingFailure, compute_hsub, decode, erasure_decode, recover_block_supports
+from .decoder import DecodingFailure, decode
 from .gf import FieldTower
 from .linalg import (
     Inconsistent,
     Matrix,
     NonUniqueSolution,
+    block_diag,
     matrix_from_dict,
     matrix_to_dict,
     row_spaces_equal,
 )
-from .sumrank import (
-    Infeasible,
-    LengthPartition,
-    SamplingFailure,
-    check_profile,
-    random_profile,
-    sample_error,
-)
+from .sumrank import Infeasible, LengthPartition, SamplingFailure, check_profile
 
 __all__ = ["main", "TrialConfig", "TrialSummary", "run_trials", "run_bench"]
 
@@ -113,10 +107,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, index)))
-
-
 # ---------------------------------------------------------------------------
 # example
 # ---------------------------------------------------------------------------
@@ -131,61 +121,33 @@ def cmd_example(args) -> int:
         arr[r, c] = ref.tower.add(int(arr[r, c]), 1)
         Y = Matrix(ref.tower.ext_field, arr)
 
-    def show(name, M):
-        if args.verbose:
-            print(f"  {name} = {M.tolist()}")
-
     started = time.perf_counter()
-    stage = "syndrome"
     try:
-        S = syndrome(ref.code.H, Y)
-        show("S", S)
-        if S != ref.S:
-            raise AssertionError("syndrome matrix differs from the expected value")
-        print("stage syndrome: ok (entry-exact)")
-
-        stage = "weight inference"
-        h_sub, t_hat = compute_hsub(ref.code.H, S)
-        if t_hat != ref.t:
-            raise AssertionError(f"inferred weight {t_hat} != {ref.t}")
-        print(f"stage weight inference: ok (t = {t_hat})")
-
-        stage = "annihilator rows"
-        show("h_sub", h_sub)
-        if not row_spaces_equal(h_sub, ref.h_sub):
-            raise AssertionError("annihilator row space differs from the expected one")
-        print("stage annihilator rows: ok (row-space equal)")
-
-        stage = "support recovery"
-        support = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
-        for i, (got, want) in enumerate(zip(support.per_block_kernels, ref.B_blocks), 1):
-            show(f"B block {i}", got)
-            if got != want:
-                raise AssertionError(f"support basis of block {i} differs")
-        print(f"stage support recovery: ok (block weights {support.per_block_t})")
-
-        stage = "erasure decoding"
-        B = support.B
-        A = erasure_decode(ref.code.H, B, S)
-        show("A", A)
-        if A != ref.A:
-            raise AssertionError("solved coefficient matrix differs")
-        E_hat = A @ ref.tower.lift(B)
-        if E_hat != ref.E:
-            raise AssertionError("recovered error differs")
-        print("stage erasure decoding: ok (A and E entry-exact)")
-
-        stage = "codeword recovery"
-        C_hat = Y - E_hat
-        show("C", C_hat)
-        if C_hat != ref.C:
-            raise AssertionError("recovered codeword differs")
-        if not syndrome(ref.code.H, C_hat).is_zero:
-            raise AssertionError("residual check failed")
-        print("stage codeword recovery: ok (entry-exact, residual zero)")
-    except (AssertionError, *_FAILURE_TYPES) as ex:
-        print(f"FAIL at stage {stage}: {ex}", file=sys.stderr)
+        report = decode(ref.icode, Y)
+    except _FAILURE_TYPES as ex:
+        print(f"FAIL at stage {ex.stage}: {ex}", file=sys.stderr)
         return 1
+    # (stage, shown intermediates, matches the reference, what matched)
+    checks = [
+        ("syndrome", {"S": report.S}, report.S == ref.S, "entry-exact"),
+        ("annihilator", {"h_sub": report.h_sub},
+         report.t_hat == ref.t and row_spaces_equal(report.h_sub, ref.h_sub),
+         f"t = {report.t_hat}, row-space equal"),
+        ("supports", {"B": report.B_hat}, report.B_hat == block_diag(ref.B_blocks),
+         f"block weights {report.per_block_t}"),
+        ("erasure", {"A": report.A_hat, "E": report.E_hat},
+         report.A_hat == ref.A and report.E_hat == ref.E, "A and E entry-exact"),
+        ("verify", {"C": report.C_hat}, report.C_hat == ref.C, "C entry-exact, residual zero"),
+    ]
+    for stage, shown, ok, detail in checks:
+        if args.verbose:
+            for name, M in shown.items():
+                print(f"  {name} = {M.tolist()}")
+        if not ok:
+            print(f"FAIL at stage {stage}: {', '.join(shown)} differs from the reference",
+                  file=sys.stderr)
+            return 1
+        print(f"stage {stage}: ok ({detail})")
 
     elapsed = time.perf_counter() - started
     print(f"PASS ({elapsed * 1e3:.1f} ms)")
@@ -290,15 +252,10 @@ def pick_code(config: TrialConfig) -> tuple[LinearCode, int | None]:
 
 def run_single_trial(config: TrialConfig, code: LinearCode, index: int):
     """One forward-constructed instance: returns (label, elapsed_ms)."""
-    rng = _trial_rng(config.seed, index)
     icode = InterleavedCode(code, config.s)
-    profile = config.profile
-    if profile is None:
-        profile = random_profile(rng, config.tower, config.partition, config.t, config.s)
-    em = sample_error(config.tower, config.partition, profile, config.s,
-                      require_full_rank=config.full_rank, rng=rng)
-    msg = Matrix.random(config.tower.ext_field, config.s, config.k, rng)
-    C = icode.encode(msg)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
+    C, em = random_instance(icode, rng, t=config.t, profile=config.profile,
+                            require_full_rank=config.full_rank)
     Y = C + em.E
     started = time.perf_counter()
     try:
@@ -406,10 +363,7 @@ def run_bench(
             times = []
             outcomes = []
             for _ in range(reps):
-                profile = random_profile(rng, tower, partition, t, s)
-                em = sample_error(tower, partition, profile, s, require_full_rank=True, rng=rng)
-                msg = Matrix.random(tower.ext_field, s, k, rng)
-                C = icode.encode(msg)
+                C, em = random_instance(icode, rng, t=t)
                 Y = C + em.E
                 started = time.perf_counter()
                 try:
@@ -528,20 +482,13 @@ def cmd_gen(args) -> int:
     if (args.t is None) == (args.profile is None):
         raise UsageError("give exactly one of --t or --profile")
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x6E6)))
+    profile = tuple(_parse_ints(args.profile)) if args.profile else None
     try:
         code = random_code(tower, partition, args.k, rng=rng)
-        profile = (
-            tuple(_parse_ints(args.profile))
-            if args.profile
-            else random_profile(rng, tower, partition, args.t, args.s)
-        )
-        em = sample_error(tower, partition, profile, args.s,
-                          require_full_rank=not args.no_full_rank, rng=rng)
+        C, em = random_instance(InterleavedCode(code, args.s), rng, t=args.t, profile=profile,
+                                require_full_rank=not args.no_full_rank)
     except (Infeasible, SamplingFailure, ValueError) as ex:
         raise UsageError(str(ex)) from ex
-    icode = InterleavedCode(code, args.s)
-    msg = Matrix.random(tower.ext_field, args.s, args.k, rng)
-    C = icode.encode(msg)
     Y = C + em.E
 
     _write_json(f"{args.out_prefix}.code.json", code.to_dict())

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gf import FieldTower
 from .linalg import Matrix, rank, right_kernel, matrix_from_dict, matrix_to_dict
-from .sumrank import LengthPartition, block_ranks
+from .sumrank import ErrorModel, LengthPartition, block_ranks, random_profile, sample_error
 
 __all__ = [
     "LinearCode",
@@ -25,6 +25,7 @@ __all__ = [
     "generator_from_parity",
     "min_sum_rank_distance",
     "random_code",
+    "random_instance",
     "BudgetExceeded",
 ]
 
@@ -100,9 +101,6 @@ class LinearCode:
 
     def contains_rows(self, M: Matrix) -> bool:
         return syndrome(self.H, M).is_zero
-
-    def interleave(self, s: int) -> "InterleavedCode":
-        return InterleavedCode(self, s)
 
     def to_dict(self) -> dict:
         d = {
@@ -205,3 +203,24 @@ def random_code(
         H = Matrix.random(tower.ext_field, n - k, n, rng)
         if rank(H) == n - k:
             return LinearCode(tower, partition, H)
+
+
+def random_instance(
+    icode: InterleavedCode,
+    rng: np.random.Generator,
+    t: int | None = None,
+    profile=None,
+    require_full_rank: bool = True,
+) -> tuple[Matrix, ErrorModel]:
+    """A seeded decoding instance (C, em); the received matrix is C + em.E.
+
+    Draws from rng in a fixed order: the block profile (random with total
+    weight t unless profile is given), then the error, then the messages
+    that are encoded to the codeword stack C.
+    """
+    tower, partition, s = icode.tower, icode.partition, icode.s
+    if profile is None:
+        profile = random_profile(rng, tower, partition, t, s)
+    em = sample_error(tower, partition, profile, s, require_full_rank=require_full_rank, rng=rng)
+    C = icode.encode(Matrix.random(tower.ext_field, s, icode.constituent.k, rng))
+    return C, em

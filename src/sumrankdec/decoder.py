@@ -119,7 +119,13 @@ class SupportRecovery:
 
 @dataclass(frozen=True)
 class DecodingReport:
-    """Successful decoding outcome with diagnostics."""
+    """Successful decoding outcome with diagnostics.
+
+    Besides the outcome (C_hat, E_hat = A_hat @ B_hat) it keeps the two
+    intermediates of support recovery: S, the (n-k) x s syndrome matrix
+    H @ Y^T, and h_sub, the annihilator rows, which number
+    S.rows - t_hat.  to_dict leaves both out.
+    """
 
     C_hat: Matrix
     E_hat: Matrix
@@ -127,6 +133,8 @@ class DecodingReport:
     B_hat: Matrix
     t_hat: int
     per_block_t: tuple[int, ...]
+    S: Matrix
+    h_sub: Matrix
 
     def to_dict(self, tower: FieldTower) -> dict:
         return {
@@ -243,4 +251,6 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
         B_hat=B,
         t_hat=t_hat,
         per_block_t=support.per_block_t,
+        S=S,
+        h_sub=h_sub,
     )

@@ -24,7 +24,6 @@ element by element in polynomial arithmetic (correct but slow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -35,7 +34,6 @@ __all__ = [
     "PrimeField",
     "ExtField",
     "FieldTower",
-    "Scalar",
     "default_modulus",
     "TABLE_LIMIT",
 ]
@@ -704,16 +702,6 @@ class FieldTower:
     def alpha_power(self, k: int) -> int:
         return self.pow(self.alpha, k)
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n1 = self.order - 1
-        order = n1
-        for r in _prime_factors(n1):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     # ---- expansion maps ---------------------------------------------------
     def ext(self, a: int) -> np.ndarray:
         """Coordinates of a in the configured basis (length-m GF(q) codes)."""
@@ -761,9 +749,6 @@ class FieldTower:
             raise ValueError("matrix is not over this tower's base field")
         return Matrix(self.ext_field, M.array, _checked=True)
 
-    def scalar(self, code: int) -> "Scalar":
-        return Scalar(self, int(code))
-
     # ---- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
         d = {"p": self.p, "e": self.e, "m": self.m, "ext_modulus": list(self.ext_modulus)}
@@ -798,62 +783,3 @@ class FieldTower:
 
     def __repr__(self):
         return f"FieldTower(GF({self.q}^{self.m}), p={self.p}, e={self.e})"
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A GF(q^m) element bound to its tower, with operator sugar."""
-
-    tower: FieldTower
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.tower.order:
-            raise ValueError(f"code {self.code} out of range for {self.tower!r}")
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.tower != self.tower:
-                raise ValueError("operands belong to different field towers")
-            return other
-        if isinstance(other, (int, np.integer)):
-            return Scalar(self.tower, int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.tower, self.tower.add(self.code, other.code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.tower, self.tower.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.tower, self.tower.mul(self.code, other.code))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(self.tower, self.tower.neg(self.code))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.tower, self.tower.mul(self.code, self.tower.inv(other.code)))
-
-    def __pow__(self, k: int):
-        return Scalar(self.tower, self.tower.pow(self.code, k))
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.tower, self.tower.inv(self.code))
-
-    def ext(self) -> np.ndarray:
-        return self.tower.ext(self.code)
-
-    def __int__(self):
-        return self.code
-
-    def __repr__(self):
-        return f"Scalar({self.code} in GF({self.tower.q}^{self.tower.m}))"

@@ -10,7 +10,7 @@ transform back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .gf import FieldTower
 from .linalg import Matrix
 from .sumrank import LengthPartition, sum_rank_weight
 
-__all__ = ["SkewIsometry", "SkewCodeDescriptor", "skew_weight", "skew_code_from_sumrank", "skew_decode"]
+__all__ = ["SkewIsometry", "skew_weight", "skew_decode"]
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,6 @@ class SkewIsometry:
     @property
     def D(self) -> Matrix:
         return Matrix(self.tower.ext_field, np.diag(np.asarray(self.diagonal, dtype=np.int64)), _checked=True)
-
-    @property
-    def D_inv(self) -> Matrix:
-        inv = [self.tower.inv(d) for d in self.diagonal]
-        return Matrix(self.tower.ext_field, np.diag(np.asarray(inv, dtype=np.int64)), _checked=True)
 
     def apply(self, M: Matrix) -> Matrix:
         """M @ D as a column scaling."""
@@ -83,51 +78,15 @@ def skew_weight(tower: FieldTower, iso: SkewIsometry, X: Matrix) -> int:
     return sum_rank_weight(tower, iso.apply(X), iso.partition)
 
 
-@dataclass(frozen=True)
-class SkewCodeDescriptor:
-    """Skew-side view of an interleaved sum-rank-metric code.
-
-    Codewords are C @ D^{-1} for sum-rank codewords C, so the skew-side
-    parity-check matrix is H @ D and the minimum skew distance equals the
-    sum-rank minimum distance of the source code.
-    """
-
-    H_skew: Matrix
-    s: int
-    k: int
-    d: int | None
-
-    def contains(self, M: Matrix) -> bool:
-        if M.shape != (self.s, self.H_skew.cols):
-            return False
-        return (self.H_skew @ M.T).is_zero
-
-
-def skew_code_from_sumrank(icode: InterleavedCode, iso: SkewIsometry) -> SkewCodeDescriptor:
-    code = icode.constituent
-    if iso.partition != code.partition or iso.tower != code.tower:
-        raise ValueError("isometry does not match the code's tower/partition")
-    return SkewCodeDescriptor(
-        H_skew=code.H @ iso.D,
-        s=icode.s,
-        k=code.k,
-        d=code.d,
-    )
-
-
 def skew_decode(icode: InterleavedCode, iso: SkewIsometry, Y: Matrix) -> DecodingReport:
     """Decode a skew-side received matrix: transform, decode, transform back.
 
     Equals decode(icode, Y @ D) with C_hat and E_hat mapped back through
-    D^{-1}; the support-side fields (A, B, weights) stay on the sum-rank
-    side where they are defined.
+    D^{-1}; the other fields (S, h_sub, A, B, weights) stay on the sum-rank
+    side where they are defined.  The isometry must share the code's tower
+    and partition.
     """
+    if iso.partition != icode.partition or iso.tower != icode.tower:
+        raise ValueError("isometry does not match the code's tower/partition")
     report = decode(icode, iso.apply(Y))
-    return DecodingReport(
-        C_hat=iso.apply_inv(report.C_hat),
-        E_hat=iso.apply_inv(report.E_hat),
-        A_hat=report.A_hat,
-        B_hat=report.B_hat,
-        t_hat=report.t_hat,
-        per_block_t=report.per_block_t,
-    )
+    return replace(report, C_hat=iso.apply_inv(report.C_hat), E_hat=iso.apply_inv(report.E_hat))

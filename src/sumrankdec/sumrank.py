@@ -23,7 +23,6 @@ __all__ = [
     "block_kernels",
     "sum_rank_weight",
     "rank_support",
-    "sum_rank_support",
     "hamming_support",
     "sample_error",
     "decompose_error",
@@ -184,10 +183,6 @@ def rank_support(tower: FieldTower, block: Matrix) -> Matrix:
     return row_space_basis(tower.ext_matrix(block))
 
 
-def sum_rank_support(tower: FieldTower, M: Matrix, partition: LengthPartition) -> list[Matrix]:
-    return [rank_support(tower, blk) for blk in partition.blocks(M)]
-
-
 def hamming_support(M: Matrix) -> set[int]:
     """0-based indices of nonzero columns."""
     return {int(j) for j in np.nonzero(np.any(M.array != 0, axis=0))[0]}
@@ -217,13 +212,6 @@ class ErrorModel:
     @property
     def s(self) -> int:
         return self.E.rows
-
-    def validate(self) -> None:
-        tower, part = self.tower, self.partition
-        assert self.E == self.A @ tower.lift(self.B)
-        for ti, blk in zip(self.profile, part.blocks(self.E)):
-            assert rank(tower.ext_matrix(blk)) == ti
-        assert self.full_rank == (rank(self.E) == self.t)
 
     def to_dict(self) -> dict:
         from .linalg import matrix_to_dict

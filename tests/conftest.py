@@ -18,10 +18,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from sumrankdec import example_case
-from sumrankdec.code import InterleavedCode, LinearCode, min_sum_rank_distance, random_code
+from sumrankdec.code import (
+    InterleavedCode,
+    LinearCode,
+    min_sum_rank_distance,
+    random_code,
+    random_instance,
+)
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix
-from sumrankdec.sumrank import ErrorModel, LengthPartition, random_profile, sample_error
+from sumrankdec.sumrank import ErrorModel, LengthPartition
 
 
 @pytest.fixture(scope="session")
@@ -81,16 +87,11 @@ def make_instance(
     profile=None,
     require_full_rank: bool = True,
 ) -> Instance:
-    tower, partition = code.tower, code.partition
-    if profile is None:
-        profile = random_profile(rng, tower, partition, t, s)
-    em = sample_error(tower, partition, profile, s, require_full_rank=require_full_rank, rng=rng)
     icode = InterleavedCode(code, s)
-    msg = Matrix.random(tower.ext_field, s, code.k, rng)
-    C = icode.encode(msg)
+    C, em = random_instance(icode, rng, t=t, profile=profile, require_full_rank=require_full_rank)
     return Instance(
-        tower=tower,
-        partition=partition,
+        tower=code.tower,
+        partition=code.partition,
         code=code,
         icode=icode,
         em=em,

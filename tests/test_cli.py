@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, reproducibility, file round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,16 +15,28 @@ def run(args):
 class TestExample:
     def test_pass(self, capsys):
         assert run(["example"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
+        *stages, last = capsys.readouterr().out.splitlines()
+        assert "PASS" in last
+        # one line per decoder stage, in the decoder's order
+        assert [line.split(":")[0] for line in stages] == [
+            f"stage {s}" for s in ("syndrome", "annihilator", "supports", "erasure", "verify")
+        ]
 
     def test_verbose(self, capsys):
         assert run(["example", "--verbose"]) == 0
-        assert "S = " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "S = " in out and "h_sub = " in out
 
     def test_perturbed_fails(self, capsys):
+        # the decoder itself raises: its typed failure names the stage
         assert run(["example", "--perturb", "0,0"]) == 1
-        assert "FAIL" in capsys.readouterr().err
+        assert "FAIL at stage supports" in capsys.readouterr().err
+
+    def test_perturbed_decodes_but_differs(self, capsys):
+        # a second error in the full-weight block still decodes to the
+        # reference C, but the syndrome is the first intermediate that differs
+        assert run(["example", "--perturb", "0,2"]) == 1
+        assert "FAIL at stage syndrome" in capsys.readouterr().err
 
     def test_perturbed_various_positions(self):
         for pos in ["1,3", "2,5"]:
@@ -119,6 +132,20 @@ class TestGenDecodeRoundtrip:
                  "--out-prefix", prefix])
         for suffix in (".code.json", ".received.json", ".truth.json"):
             assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+
+    def test_gen_golden(self, tmp_path):
+        # the seeded draw order (code, profile, error, messages) is pinned
+        prefix = str(tmp_path / "g")
+        assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
+                    "--out-prefix", prefix]) == 0
+        digests = {
+            suffix: hashlib.sha256(open(prefix + suffix, "rb").read()).hexdigest()
+            for suffix in (".received.json", ".truth.json")
+        }
+        assert digests == {
+            ".received.json": "c8bc8947bf5ac96176465b04a0ada51ccd7ab8d66d9a318dd3d8c47e3c87ae3e",
+            ".truth.json": "84b237119dcb48e5bb178fa555b54bdb2346f53a777cfb101d896722b72a27da",
+        }
 
     def test_gen_infeasible(self, capsys):
         rc = run(["gen", *BASE, "--k", "2", "--s", "1", "--t", "5", "--seed", "0",

@@ -13,11 +13,12 @@ from sumrankdec.code import (
     generator_from_parity,
     min_sum_rank_distance,
     random_code,
+    random_instance,
     syndrome,
 )
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, rank, row_spaces_equal
-from sumrankdec.sumrank import LengthPartition
+from sumrankdec.sumrank import LengthPartition, random_profile, sample_error
 
 
 class TestSyndrome:
@@ -219,3 +220,19 @@ class TestRandomCode:
             random_code(ref_tower, part, 0, seed=0)
         with pytest.raises(ValueError):
             random_code(ref_tower, part, 6, seed=0)
+
+
+class TestRandomInstance:
+    @pytest.mark.parametrize("profile, full_rank", [(None, True), (None, False), ((1, 2, 0), True)])
+    def test_draw_order(self, ref, profile, full_rank):
+        # profile (unless given), then error, then messages, all from the one rng
+        got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(5):
+            C, em = random_instance(ref.icode, got_rng, t=3, profile=profile,
+                                    require_full_rank=full_rank)
+            want_profile = profile or random_profile(want_rng, ref.tower, ref.partition, 3, 3)
+            want = sample_error(ref.tower, ref.partition, want_profile, 3,
+                                require_full_rank=full_rank, rng=want_rng)
+            msg = Matrix.random(ref.tower.ext_field, 3, ref.code.k, want_rng)
+            assert em.profile == want_profile and em.E == want.E and em.A == want.A
+            assert C == ref.icode.encode(msg) and ref.icode.contains(C)

@@ -99,6 +99,9 @@ class TestReferenceInstance:
         assert report.t_hat == 3
         assert report.per_block_t == (1, 2, 0)
         assert report.C_hat + report.E_hat == ref.Y
+        assert report.S == ref.S
+        assert row_spaces_equal(report.h_sub, ref.h_sub)
+        assert report.S.rows - report.h_sub.rows == report.t_hat
 
     def test_decode_deterministic(self, ref):
         assert decode(ref.icode, ref.Y).C_hat == decode(ref.icode, ref.Y).C_hat

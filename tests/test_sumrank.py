@@ -1,5 +1,7 @@
 """Weights, supports, error sampling and decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,17 @@ from sumrankdec.sumrank import (
     random_profile,
     rank_support,
     sample_error,
-    sum_rank_support,
     sum_rank_weight,
 )
+
+
+def check_error_model(em):
+    """E = A @ B, per-block weights equal to the profile, and the full_rank flag."""
+    tower = em.tower
+    assert em.E == em.A @ tower.lift(em.B)
+    for ti, blk in zip(em.profile, em.partition.blocks(em.E)):
+        assert rank(tower.ext_matrix(blk)) == ti
+    assert em.full_rank == (rank(em.E) == em.t)
 
 
 class TestLengthPartition:
@@ -109,7 +119,7 @@ class TestWeights:
 
 class TestSupports:
     def test_reference_supports(self, ref):
-        sup = sum_rank_support(ref.tower, ref.E, ref.partition)
+        sup = [rank_support(ref.tower, blk) for blk in ref.partition.blocks(ref.E)]
         assert sup[0].tolist() == [[1, 2]]
         assert sup[1] == Matrix.identity(ref.tower.base_field, 2)
         assert sup[2].shape == (0, 2)
@@ -153,7 +163,7 @@ class TestSampleError:
     def test_reference_regime(self, ref_tower):
         part = LengthPartition([2, 2, 2])
         em = sample_error(ref_tower, part, (1, 2, 0), s=3, seed=42)
-        em.validate()
+        check_error_model(em)
         assert rank(em.E) == 3
         profile = [rank(ref_tower.ext_matrix(b)) for b in part.blocks(em.E)]
         assert profile == [1, 2, 0]
@@ -190,8 +200,15 @@ class TestSampleError:
     def test_rank_deficient_when_s_below_t(self, ref_tower):
         part = LengthPartition([2, 2, 2])
         em = sample_error(ref_tower, part, (1, 2, 1), s=3, require_full_rank=False, seed=9)
-        em.validate()
+        check_error_model(em)
         assert em.t == 4 and rank(em.E) <= 3 and not em.full_rank
+
+    def test_check_rejects_wrong_fields(self, ref_tower):
+        part = LengthPartition([2, 2, 2])
+        em = sample_error(ref_tower, part, (1, 2, 0), s=3, seed=42)
+        for bad in (replace(em, profile=(2, 1, 0)), replace(em, full_rank=False)):
+            with pytest.raises(AssertionError):
+                check_error_model(bad)
 
     def test_json_roundtrip(self, ref_tower):
         part = LengthPartition([2, 2, 2])
