@@ -116,7 +116,11 @@ def cmd_example(args) -> int:
     ref = example_case.load()
     Y = ref.Y
     if args.perturb:
-        r, c = _parse_ints(args.perturb)
+        pos = _parse_ints(args.perturb)
+        if len(pos) != 2 or not (0 <= pos[0] < Y.rows and 0 <= pos[1] < Y.cols):
+            raise UsageError(f"--perturb expects ROW,COL inside the {Y.rows} x {Y.cols} Y, "
+                             f"got {args.perturb!r}")
+        r, c = pos
         arr = Y.array.copy()
         arr[r, c] = ref.tower.add(int(arr[r, c]), 1)
         Y = Matrix(ref.tower.ext_field, arr)

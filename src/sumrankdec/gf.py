@@ -12,9 +12,14 @@ constant polynomials).
 Field objects expose vectorised operations on numpy int64 arrays of codes;
 no kernel loops over digits in Python.  In characteristic 2, add, sub and
 neg are XOR, and matmul XOR-reduces the tensor of table products.  In odd
-characteristic, add/sub/neg take digits from a per-field digit table (or
-compute them above TABLE_LIMIT), and matmul is one GF(p) product: x -> x*b
-is GF(p)-linear, so A @ B is digits(A) times the stacked multiplication
+characteristic, a field of order q with q^2 <= TABLE_LIMIT (q <= 1024)
+adds and subtracts by one lookup in flat q x q tables of a + b and a - b,
+indexed by a*q + b and built once, on first use, by the digit kernel (two
+7.4 MB int64 tables at GF(31^2), 8.3 MB at GF(1021) as a degree-1
+extension).  Above that bound add/sub/neg run the digit kernel itself:
+digits from a per-field digit table (or computed above TABLE_LIMIT), added
+mod p and recomposed.  matmul is one GF(p) product: x -> x*b is
+GF(p)-linear, so A @ B is digits(A) times the stacked multiplication
 matrices of B's entries.  GF(p) products run in float64 BLAS while
 inner * (p-1)^2 < 2^53, where every partial sum is an exact integer, and in
 int64 chunks otherwise.  Fields of order up to TABLE_LIMIT get exp/log
@@ -346,7 +351,6 @@ class ExtField:
         # codes of the GF(p)-basis whose coordinates are the base-p digits
         self._powers = self.char ** np.arange(self.pdigits, dtype=np.int64)
         self._gfp = PrimeField(self.char)
-        self._fpowers = self._powers.astype(np.float64)
         # x^deg reduced: the negated non-leading modulus coefficients
         self._xred = tuple(subfield._neg_i(c) for c in modulus[:-1])
         self._exp: np.ndarray | None = None
@@ -470,18 +474,12 @@ class ExtField:
 
     @cached_property
     def _digit_table(self) -> np.ndarray | None:
-        # digits of every code in the smallest signed dtype holding +-3p;
+        # digits of every code in the smallest signed dtype holding +-2p;
         # characteristic 2 adds by XOR instead
         if self.char == 2 or self.order > TABLE_LIMIT:
             return None
         codes = np.arange(self.order, dtype=np.int64)
-        return (codes[:, None] // self._powers % self.char).astype(np.min_scalar_type(-3 * self.char))
-
-    @cached_property
-    def _mod_p(self) -> np.ndarray:
-        # residues of the digit sums 0..3p-1; only fields with a digit table
-        # use it, so p <= TABLE_LIMIT bounds its size
-        return (np.arange(3 * self.char) % self.char).astype(np.float64)
+        return (codes[:, None] // self._powers % self.char).astype(np.min_scalar_type(-2 * self.char))
 
     def _digits(self, a: np.ndarray) -> np.ndarray:
         """Base-p digits of the codes in a, along a new last axis."""
@@ -489,19 +487,35 @@ class ExtField:
             return a[..., None] // self._powers % self.char
         return self._digit_table.take(a, axis=0)
 
+    @cached_property
+    def _sum_tables(self) -> dict | None:
+        # a + b and a - b for every pair of codes, at index a * order + b, in
+        # odd characteristic while order^2 <= TABLE_LIMIT
+        if self.char == 2 or self.order**2 > TABLE_LIMIT:
+            return None
+        a, b = np.divmod(np.arange(self.order**2, dtype=np.int64), self.order)
+        return {op: self._digit_kernel(op, a, b) for op in (np.add, np.subtract)}
+
+    def _digit_kernel(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return op(self._digits(a), self._digits(b)) % self.char @ self._powers
+
     # ---- vectorised paths ------------------------------------------------
     def _digitwise(self, op, a, b):
-        """op (np.add or np.subtract) digit by digit mod p; XOR in characteristic 2."""
+        """op (np.add or np.subtract) digit by digit mod p; XOR in characteristic 2.
+
+        In odd characteristic with order^2 <= TABLE_LIMIT this is one lookup
+        in the table of op at index a * order + b (neg(a) is index a of the
+        subtraction table); larger fields, whose q x q tables would exceed
+        TABLE_LIMIT, run the digit kernel.
+        """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.char == 2:
             return _unwrap(a ^ b)
-        # + p keeps the lookup indices nonnegative, which take handles fastest
-        s = op(self._digits(a), self._digits(b)) + self.char
-        if self._digit_table is None:
-            return _unwrap(s % self.char @ self._powers)
-        # reduce by lookup, recompose in float64 BLAS (exact: codes are below 2^53)
-        return _unwrap((self._mod_p.take(s) @ self._fpowers).astype(np.int64))
+        tables = self._sum_tables
+        if tables is None:
+            return _unwrap(self._digit_kernel(op, a, b))
+        return _unwrap(tables[op].take(a * self.order + b))
 
     def add(self, a, b):
         return self._digitwise(np.add, a, b)

@@ -100,9 +100,13 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     its GF(q^m)-kernel, which row operations over GF(q^m) keep; so every
     member is first reduced over GF(q^m) to at most n_i rows.  A member of
     full GF(q^m)-rank n_i has kernel {0}; only the others are expanded over
-    GF(q) and reduced in a second stacked call.  Zero columns never pivot,
-    and reversing the columns makes the free-column kernel vectors, reversed
-    back, a reduced echelon basis (see block_kernels).
+    GF(q) and reduced in a second stacked call.  With fewer rows than the
+    shortest block (one codeword per member, as in min_sum_rank_distance)
+    no member can reach full rank, so the first call is skipped and every
+    member is expanded unreduced: the GF(q)-row space, and so the reduced
+    rows, are the same.  Zero columns never pivot, and reversing the columns
+    makes the free-column kernel vectors, reversed back, a reduced echelon
+    basis (see block_kernels).
 
     Returns (ranks, deficient, Rq, pq, rev, real): the GF(q)-ranks of all
     batch * l expanded blocks, the members below full GF(q^m)-rank, their
@@ -120,9 +124,13 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     cols = np.cumsum(parts)[:, None] - 1 - j  # pad entries land anywhere; masked
     X = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
 
-    R, piv = rref_stack(tower.ext_field, X)
     ranks = np.tile(parts, batch)
-    deficient = np.flatnonzero(piv.sum(axis=1) < ranks)
+    if r < parts.min():
+        # no block can reach full GF(q^m)-rank: expand every member as it is
+        R, deficient = X, np.arange(batch * ell)
+    else:
+        R, piv = rref_stack(tower.ext_field, X)
+        deficient = np.flatnonzero(piv.sum(axis=1) < ranks)
     h = min(r, w)  # rows below the GF(q^m)-rank are zero
     ext = tower.ext_array(R[deficient, :h].reshape(-1, w))
     Rq, pq = rref_stack(tower.base_field, ext.reshape(deficient.size, h * tower.m, w))

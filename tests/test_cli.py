@@ -42,6 +42,12 @@ class TestExample:
         for pos in ["1,3", "2,5"]:
             assert run(["example", "--perturb", pos]) == 1
 
+    @pytest.mark.parametrize("pos", ["5,0", "3,0", "0,6", "1", "1,2,3", "-1,0", "0,-1", "a,b"])
+    def test_perturb_outside_y_is_a_usage_error(self, pos, capsys):
+        # Y of the example is 3 x 6; "=" lets argparse pass "-1,0" as a value
+        assert run(["example", f"--perturb={pos}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 BASE = ["--p", "5", "--m", "2", "--modulus", "2,4,1", "--partition", "2,2,2"]
 

@@ -1,10 +1,15 @@
 """Support recovery, erasure decoding and the end-to-end decoder."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumrankdec
 from conftest import code_with_distance, make_instance
 from sumrankdec import decoder
 from sumrankdec.code import syndrome
@@ -170,6 +175,16 @@ class TestComputeHsub:
         RP, _ = rref(hstack([S, Matrix.identity(H.field, H.rows)]), pivot_cols=S.cols)
         P = RP[:, S.cols :]
         assert h_sub == (P @ H)[t_hat:, :]
+
+    def test_dependent_leading_rows(self, ref_tower):
+        # row 1 of S repeats row 0, so the first non-pivot row is H_0 - H_1
+        # (not H_1 - H_0, which a pivot choice by rref(S^T) would give)
+        f = ref_tower.ext_field
+        H = Matrix(f, f.random(np.random.default_rng(4), (4, 6)))
+        S = Matrix(f, [[0, 1], [0, 1], [1, 0], [0, 0]])
+        h_sub, t_hat = compute_hsub(H, S)
+        assert t_hat == 2
+        assert h_sub.tolist() == [f.sub(H.array[0], H.array[1]).tolist(), H.array[3].tolist()]
 
 
 class TestLemmaInvariants:
@@ -382,3 +397,36 @@ class TestSpecialCaseReductions:
             support = recover_block_supports(tower, h_sub, part, t_hat)
             assert support.per_block_kernels[0] == rank_support(tower, inst.E)
             assert report.C_hat == inst.C
+
+
+# Runs in a fresh process: whether freed memory is trimmed off the heap
+# depends on the allocations made before, so in a long test session the
+# count can read 0 without the pinned thresholds.
+FRESH_DECODES = """
+import resource
+import numpy as np
+from sumrankdec import FieldTower, InterleavedCode, LengthPartition, decode, random_code, random_instance
+
+# n = 256, k = 128, s = t = 8 over GF(5^2): elimination steps free arrays of
+# a few hundred KB
+tower = FieldTower.standard(5, 2)
+rng = np.random.default_rng(11)
+icode = InterleavedCode(random_code(tower, LengthPartition((4,) * 64), 128, rng=rng), 8)
+C, em = random_instance(icode, rng, t=8)
+Y = C + em.E
+assert decode(icode, Y).C_hat == C
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    decode(icode, Y)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sumrankdec._HEAP_PINNED, reason="heap thresholds are pinned under glibc only")
+def test_repeated_decodes_fault_in_no_fresh_memory():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_DECODES], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 50

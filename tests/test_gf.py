@@ -334,8 +334,10 @@ def _above_table_limit(p, deg):
     return ExtField(K, default_modulus(K, deg))
 
 
-# Characteristic 2 and odd p, two-level towers, an extension of GF(257)
-# (digits wider than 8 bits) and one field of each kind above TABLE_LIMIT.
+# Characteristic 2 and odd p, two-level towers, odd fields on each side of
+# the add/sub table bound q^2 <= TABLE_LIMIT (GF(31^2) inside, GF(37^2) and
+# GF(257^2), whose digits are wider than 8 bits, outside) and one field of
+# each kind above TABLE_LIMIT.
 KERNEL_FIELDS = [
     FieldTower.standard(2, 3).ext_field,
     FieldTower.standard(2, 12).ext_field,
@@ -343,6 +345,8 @@ KERNEL_FIELDS = [
     FieldTower.standard(3, 3).ext_field,
     FieldTower.standard(2, 2, e=2).ext_field,
     FieldTower.standard(3, 2, e=2).ext_field,
+    FieldTower.standard(31, 2).ext_field,
+    FieldTower.standard(37, 2).ext_field,
     FieldTower.standard(257, 2).ext_field,
     _above_table_limit(2, 21),
     _above_table_limit(3, 13),
@@ -416,6 +420,29 @@ class TestVectorisedKernels:
             acc = reduce(F._add_i, (F._mul_i(bj, x) for bj, x in zip(tower.basis, col)), 0)
             assert acc == arr[i, j]
             assert tower.unext(col) == arr[i, j]
+
+
+class TestAddTables:
+    def test_tables_only_up_to_table_limit(self):
+        inside = FieldTower.standard(31, 2).ext_field  # 961^2 <= TABLE_LIMIT
+        inside.add(1, 2)
+        assert [t.shape for t in inside._sum_tables.values()] == [(961**2,)] * 2
+        for field in [FieldTower.standard(37, 2).ext_field, FieldTower.standard(2, 3).ext_field]:
+            field.add(1, 2)
+            assert field._sum_tables is None  # 1369^2 > TABLE_LIMIT; XOR in char 2
+
+    @pytest.mark.parametrize(
+        "field",
+        [FieldTower(5, 1, 2, [2, 4, 1]).ext_field, FieldTower.standard(3, 2, e=2).ext_field],
+        ids=repr,
+    )
+    def test_every_pair(self, field):
+        a, b = np.divmod(np.arange(field.order**2), field.order)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert field.add(a, b).tolist() == [field._add_i(x, y) for x, y in pairs]
+        assert field.sub(a, b).tolist() == [field._add_i(x, field._neg_i(y)) for x, y in pairs]
+        codes = np.arange(field.order)
+        assert field.neg(codes).tolist() == [field._neg_i(x) for x in codes.tolist()]
 
 
 class TestPrimeMatmulSwitch:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumrankdec import sumrank
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, rank, right_kernel, row_space_basis
 from sumrankdec.sumrank import (
@@ -313,27 +314,46 @@ def block_stacks(draw):
     return tower, LengthPartition(parts), np.stack(members)
 
 
+def check_against_per_block_loop(tower, part, arr):
+    """block_kernels and block_ranks of arr equal the per-block loop they replace."""
+    K, lead = block_kernels(tower, arr, part)
+    ranks = block_ranks(tower, arr, part)
+    for b in range(arr.shape[0]):
+        M = Matrix(tower.ext_field, arr[b])
+        expanded = [tower.ext_matrix(blk) for blk in part.blocks(M)]
+        for i, (ni, ext) in enumerate(zip(part.parts, expanded)):
+            want = right_kernel(ext)
+            assert K[b, i][lead[b, i], :ni].tolist() == want.tolist()
+            assert not K[b, i][~lead[b, i]].any() and not K[b, i][:, ni:].any()
+            # row o holds the basis vector whose leading entry is in column o
+            assert np.flatnonzero(lead[b, i]).tolist() == [
+                int(np.flatnonzero(v)[0]) for v in want.array
+            ]
+            assert ranks[b, i] == rank(ext) == ni - want.rows
+        assert sum_rank_weight(tower, M, part) == sum(rank(ext) for ext in expanded)
+
+
 class TestBlockKernels:
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(block_stacks())
     def test_matches_per_block_kernels(self, case):
-        tower, part, arr = case
-        K, lead = block_kernels(tower, arr, part)
-        ranks = block_ranks(tower, arr, part)
-        for b in range(arr.shape[0]):
-            M = Matrix(tower.ext_field, arr[b])
-            expanded = [tower.ext_matrix(blk) for blk in part.blocks(M)]
-            for i, (ni, ext) in enumerate(zip(part.parts, expanded)):
-                # the per-block loop that block_kernels replaces is the oracle
-                want = right_kernel(ext)
-                assert K[b, i][lead[b, i], :ni].tolist() == want.tolist()
-                assert not K[b, i][~lead[b, i]].any() and not K[b, i][:, ni:].any()
-                # row o holds the basis vector whose leading entry is in column o
-                assert np.flatnonzero(lead[b, i]).tolist() == [
-                    int(np.flatnonzero(v)[0]) for v in want.array
-                ]
-                assert ranks[b, i] == rank(ext) == ni - want.rows
-            assert sum_rank_weight(tower, M, part) == sum(rank(ext) for ext in expanded)
+        check_against_per_block_loop(*case)
+
+    def test_short_stack_skips_the_extension_stage(self, ref_tower, monkeypatch):
+        # one row cannot give a block of 2 or 3 full GF(q^m)-rank, so only the
+        # GF(q) elimination runs (the distance oracle's case)
+        fields = []
+        stack = sumrank.rref_stack
+        monkeypatch.setattr(sumrank, "rref_stack", lambda F, a: fields.append(F) or stack(F, a))
+        rng = np.random.default_rng(5)
+        part = LengthPartition([2, 3, 2])
+        arr = ref_tower.ext_field.random(rng, (4, 1, 7))
+        arr[1] = 0
+        arr[2] = ref_tower.base_field.random(rng, (1, 7))  # GF(q)-rank 1 per block
+        arr[3, 0, :2] = [1, 3]  # a block whose GF(q)-rank 2 needs the expansion
+        arr[3, 0, 5:] = [ref_tower.alpha, ref_tower.mul(ref_tower.alpha, 2)]
+        check_against_per_block_loop(ref_tower, part, arr)
+        assert fields and set(fields) == {ref_tower.base_field}
 
     def test_zero_row_matrix(self, ref_tower):
         part = LengthPartition([2, 1])
