@@ -14,7 +14,14 @@ linear system for the error values (column-erasure decoding):
    GF(q^m)-kernel, so a block of full GF(q^m)-rank (typically every
    error-free one) has kernel {0}, and only the other blocks' basis rows
    are expanded over GF(q) and reduced in a second stacked elimination.
-4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.
+4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  Step 2's
+   transform P is invertible, so the system P @ [H @ B^T | S] is equivalent;
+   its rows below rank(S) are [h_sub @ B^T | 0], which is zero because B
+   spans the kernels of h_sub's expanded blocks.  The decoder therefore
+   solves only the t = rank(S) pivot rows, a (t x n)(n x t) product and a
+   t x (t + s) elimination instead of (n-k) rows; row-equivalent systems
+   share one reduced echelon form, so the solution and every failure are
+   the same.  Verification still recomputes H @ C^T in full.
 
 Recovery is guaranteed when the error weight t is at most d - 2, the
 interleaving order satisfies s >= t, and the error matrix has full
@@ -148,12 +155,15 @@ class DecodingReport:
         }
 
 
-def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int]:
+def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
     """Annihilator rows: [S | H] row-reduced with pivots only in S's columns.
 
-    The H part of the rows below rank(S) is P[t_hat:] @ H for the transform
-    P that reduces S.  Returns (h_sub, t_hat) with t_hat = rank(S).  Raises
-    SupportSpaceEmpty when rank(S) = n - k (no zero syndrome rows remain).
+    For the transform P that reduces S, the reduced matrix is P @ [S | H].
+    Its rows below rank(S) have a zero S part, and their H part P[t_hat:] @ H
+    annihilates the error.  Returns (h_sub, t_hat, top) with t_hat = rank(S)
+    and top = P[:t_hat] @ [S | H], the pivot rows, from which decode builds
+    the erasure system.  Raises SupportSpaceEmpty when rank(S) = n - k (no
+    zero syndrome rows remain).
     """
     R, pivots = rref(hstack([S, H]), pivot_cols=S.cols)
     t_hat = len(pivots)
@@ -164,7 +174,7 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int]:
             t_hat=t_hat,
             redundancy=H.rows,
         )
-    return R[t_hat:, S.cols :], t_hat
+    return R[t_hat:, S.cols :], t_hat, R[:t_hat]
 
 
 def recover_block_supports(
@@ -200,7 +210,11 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     """Solve (H @ B^T) A^T = S for A, given the support basis B over GF(q).
 
     Unique when the true weight is below the minimum distance; raises
-    NonUniqueSolution or Inconsistent (from the solver) otherwise.
+    NonUniqueSolution or Inconsistent (from the solver) otherwise.  Any
+    system with the same row space as [H @ B^T | S] has the same reduced
+    echelon form, so the same solution or failure; decode passes the t_hat
+    pivot rows of compute_hsub, P[:t_hat] @ H and P[:t_hat] @ S, because
+    the other rows of P @ [H @ B^T | S] are [h_sub @ B^T | 0] = 0.
     """
     if B.rows == 0:
         return Matrix.zeros(H.field, S.cols, 0)
@@ -225,11 +239,11 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
         raise ValueError(f"received matrix has shape {Y.shape}, expected {(icode.s, code.n)}")
 
     S = syndrome(code.H, Y)
-    h_sub, t_hat = compute_hsub(code.H, S)
+    h_sub, t_hat, top = compute_hsub(code.H, S)
     support = recover_block_supports(tower, h_sub, partition, t_hat)
     B = support.B
     try:
-        A = erasure_decode(code.H, B, S)
+        A = erasure_decode(top[:, S.cols :], B, top[:, : S.cols])
     except LinearSystemError as ex:
         ex.stage = "erasure"
         raise

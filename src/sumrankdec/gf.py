@@ -10,21 +10,24 @@ GF(q) embeds into GF(q^m) without re-encoding (codes below q are the
 constant polynomials).
 
 Field objects expose vectorised operations on numpy int64 arrays of codes;
-no kernel loops over digits in Python.  In characteristic 2, add, sub and
-neg are XOR, and matmul XOR-reduces the tensor of table products.  In odd
-characteristic, a field of order q with q^2 <= TABLE_LIMIT (q <= 1024)
-adds and subtracts by one lookup in flat q x q tables of a + b and a - b,
-indexed by a*q + b and built once, on first use, by the digit kernel (two
-7.4 MB int64 tables at GF(31^2), 8.3 MB at GF(1021) as a degree-1
-extension).  Above that bound add/sub/neg run the digit kernel itself:
-digits from a per-field digit table (or computed above TABLE_LIMIT), added
-mod p and recomposed.  matmul is one GF(p) product: x -> x*b is
-GF(p)-linear, so A @ B is digits(A) times the stacked multiplication
-matrices of B's entries.  GF(p) products run in float64 BLAS while
-inner * (p-1)^2 < 2^53, where every partial sum is an exact integer, and in
-int64 chunks otherwise.  Fields of order up to TABLE_LIMIT get exp/log
-tables, built by doubling (about a second at 2^20); larger fields multiply
-element by element in polynomial arithmetic (correct but slow).
+no kernel loops over digits in Python, and a field of order above 2^63,
+whose codes would overflow int64, is rejected.  In characteristic 2, add,
+sub and neg are XOR, and matmul XOR-reduces the (inner, shorter, longer)
+tensor of table products over its first axis: contiguous slabs, with the
+longer of the two output axes innermost.  In odd characteristic, a field of
+order q with q^2 <= TABLE_LIMIT (q <= 1024) adds and subtracts by one
+lookup in flat q x q tables of a + b and a - b, indexed by a*q + b and
+built once, on first use, by the digit kernel (two 7.4 MB int64 tables at
+GF(31^2), 8.3 MB at GF(1021) as a degree-1 extension).  Above that bound
+add/sub/neg run the digit kernel itself: digits from a per-field digit
+table (or computed above TABLE_LIMIT), added mod p and recomposed.  matmul
+is one GF(p) product: x -> x*b is GF(p)-linear, so A @ B is digits(A) times
+the stacked multiplication matrices of B's entries.  GF(p) products run in
+float64 BLAS while inner * (p-1)^2 < 2^53, where every partial sum is an
+exact integer, and in int64 chunks otherwise.  Fields of order up to
+TABLE_LIMIT get exp/log tables, built by doubling (about a second at 2^20);
+larger fields multiply element by element in polynomial arithmetic (correct
+but slow).
 """
 
 from __future__ import annotations
@@ -340,12 +343,15 @@ class ExtField:
             raise ValueError("modulus must be monic of degree >= 1")
         if any(c < 0 or c >= subfield.order for c in modulus):
             raise ValueError("modulus coefficients out of range for the subfield")
+        self.deg = len(modulus) - 1
+        self.order = subfield.order**self.deg
+        # every code, up to order - 1, must fit int64 (the array kernels rely on it)
+        if self.order - 1 > _INT64_MAX:
+            raise ValueError(f"GF({subfield.order}^{self.deg}) is too large: codes overflow int64")
         if check_irreducible and not is_irreducible(subfield, modulus):
             raise ValueError("modulus is reducible over the subfield")
         self.subfield = subfield
         self.modulus = tuple(modulus)
-        self.deg = len(modulus) - 1
-        self.order = subfield.order ** self.deg
         self.char = subfield.char
         self.pdigits = subfield.pdigits * self.deg
         # codes of the GF(p)-basis whose coordinates are the base-p digits
@@ -554,8 +560,12 @@ class ExtField:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.char == 2:
-            # addition is XOR, so the inner sum is one XOR reduction
-            return np.bitwise_xor.reduce(self.mul(a[:, :, None], b[None, :, :]), axis=1, initial=0)
+            # addition is XOR, so the inner sum is one XOR reduction of the
+            # (inner, rows, cols) product tensor over axis 0, which runs over
+            # contiguous slabs; keep the longer output axis innermost
+            if b.shape[1] < a.shape[0]:
+                return self.matmul(b.T, a.T).T
+            return np.bitwise_xor.reduce(self.mul(a.T[:, :, None], b[:, None, :]), axis=0, initial=0)
         # x -> x * b[k, c] is GF(p)-linear and row i of its matrix is the digit
         # vector of p^i * b[k, c], so a @ b is digits(a) times these stacked
         # matrices over GF(p).  Expand the operand with fewer columns.

@@ -307,6 +307,8 @@ def sample_error(
                           Matrix.zeros(Fq, 0, partition.n), profile, full_rank=True,
                           seed=seed if isinstance(seed, int) else None)
 
+    # A's column blocks, one per nonzero block weight
+    a_parts = LengthPartition([ti for ti in profile if ti])
     for _ in range(max_attempts):
         b_blocks = [
             _random_full_rank(Fq, ti, ni, rng, max_attempts) if ti else Matrix.zeros(Fq, 0, ni)
@@ -314,22 +316,12 @@ def sample_error(
         ]
         B = block_diag(b_blocks)
         A = Matrix.random(Fqm, s, t, rng)
-        ok = True
-        col = 0
-        for ti in profile:
-            if ti and rank(tower.ext_matrix(A[:, col : col + ti])) != ti:
-                ok = False
-                break
-            col += ti
-        if ok and require_full_rank and rank(A) != t:
-            ok = False
-        if not ok:
+        if (block_ranks(tower, A.array[None], a_parts)[0] != a_parts.parts).any():
+            continue
+        if require_full_rank and rank(A) != t:
             continue
         E = A @ tower.lift(B)
-        if any(
-            rank(tower.ext_matrix(blk)) != ti
-            for ti, blk in zip(profile, partition.blocks(E))
-        ):
+        if (block_ranks(tower, E.array[None], partition)[0] != profile).any():
             continue
         full = rank(E) == t
         if require_full_rank and not full:

@@ -68,7 +68,7 @@ def test_criterion_1_worked_example_reproduction():
     S = syndrome(ref.code.H, ref.Y)
     if S != ref.S:
         problems.append("syndrome not entry-exact")
-    h_sub, t_hat = compute_hsub(ref.code.H, S)
+    h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
     if t_hat != 3:
         problems.append(f"inferred weight {t_hat} != 3")
     if not row_spaces_equal(h_sub, ref.h_sub):
@@ -168,7 +168,7 @@ def test_criterion_4_support_recovery_invariants():
     for inst in instances:
         code = inst.code
         S = syndrome(code.H, inst.Y)
-        h_sub, t_hat = compute_hsub(code.H, S)
+        h_sub, t_hat, _ = compute_hsub(code.H, S)
         kerE = right_kernel(inst.E)
         if row_space_basis(h_sub) != row_space_intersection(kerE, code.H):
             problems.append("annihilator row-space equality violated")
@@ -216,7 +216,7 @@ def test_criterion_5_metric_reductions():
         t = 1 + int(rng.integers(code_r.d - 2))
         inst = make_instance(code_r, s=max(t, 1), rng=rng, t=t)
         S = syndrome(code_r.H, inst.Y)
-        h_sub, t_hat = compute_hsub(code_r.H, S)
+        h_sub, t_hat, _ = compute_hsub(code_r.H, S)
         support = recover_block_supports(tower_r, h_sub, part_r, t_hat)
         if support.per_block_kernels[0] != rank_support(tower_r, inst.E):
             problems.append(f"rank support mismatch at instance {i}")

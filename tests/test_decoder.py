@@ -25,6 +25,7 @@ from sumrankdec.decoder import (
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import (
     Inconsistent,
+    LinearSystemError,
     Matrix,
     NonUniqueSolution,
     block_diag,
@@ -35,6 +36,7 @@ from sumrankdec.linalg import (
     row_space_intersection,
     row_spaces_equal,
     rref,
+    vstack,
 )
 from sumrankdec.sumrank import (
     LengthPartition,
@@ -57,7 +59,8 @@ PROPERTY_TOWERS = [
 
 @st.composite
 def annihilator_cases(draw):
-    """(H, E) with E full-rank of weight t <= s, of any per-block weights, or zero."""
+    """(tower, partition, H, E) with E full-rank of weight t <= s, of any
+    per-block weights, or zero."""
     tower = draw(st.sampled_from(PROPERTY_TOWERS))
     parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     s = draw(st.integers(1, 4))
@@ -67,7 +70,7 @@ def annihilator_cases(draw):
     part = LengthPartition(parts)
     H = Matrix.random(tower.ext_field, redundancy, part.n, rng)
     if kind == "zero":
-        return H, Matrix.zeros(tower.ext_field, s, part.n)
+        return tower, part, H, Matrix.zeros(tower.ext_field, s, part.n)
     # Weights are drawn as a shortfall from the largest feasible one, so the
     # simplest examples are the heaviest errors.
     budget = s if kind == "inside" else tower.m * s * len(parts)
@@ -77,14 +80,14 @@ def annihilator_cases(draw):
         profile.append(top - draw(st.integers(0, top)))
         budget -= profile[-1]
     em = sample_error(tower, part, profile, s, require_full_rank=kind == "inside", rng=rng)
-    return H, em.E
+    return tower, part, H, em.E
 
 
 class TestReferenceInstance:
     def test_full_pipeline(self, ref):
         S = syndrome(ref.code.H, ref.Y)
         assert S == ref.S
-        h_sub, t_hat = compute_hsub(ref.code.H, S)
+        h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
         assert t_hat == 3
         assert row_spaces_equal(h_sub, ref.h_sub)
         support = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
@@ -123,7 +126,7 @@ class TestReferenceInstance:
 class TestComputeHsub:
     def test_zero_error_gives_full_row_space(self, ref):
         S = syndrome(ref.code.H, ref.C)
-        h_sub, t_hat = compute_hsub(ref.code.H, S)
+        h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
         assert t_hat == 0
         assert row_spaces_equal(h_sub, ref.code.H)
 
@@ -134,7 +137,7 @@ class TestComputeHsub:
         for _ in range(10):
             inst = make_instance(code, s=2, rng=rng, t=2)
             S = syndrome(code.H, inst.Y)
-            h_sub, t_hat = compute_hsub(code.H, S)
+            h_sub, t_hat, _ = compute_hsub(code.H, S)
             assert t_hat == 2
             assert (h_sub @ inst.E.T).is_zero
 
@@ -159,14 +162,14 @@ class TestComputeHsub:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(annihilator_cases())
     def test_annihilator_properties(self, case):
-        H, E = case
+        _, _, H, E = case
         S = H @ E.T
         if rank(S) == H.rows:
             with pytest.raises(SupportSpaceEmpty) as info:
                 compute_hsub(H, S)
             assert info.value.t_hat == info.value.redundancy == H.rows
             return
-        h_sub, t_hat = compute_hsub(H, S)
+        h_sub, t_hat, _ = compute_hsub(H, S)
         assert t_hat == rank(S)
         assert h_sub.rows == H.rows - t_hat
         assert (h_sub @ E.T).is_zero
@@ -182,7 +185,7 @@ class TestComputeHsub:
         f = ref_tower.ext_field
         H = Matrix(f, f.random(np.random.default_rng(4), (4, 6)))
         S = Matrix(f, [[0, 1], [0, 1], [1, 0], [0, 0]])
-        h_sub, t_hat = compute_hsub(H, S)
+        h_sub, t_hat, _ = compute_hsub(H, S)
         assert t_hat == 2
         assert h_sub.tolist() == [f.sub(H.array[0], H.array[1]).tolist(), H.array[3].tolist()]
 
@@ -207,7 +210,7 @@ class TestLemmaInvariants:
         # annihilator row space == right kernel of E intersected with row(H)
         for inst in self._instances(ref, 18):
             S = syndrome(ref.code.H, inst.Y)
-            h_sub, t_hat = compute_hsub(ref.code.H, S)
+            h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
             kerE = right_kernel(inst.E)
             expected = row_space_intersection(kerE, ref.code.H)
             assert row_space_basis(h_sub) == expected
@@ -224,7 +227,7 @@ class TestLemmaInvariants:
         # kernel of each expanded annihilator block == error block row space
         for inst in self._instances(ref, 18):
             S = syndrome(ref.code.H, inst.Y)
-            h_sub, t_hat = compute_hsub(ref.code.H, S)
+            h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
             support = recover_block_supports(ref.tower, h_sub, inst.partition, t_hat)
             for kern, blk, ti in zip(
                 support.per_block_kernels, inst.partition.blocks(inst.E), inst.em.profile
@@ -264,6 +267,72 @@ class TestErasureDecode:
                 hit = True
                 break
         assert hit
+
+
+def _erasure_outcome(H, B, S):
+    """erasure_decode's solution as nested lists, or the type of its solver error."""
+    try:
+        return erasure_decode(H, B, S).tolist()
+    except LinearSystemError as ex:
+        return type(ex)
+
+
+class TestErasureOnPivotRows:
+    """decode solves the erasure system on compute_hsub's t_hat pivot rows.
+
+    The other rows of P @ [H @ B^T | S] are [h_sub @ B^T | 0], which is zero,
+    so both systems have one reduced echelon form: the same solution, and
+    the same solver error for a wrong support basis.
+    """
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(annihilator_cases())
+    def test_matches_full_system(self, case):
+        tower, part, H, E = case
+        S = H @ E.T
+        try:
+            h_sub, t_hat, top = compute_hsub(H, S)
+            B = recover_block_supports(tower, h_sub, part, t_hat).B
+        except (SupportSpaceEmpty, SupportMismatch):
+            return
+        assert (h_sub @ tower.lift(B).T).is_zero
+        H_top, S_top = top[:, S.cols :], top[:, : S.cols]
+        full = _erasure_outcome(H, B, S)
+        assert _erasure_outcome(H_top, B, S_top) == full
+        if B.rows == 0:
+            return
+        duplicated, dropped = vstack([B, B[:1]]), B[1:]
+        for B2 in (duplicated, dropped):
+            assert _erasure_outcome(H_top, B2, S_top) == _erasure_outcome(H, B2, S)
+        if isinstance(full, list):
+            # a unique solution A: a repeated basis row leaves the system
+            # consistent but rank-deficient, and without row 0 of B the
+            # syndrome is out of reach whenever column 0 of A is nonzero
+            # (an empty basis is solved as zero without a check)
+            assert _erasure_outcome(H, duplicated, S) is NonUniqueSolution
+            if B.rows > 1 and any(row[0] for row in full):
+                assert _erasure_outcome(H, dropped, S) is Inconsistent
+
+    @pytest.mark.parametrize(
+        "tower",
+        [FieldTower.standard(2, 2, e=2), FieldTower.standard(5, 2), FieldTower.standard(3, 2)],
+        ids=repr,
+    )
+    def test_wrong_supports_fail_alike(self, tower):
+        rng = np.random.default_rng(12)
+        part = LengthPartition([2, 2, 2])
+        code = code_with_distance(tower, part, 2, rng, d_min=4)
+        for _ in range(5):
+            inst = make_instance(code, s=2, rng=rng, t=2)
+            S = syndrome(code.H, inst.Y)
+            h_sub, t_hat, top = compute_hsub(code.H, S)
+            B = recover_block_supports(tower, h_sub, part, t_hat).B
+            H_top, S_top = top[:, S.cols :], top[:, : S.cols]
+            assert erasure_decode(H_top, B, S_top) == erasure_decode(code.H, B, S)
+            for B2, error in ((vstack([B, B[:1]]), NonUniqueSolution), (B[1:], Inconsistent)):
+                for system in ((H_top, B2, S_top), (code.H, B2, S)):
+                    with pytest.raises(error):
+                        erasure_decode(*system)
 
 
 class TestDecodeRandomised:
@@ -393,7 +462,7 @@ class TestSpecialCaseReductions:
             inst = make_instance(code, s=2, rng=rng, t=1)
             report = decode(inst.icode, inst.Y)
             S = syndrome(code.H, inst.Y)
-            h_sub, t_hat = compute_hsub(code.H, S)
+            h_sub, t_hat, _ = compute_hsub(code.H, S)
             support = recover_block_supports(tower, h_sub, part, t_hat)
             assert support.per_block_kernels[0] == rank_support(tower, inst.E)
             assert report.C_hat == inst.C

@@ -191,6 +191,21 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             ref_tower.unext(np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("p,deg", [(2, 64), (3, 40)])
+    def test_codes_beyond_int64_rejected(self, p, deg):
+        # the size check runs before the irreducibility test, so any monic
+        # modulus of the degree will do
+        with pytest.raises(ValueError, match="int64"):
+            ExtField(PrimeField(p), [1] * deg + [1])
+
+    def test_largest_int64_field_accepted(self):
+        f = ExtField(PrimeField(2), [1, 1] + [0] * 61 + [1])  # x^63 + x + 1
+        assert f.order - 1 == np.iinfo(np.int64).max
+        x = f.random(np.random.default_rng(13), 4)
+        x[0] = f.order - 1
+        assert not f.add(x, x).any()
+        assert f.mul(x, f.inv(x)).tolist() == [1] * 4
+
     def test_default_modulus_is_irreducible(self):
         for p, deg in [(2, 4), (3, 3), (5, 2)]:
             K = PrimeField(p)
@@ -377,6 +392,8 @@ class TestVectorisedKernels:
     @example(shape=(3, 0, 2), seed=0)
     @example(shape=(2, 3, 4), seed=1)
     @example(shape=(4, 3, 2), seed=2)
+    @example(shape=(3, 4, 3), seed=3)  # rows == cols
+    @example(shape=(4, 3, 1), seed=4)  # one received word
     def test_matches_scalar_oracles(self, field, shape, seed):
         rows, inner, cols = shape
         rng = np.random.default_rng(seed)
