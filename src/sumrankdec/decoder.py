@@ -6,7 +6,12 @@ linear system for the error values (column-erasure decoding):
 
 1. S = H @ Y^T collapses the received matrix to syndromes.
 2. Row-reduce [S | H] pivoting only in the columns of S; the H part of the
-   rows below rank(S) annihilates the error.
+   rows below rank(S) annihilates the error.  Only the narrow S is
+   eliminated: only pivot rows are ever subtracted, so the transform P
+   that reduces S is zero outside the columns I of the original pivot rows,
+   except for one 1 per non-pivot row.  Carrying the block P[:, I] through
+   the elimination gives P @ H as one product P[:, I] @ H[I] plus the
+   permuted non-pivot rows of H, instead of rank(S) full-width row updates.
 3. Per block, the right kernel of the expanded annihilator equals the GF(q)
    row space of the error block, yielding a block-diagonal support basis B.
    All blocks are reduced at once over GF(q^m), in one stacked elimination,
@@ -38,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .code import InterleavedCode, syndrome
 from .gf import FieldTower
-from .linalg import LinearSystemError, Matrix, hstack, matrix_to_dict, rref, solve_unique
+from .linalg import Inconsistent, LinearSystemError, Matrix, matrix_to_dict, solve_unique
 from .sumrank import LengthPartition, block_kernels, sum_rank_weight
 
 __all__ = [
@@ -164,8 +170,14 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
     and top = P[:t_hat] @ [S | H], the pivot rows, from which decode builds
     the erasure system.  Raises SupportSpaceEmpty when rank(S) = n - k (no
     zero syndrome rows remain).
+
+    Only S is eliminated, carrying the block T = P[:, I] of the transform on
+    the original indices I = perm[:t_hat] of the pivot rows; then
+    P @ H = T @ H[I] + [0; H[perm[t_hat:]]], one product and one addition.
     """
-    R, pivots = rref(hstack([S, H]), pivot_cols=S.cols)
+    field = S.field
+    # looked up on the module, where a tracer can wrap the elimination engine
+    R, (T, perm), pivots = linalg._rref_arrays(field, S.array, transform=True)
     t_hat = len(pivots)
     if t_hat >= H.rows:
         raise SupportSpaceEmpty(
@@ -174,7 +186,10 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
             t_hat=t_hat,
             redundancy=H.rows,
         )
-    return R[t_hat:, S.cols :], t_hat, R[:t_hat]
+    PH = field.matmul(T, H.array[perm[:t_hat]])
+    h_sub = field.add(H.array[perm[t_hat:]], PH[t_hat:])
+    top = np.hstack([R[:t_hat], PH[:t_hat]])
+    return Matrix(field, h_sub, _checked=True), t_hat, Matrix(field, top, _checked=True)
 
 
 def recover_block_supports(
@@ -210,13 +225,16 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     """Solve (H @ B^T) A^T = S for A, given the support basis B over GF(q).
 
     Unique when the true weight is below the minimum distance; raises
-    NonUniqueSolution or Inconsistent (from the solver) otherwise.  Any
+    NonUniqueSolution or Inconsistent (from the solver) otherwise.  An empty
+    basis solves only S = 0 and raises Inconsistent for any other S.  Any
     system with the same row space as [H @ B^T | S] has the same reduced
     echelon form, so the same solution or failure; decode passes the t_hat
     pivot rows of compute_hsub, P[:t_hat] @ H and P[:t_hat] @ S, because
     the other rows of P @ [H @ B^T | S] are [h_sub @ B^T | 0] = 0.
     """
     if B.rows == 0:
+        if not S.is_zero:
+            raise Inconsistent("nonzero syndrome with an empty support basis")
         return Matrix.zeros(H.field, S.cols, 0)
     bt = Matrix(H.field, B.array.T, _checked=True)
     At = solve_unique(H @ bt, S)

@@ -24,7 +24,16 @@ table (or computed above TABLE_LIMIT), added mod p and recomposed.  matmul
 is one GF(p) product: x -> x*b is GF(p)-linear, so A @ B is digits(A) times
 the stacked multiplication matrices of B's entries.  GF(p) products run in
 float64 BLAS while inner * (p-1)^2 < 2^53, where every partial sum is an
-exact integer, and in int64 chunks otherwise.  Fields of order up to
+exact integer, and in int64 chunks otherwise.  The float64 product is
+reduced before it leaves float64, as c - p * floor(c / p), which is exact
+for every integer 0 <= c < 2^53: write c = k*p + r with 0 <= r < p; the
+quotient x = c / p is below 2^53 / p and rounds to nearest, so
+k <= fl(x) <= x * (1 + 2^-53) < x + 1/p <= k + 1 (k is a float and
+rounding is monotone), floor(fl(x)) = k, and p*k and c - p*k are integers
+below 2^53.  An odd-characteristic matmul recomposes the reduced digits
+into codes in float64 as well when the field's codes are below 2^53
+(order <= 2^53), where every partial sum of digit * p^i is an integer of
+at most order - 1; larger fields recompose in int64.  Fields of order up to
 TABLE_LIMIT get exp/log tables, built by doubling (about a second at 2^20);
 larger fields multiply element by element in polynomial arithmetic (correct
 but slow).
@@ -308,13 +317,28 @@ class PrimeField:
         return pow(int(a), int(k), self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        out = self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return out.astype(np.int64, copy=False)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p for integer arrays of residues: float64 or int64.
+
+        While inner * (p-1)^2 < 2^53 the result is float64, exact (see the
+        module docstring) and left in float64 for callers that go on in
+        float64; otherwise it is int64.
+        """
         if a.shape[1] * (self.p - 1) ** 2 < 2**53:
-            # every partial sum is an integer below 2^53, so float64 BLAS is exact
-            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % self.p
+            # every partial sum is an integer below 2^53, so float64 BLAS is
+            # exact, and so is c - p * floor(c / p)
+            c = a.astype(np.float64) @ b.astype(np.float64)
+            q = c / self.p
+            np.floor(q, out=q)
+            q *= self.p
+            c -= q
+            return c
         # sum the inner dimension in chunks whose partial sums of products
         # (each at most (p-1)^2) cannot overflow int64
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         step = _INT64_MAX // (self.p - 1) ** 2
         out = (a[:, :step] @ b[:step]) % self.p
         for i in range(step, a.shape[1], step):
@@ -356,6 +380,7 @@ class ExtField:
         self.pdigits = subfield.pdigits * self.deg
         # codes of the GF(p)-basis whose coordinates are the base-p digits
         self._powers = self.char ** np.arange(self.pdigits, dtype=np.int64)
+        self._fpowers = self._powers.astype(np.float64)
         self._gfp = PrimeField(self.char)
         # x^deg reduced: the negated non-leading modulus coefficients
         self._xred = tuple(subfield._neg_i(c) for c in modulus[:-1])
@@ -573,8 +598,12 @@ class ExtField:
             return self.matmul(b.T, a.T).T
         (rows, inner), cols, d = a.shape, b.shape[1], self.pdigits
         mats = self._digits(self.mul(b[:, None, :], self._powers[:, None]))
-        prod = self._gfp.matmul(self._digits(a).reshape(rows, inner * d), mats.reshape(inner * d, cols * d))
-        return prod.reshape(rows, cols, d) @ self._powers
+        prod = self._gfp._product(self._digits(a).reshape(rows, inner * d), mats.reshape(inner * d, cols * d))
+        prod = prod.reshape(rows * cols, d)
+        if prod.dtype == np.float64 and self.order <= 2**53:
+            # digits times powers of p sum to a code below 2^53: exact
+            return (prod @ self._fpowers).astype(np.int64).reshape(rows, cols)
+        return (prod.astype(np.int64, copy=False) @ self._powers).reshape(rows, cols)
 
     def random(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.order, size=size, dtype=np.int64)

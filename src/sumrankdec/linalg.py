@@ -203,19 +203,33 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None):
+def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None, transform: bool = False):
     """Reduced row-echelon form, pivoting only in the first pivot_cols columns.
 
-    Returns (R, None, pivots); the None keeps pivots at index 2, where
+    Returns (R, T, pivots); pivots stay at index 2, where
     decodebench/spans.py reads them.  Pivot choice: leftmost unprocessed
     column, topmost nonzero row.  Later columns get the same row operations,
     so [S | X] with pivot_cols = S.cols reduces to [R | P @ X].
+
+    T is None unless transform is set; then it is (block, perm), the part
+    of the transform P (P @ arr = R) that gives P @ X for any X without
+    carrying X through the elimination.  perm[i] is the original index of
+    the row that ends at row i, so the t = len(pivots) pivot rows came from
+    I = perm[:t].  Only pivot rows are ever subtracted, so row i of P is
+    zero outside I, except for a single 1 at perm[i] in the rows below t.
+    block = P[:, I] (r x t): its column k is written as the unit vector of
+    the k-th pivot row when that row is chosen, since no earlier row
+    operation has touched it.  Hence P @ X = block @ X[I] + [0; X[perm[t:]]].
     """
     a = np.array(arr, dtype=np.int64)
     r, c = a.shape
+    npiv = c if pivot_cols is None else pivot_cols
+    if transform:
+        a = np.hstack([a, np.zeros((r, min(r, npiv)), dtype=np.int64)])
+        perm = np.arange(r)
     pivots: list[int] = []
     row = 0
-    for col in range(c if pivot_cols is None else pivot_cols):
+    for col in range(npiv):
         if row == r:
             break
         nz = np.nonzero(a[row:, col])[0]
@@ -224,16 +238,23 @@ def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None):
         pr = row + int(nz[0])
         if pr != row:
             a[[row, pr]] = a[[pr, row]]
-        pv = int(a[row, col])
+            if transform:
+                perm[[row, pr]] = perm[[pr, row]]
+        if transform:
+            a[row, c + row] = 1
+        # the pivot row is zero left of col, so only columns col: change
+        prow = a[row, col:]
+        pv = int(prow[0])
         if pv != 1:
-            a[row, :] = field.mul(field.inv(pv), a[row, :])
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            fac = a[others, col][:, None]
-            a[others, :] = field.sub(a[others, :], field.mul(fac, a[row, :][None, :]))
+            prow = field.mul(field.inv(pv), prow)
+            a[row, col:] = prow
+        fac = a[:, col].copy()
+        fac[row] = 0
+        a[:, col:] = field.sub(a[:, col:], field.mul(fac[:, None], prow[None, :]))
         pivots.append(col)
         row += 1
+    if transform:
+        return a[:, :c], (a[:, c : c + row], perm), pivots
     return a, None, pivots
 
 

@@ -57,11 +57,15 @@ PROPERTY_TOWERS = [
 ]
 
 
+# The annihilator oracle also runs odd p over a two-digit base field, GF(9) <= GF(81).
+ORACLE_TOWERS = PROPERTY_TOWERS + [FieldTower.standard(3, 2, e=2)]
+
+
 @st.composite
-def annihilator_cases(draw):
+def annihilator_cases(draw, towers=PROPERTY_TOWERS):
     """(tower, partition, H, E) with E full-rank of weight t <= s, of any
     per-block weights, or zero."""
-    tower = draw(st.sampled_from(PROPERTY_TOWERS))
+    tower = draw(st.sampled_from(towers))
     parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     s = draw(st.integers(1, 4))
     redundancy = sum(parts) - draw(st.integers(0, sum(parts) - 1))
@@ -81,6 +85,25 @@ def annihilator_cases(draw):
         budget -= profile[-1]
     em = sample_error(tower, part, profile, s, require_full_rank=kind == "inside", rng=rng)
     return tower, part, H, em.E
+
+
+@st.composite
+def syndrome_cases(draw):
+    """(H, S): a syndrome H @ E^T of annihilator_cases over ORACLE_TOWERS
+    (zero, inside or outside the guarantee) or a random S of rank n - k,
+    with row 1 of S optionally replaced by row 0 (dependent leading rows)."""
+    _, _, H, E = draw(annihilator_cases(ORACLE_TOWERS))
+    if not draw(st.booleans()):
+        S = H @ E.T
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cols = H.rows + draw(st.integers(0, 2))
+        S = Matrix.random(H.field, H.rows, cols, rng)
+        while rank(S) < H.rows:
+            S = Matrix.random(H.field, H.rows, cols, rng)
+    if S.rows > 1 and draw(st.booleans()):
+        S = vstack([S[:1], S[:1], S[2:]])
+    return H, S
 
 
 class TestReferenceInstance:
@@ -179,6 +202,23 @@ class TestComputeHsub:
         P = RP[:, S.cols :]
         assert h_sub == (P @ H)[t_hat:, :]
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(syndrome_cases())
+    def test_matches_pivot_limited_rref(self, case):
+        # the narrow elimination of S and one product give, entry for
+        # entry, the split of the full-width reduction of [S | H]
+        H, S = case
+        R, pivots = rref(hstack([S, H]), pivot_cols=S.cols)
+        t = len(pivots)
+        if t == H.rows:
+            with pytest.raises(SupportSpaceEmpty):
+                compute_hsub(H, S)
+            return
+        h_sub, t_hat, top = compute_hsub(H, S)
+        assert t_hat == t
+        assert h_sub == R[t:, S.cols :]
+        assert top == R[:t]
+
     def test_dependent_leading_rows(self, ref_tower):
         # row 1 of S repeats row 0, so the first non-pivot row is H_0 - H_1
         # (not H_1 - H_0, which a pivot choice by rref(S^T) would give)
@@ -253,6 +293,13 @@ class TestErasureDecode:
         A = erasure_decode(ref.code.H, B, S)
         assert A.shape == (3, 0)
 
+    def test_empty_support_nonzero_syndrome(self, ref):
+        # no error values can produce a nonzero syndrome on an empty support
+        B = Matrix.zeros(ref.tower.base_field, 0, 6)
+        S = Matrix(ref.tower.ext_field, [[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(Inconsistent):
+            erasure_decode(ref.code.H, B, S)
+
     def test_weight_at_distance_not_unique(self, ref_tower):
         # t >= d makes the erasure system rank-deficient for some supports
         rng = np.random.default_rng(4)
@@ -308,9 +355,8 @@ class TestErasureOnPivotRows:
             # a unique solution A: a repeated basis row leaves the system
             # consistent but rank-deficient, and without row 0 of B the
             # syndrome is out of reach whenever column 0 of A is nonzero
-            # (an empty basis is solved as zero without a check)
             assert _erasure_outcome(H, duplicated, S) is NonUniqueSolution
-            if B.rows > 1 and any(row[0] for row in full):
+            if any(row[0] for row in full):
                 assert _erasure_outcome(H, dropped, S) is Inconsistent
 
     @pytest.mark.parametrize(

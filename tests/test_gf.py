@@ -206,6 +206,12 @@ class TestConstructionValidation:
         assert not f.add(x, x).any()
         assert f.mul(x, f.inv(x)).tolist() == [1] * 4
 
+    def test_largest_int64_code_round_trip(self):
+        t = FieldTower(2, 1, 63, [1, 1] + [0] * 61 + [1])
+        top = t.ext_field.order - 1
+        assert t.ext(top).tolist() == [1] * 63
+        assert t.unext(t.ext(top)) == top
+
     def test_default_modulus_is_irreducible(self):
         for p, deg in [(2, 4), (3, 3), (5, 2)]:
             K = PrimeField(p)
@@ -483,6 +489,39 @@ class TestPrimeMatmulSwitch:
         rng = np.random.default_rng(seed)
         a, b = f.random(rng, (3, inner)), f.random(rng, (inner, 2))
         assert f.matmul(a, b).tolist() == _oracle_matmul(f, a, b)
+
+
+class TestFloatReduction:
+    """Odd-p ExtField products: the GF(p) digit product and the recomposition
+    of codes run in float64 only inside their exactness bounds."""
+
+    # GF(P^2) for TestPrimeMatmulSwitch's P: codes are below 2^53, and the
+    # digit product sums inner * 2 products, in float64 for inner <= 4
+    P = TestPrimeMatmulSwitch.P
+    WIDE = _above_table_limit(P, 2)
+
+    def test_threshold(self):
+        assert 8 * (self.P - 1) ** 2 < 2**53 <= 10 * (self.P - 1) ** 2
+        assert self.WIDE.order <= 2**53
+
+    @pytest.mark.parametrize("inner", [1, 4, 5, 8])
+    def test_digit_product_straddles_switch(self, inner):
+        f = self.WIDE
+        rng = np.random.default_rng(inner)
+        a, b = f.random(rng, (3, inner)), f.random(rng, (inner, 2))
+        a[0] = f.order - 1  # every digit p - 1
+        b[:, 0] = f.order - 1
+        assert f.matmul(a, b).tolist() == _oracle_matmul(f, a, b)
+
+    def test_codes_above_2_53(self):
+        # the digit product is float64, the recomposition must not be: an
+        # odd code above 2^53 has no float64 representation
+        f = _above_table_limit(3, 34)
+        assert f.order > 2**53
+        a = np.array([[f.order - 1], [f.order - 2], [5]])
+        b = np.array([[1, f.order - 2]])
+        assert f.matmul(a, b).tolist() == _oracle_matmul(f, a, b)
+        assert f.matmul(a, b)[:, 0].tolist() == a[:, 0].tolist()
 
 
 class TestTables:
