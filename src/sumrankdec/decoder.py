@@ -19,6 +19,13 @@ linear system for the error values (column-erasure decoding):
    GF(q^m)-kernel, so a block of full GF(q^m)-rank (typically every
    error-free one) has kernel {0}, and only the other blocks' basis rows
    are expanded over GF(q) and reduced in a second stacked elimination.
+   When the annihilator is tall (n - k - t > 4w with w = max n_i, for a
+   large enough stack; see linalg.rref_stack), the first elimination
+   reduces only the leading 2w rows of every block.  An error-free block
+   typically shows full rank there, and only the others, the at most t
+   error blocks, check their rows below against that slice.  The stage
+   then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m) instead of
+   O(l (n - k) w^2).
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  Step 2's
    transform P is invertible, so the system P @ [H @ B^T | S] is equivalent;
    its rows below rank(S) are [h_sub @ B^T | 0], which is zero because B

@@ -258,20 +258,29 @@ def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None, transfor
     return a, None, pivots
 
 
-def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row-echelon forms of a (batch, r, c) stack, all members at once.
+# Smallest batch (r - 2c) c^2 for which rref_stack takes the slice path.
+# Timed (2-core x86-64 VM) against the full elimination on GF(5), GF(5^2)
+# and GF(2^12) stacks with c = 2..6, r = 4.5c..30c and batch 4..2048, a
+# tenth or a third of the members rank-deficient: below 2^15 the path lost
+# up to about 50 % on some shapes
+# (e.g. (1024, 9, 2) +10 %, (32, 30, 6) +24 %, (256, 10, 2) over GF(5)
+# +51 %); from 2^15 on it won, by up to 80 %, or tied within 4 %.  A stack
+# whose members are all deficient gains nothing from the slice and lost
+# 10-60 % to it at any size; in decoding those are the error blocks, at
+# most t of the l blocks.
+_SLICE_MIN_WORK = 2**15
 
-    Returns (R, pivots) with pivots a (batch, c) boolean mask of pivot
-    columns; R[b] equals _rref_arrays(field, arr[b])[0] (same pivot choice).
+
+def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
+    """Reduce the (batch, r, c) stack a in place; return its pivot mask.
+
     Every step updates the whole stack: a member without a pivot in the
     column swaps a row with itself and gets zero elimination factors.
-    Single matrices stay on _rref_arrays, which is faster at batch 1.
     """
-    a = np.array(arr, dtype=np.int64)
     batch, r, c = a.shape
     pivots = np.zeros((batch, c), dtype=bool)
     if batch == 0 or r == 0:
-        return a, pivots
+        return pivots
     members = np.arange(batch)
     below = np.arange(r)
     row = np.zeros(batch, dtype=np.int64)  # next pivot row of each member
@@ -297,6 +306,57 @@ def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[:, :, col:] = field.sub(a[:, :, col:], field.mul(fac[:, :, None], prow[:, None, :]))
         pivots[:, col] = has
         row += has
+    return pivots
+
+
+def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms of a (batch, r, c) stack, all members at once.
+
+    Returns (R, pivots) with pivots a (batch, c) boolean mask of pivot
+    columns; R[b] equals _rref_arrays(field, arr[b])[0] (same pivot choice).
+    Single matrices stay on _rref_arrays, which is faster at batch 1.
+
+    A tall stack is reduced on its leading slice of 2c rows first.  A
+    member with c pivots there is done: its RREF is the reduced slice
+    followed by zero rows.  For each other member, every row below the slice
+    minus its entries in the pivot columns times the slice's pivot rows
+    (one mul/sub pass per pivot column, exact because the slice is in RREF)
+    vanishes exactly when the row lies in the slice's row space.  When all
+    of them vanish, the member's row space is the slice's, and so is its
+    RREF, which is canonical for the row space.  Only members whose rank
+    grows below the slice are reduced again in full.  For d members short
+    of full column rank this costs O(batch c^3 + d r c^2) instead of
+    O(batch r c^2).
+
+    The path applies when c >= 2, r > 4c and batch (r - 2c) c^2, the row
+    updates it spares, is at least _SLICE_MIN_WORK.  A one-column stack is
+    reduced in one step at any height.  Below the bound the residual pass
+    and its bookkeeping cost more than they spare on some shapes (see
+    _SLICE_MIN_WORK).
+    """
+    a = np.array(arr, dtype=np.int64)
+    batch, r, c = a.shape
+    h = 2 * c
+    if c < 2 or r <= 2 * h or batch * (r - h) * c * c < _SLICE_MIN_WORK:
+        return a, _reduce_stack(field, a)
+    top = a[:, :h].copy()
+    pivots = _reduce_stack(field, top)
+    short = np.flatnonzero(pivots.sum(axis=1) < c)
+    p = pivots[short]
+    # prows[:, j] is the slice row with its pivot in column j, zero if j is
+    # free; pivot rows are zero in every other pivot column
+    prows = top[short[:, None], np.cumsum(p, axis=1) - 1] * p[:, :, None]
+    rest = a[short, h:]
+    res = rest
+    for col in np.flatnonzero(p.any(axis=0)):
+        res = field.sub(res, field.mul(rest[:, :, col, None], prows[:, None, col, :]))
+    grew = short[res.any(axis=(1, 2))]
+    a[:, :h] = top
+    a[:, h:] = 0
+    if grew.size:
+        full = np.asarray(arr, dtype=np.int64)[grew]
+        pivots[grew] = _reduce_stack(field, full)
+        a[grew] = full
     return a, pivots
 
 
@@ -333,15 +393,15 @@ def right_kernel(M: Matrix) -> Matrix:
     field = M.field
     R, pivots = rref(M)
     c = M.cols
-    free = [j for j in range(c) if j not in pivots]
-    if not free:
+    free = np.delete(np.arange(c), pivots)
+    if not free.size:
         return Matrix.zeros(field, 0, c)
-    basis = np.zeros((len(free), c), dtype=np.int64)
-    rarr = R.array
-    for bi, fcol in enumerate(free):
-        basis[bi, fcol] = 1
-        for pi, pcol in enumerate(pivots):
-            basis[bi, pcol] = field.neg(int(rarr[pi, fcol]))
+    # the kernel vector of free column f is e_f minus column f of R's pivot
+    # rows, placed at the pivot columns
+    basis = np.zeros((free.size, c), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    if pivots:
+        basis[:, list(pivots)] = field.neg(R.array[: len(pivots), free].T)
     out, _, piv = _rref_arrays(field, basis)
     return Matrix(field, out[: len(piv), :], _checked=True)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from sumrankdec import example_case
+from sumrankdec import example_case, linalg
 from sumrankdec.code import (
     InterleavedCode,
     LinearCode,
@@ -99,3 +101,26 @@ def make_instance(
         E=em.E,
         Y=C + em.E,
     )
+
+
+@contextmanager
+def reduced_stacks(min_work: int | None = None):
+    """Record the shape of every stack that rref_stack's stepping code reduces.
+
+    The slice path of a (batch, r, c) stack reduces a (batch, 2c, c) slice
+    first, then the full height of the members whose rank grows below it.
+    With min_work set, the slice path's work bound is lowered to it, so that
+    tall stacks of test size (min_work = 0) take the path too.
+    """
+    shapes: list[tuple[int, ...]] = []
+    inner = linalg._reduce_stack
+
+    def spy(field, a):
+        shapes.append(a.shape)
+        return inner(field, a)
+
+    bound = linalg._SLICE_MIN_WORK if min_work is None else min_work
+    with mock.patch.object(linalg, "_reduce_stack", spy), mock.patch.object(
+        linalg, "_SLICE_MIN_WORK", bound
+    ):
+        yield shapes

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -137,7 +138,7 @@ class TestGenDecodeRoundtrip:
             run(["gen", *BASE, "--k", "2", "--s", "2", "--t", "1", "--seed", "9",
                  "--out-prefix", prefix])
         for suffix in (".code.json", ".received.json", ".truth.json"):
-            assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+            assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
     def test_gen_golden(self, tmp_path):
         # the seeded draw order (code, profile, error, messages) is pinned
@@ -145,7 +146,7 @@ class TestGenDecodeRoundtrip:
         assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
                     "--out-prefix", prefix]) == 0
         digests = {
-            suffix: hashlib.sha256(open(prefix + suffix, "rb").read()).hexdigest()
+            suffix: hashlib.sha256(Path(prefix + suffix).read_bytes()).hexdigest()
             for suffix in (".received.json", ".truth.json")
         }
         assert digests == {

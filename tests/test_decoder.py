@@ -6,13 +6,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumrankdec
-from conftest import code_with_distance, make_instance
+from conftest import code_with_distance, make_instance, reduced_stacks
 from sumrankdec import decoder
-from sumrankdec.code import syndrome
+from sumrankdec.code import LinearCode, min_sum_rank_distance, random_code, syndrome
 from sumrankdec.decoder import (
     ResidualCheckFailed,
     SupportMismatch,
@@ -379,6 +379,71 @@ class TestErasureOnPivotRows:
                 for system in ((H_top, B2, S_top), (code.H, B2, S)):
                     with pytest.raises(error):
                         erasure_decode(*system)
+
+
+@st.composite
+def tall_decoding_cases(draw):
+    """(code, s, t, kind, rng) over PROPERTY_TOWERS with n - k - t > 4 max n_i,
+    so the annihilator's blocks are tall enough for rref_stack's slice path.
+
+    "inside" draws a random code with t <= d - 2, s >= t and a full-rank
+    error; "deficient" has s < t, so the error has rank below t; and
+    "overweight" plants the codeword (1, a, 0, ..., 0) in the code, so
+    d <= 2 and t > d - 2.  d is certified by min_sum_rank_distance.
+    """
+    tower = draw(st.sampled_from(PROPERTY_TOWERS))
+    w = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["inside", "deficient", "overweight"]))
+    t = draw(st.integers(2 if kind == "deficient" else 1, 3))
+    parts = [w] + draw(st.lists(st.integers(1, w), max_size=3))
+    while sum(parts) <= k + t + 4 * w:
+        parts.append(w)
+    part = LengthPartition(parts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "overweight":
+        f = tower.ext_field
+        while True:
+            H = f.random(rng, (part.n - k, part.n))
+            H[:, 0] = f.neg(f.mul(int(f.random(rng, ())), H[:, 1]))
+            if rank(Matrix(f, H)) == part.n - k:
+                break
+        code = LinearCode(tower, part, Matrix(f, H))
+    else:
+        code = random_code(tower, part, k, rng=rng)
+    code.d = min_sum_rank_distance(code)
+    if kind == "inside":
+        assume(t <= code.d - 2)
+        s = t + draw(st.integers(0, 1))
+    elif kind == "deficient":
+        s = draw(st.integers(1, t - 1))
+    else:
+        assert t > code.d - 2
+        s = t
+    return code, s, t, kind, rng
+
+
+class TestDecoderPromise:
+    """decode() with the annihilator's blocks on rref_stack's slice path."""
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(tall_decoding_cases())
+    def test_exact_inside_typed_or_verified_outside(self, case):
+        code, s, t, kind, rng = case
+        inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=kind != "deficient")
+        with reduced_stacks(min_work=0) as shapes:
+            try:
+                report, failure = decode(inst.icode, inst.Y), None
+            except FAILURES as ex:
+                report, failure = None, ex
+        w = max(code.partition.parts)
+        assert shapes[0] == (code.partition.ell, 2 * w, w)
+        if kind == "inside":
+            assert failure is None and report.C_hat == inst.C
+        elif failure is not None:
+            assert failure.stage in {"annihilator", "supports", "erasure", "verify"}
+        else:
+            assert inst.icode.contains(report.C_hat)
 
 
 class TestDecodeRandomised:

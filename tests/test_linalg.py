@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_stacks
 from sumrankdec.gf import FieldTower, PrimeField
 from sumrankdec.linalg import (
     _rref_arrays,
@@ -38,6 +39,38 @@ STACK_FIELDS = [
     FieldTower.standard(2, 12).ext_field,
     PrimeField(2**31 - 1),
 ]
+
+# how the leading 2c rows of a tall member relate to the rows below
+TALL_KINDS = ["zero", "full", "in_span", "grows_below"]
+
+
+def _tall_member(field, kind, r, c, pad, rng):
+    """An r x c member for rref_stack's slice path, its last pad columns zero.
+
+    Its leading 2c rows (the slice) are zero ("zero"), of full rank in the
+    real columns ("full"), or span a proper subspace that the rows below
+    stay in ("in_span") or leave ("grows_below").
+    """
+    real = c - pad
+    out = np.zeros((r, c), dtype=np.int64)
+    if kind == "zero":
+        return out
+    # unit upper triangular: every leading set of rows is independent
+    B = np.triu(field.random(rng, (real, real)), 1) + np.eye(real, dtype=np.int64)
+    j = real if kind == "full" else real - 1
+
+    def combos(n, rows):
+        if not rows.shape[0]:
+            return np.zeros((n, real), dtype=np.int64)
+        return field.matmul(field.random(rng, (n, rows.shape[0])), rows)
+
+    top = np.vstack([B[:j], combos(2 * c - j, B[:j])])
+    if kind == "grows_below":
+        below = np.vstack([B[j:], combos(r - 2 * c - 1, B)])
+    else:
+        below = combos(r - 2 * c, B[:j])
+    out[:, :real] = np.vstack([rng.permutation(top), rng.permutation(below)])
+    return out
 
 
 class TestMatrixBasics:
@@ -346,3 +379,60 @@ class TestRrefStack:
         assert R[1].tolist() == [[1, 0], [0, 1]] and pivots[1].tolist() == [True, True]
         assert R[2].tolist() == rref(Matrix(f, arr[2]))[0].tolist()
         assert pivots[2].tolist() == [False, True]
+
+    def _check_members(self, field, arr, R, pivots):
+        for b in range(arr.shape[0]):
+            want, _, piv = _rref_arrays(field, arr[b])
+            assert R[b].tolist() == want.tolist()
+            assert np.flatnonzero(pivots[b]).tolist() == piv
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from(STACK_FIELDS),
+        c=st.integers(2, 4),
+        extra=st.integers(1, 5),
+        kinds=st.lists(st.sampled_from(TALL_KINDS), min_size=1, max_size=5),
+        pad=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tall_stacks_match_single_matrix_engine(self, field, c, extra, kinds, pad, seed):
+        # the slice path, lowered to test sizes: only members whose rank
+        # grows below the slice are reduced again in full
+        rng = np.random.default_rng(seed)
+        r = 4 * c + extra
+        arr = np.stack([_tall_member(field, kind, r, c, pad, rng) for kind in kinds])
+        with reduced_stacks(min_work=0) as shapes:
+            R, pivots = rref_stack(field, arr)
+        grew = kinds.count("grows_below")
+        assert shapes == [(len(kinds), 2 * c, c)] + ([(grew, r, c)] if grew else [])
+        self._check_members(field, arr, R, pivots)
+
+    def test_fallback_at_annihilator_size(self):
+        # GF(5^2) blocks of 4 with 120 annihilator rows, as in a decode at
+        # n = 256, take the slice path under the default work bound
+        f = FieldTower.standard(5, 2).ext_field
+        rng = np.random.default_rng(16)
+        kinds = ["full"] * 60 + ["in_span", "zero", "grows_below", "in_span"]
+        arr = np.stack([_tall_member(f, kind, 120, 4, 0, rng) for kind in kinds])
+        with reduced_stacks() as shapes:
+            R, pivots = rref_stack(f, arr)
+        assert shapes == [(64, 8, 4), (1, 120, 4)]
+        self._check_members(f, arr, R, pivots)
+
+    @pytest.mark.parametrize(
+        "shape,sliced",
+        [
+            ((128, 56, 1), False),  # one column: one step at any height
+            ((6, 5, 2), False),  # r <= 4c
+            ((8, 32, 4), False),  # batch (r - 2c) c^2 below 2^15
+            ((64, 120, 4), True),
+        ],
+    )
+    def test_slice_path_rule(self, shape, sliced):
+        f = FieldTower.standard(5, 2).ext_field
+        arr = f.random(np.random.default_rng(17), shape)
+        with reduced_stacks() as shapes:
+            R, pivots = rref_stack(f, arr)
+        batch, r, c = shape
+        assert shapes[0] == ((batch, 2 * c, c) if sliced else shape)
+        self._check_members(f, arr, R, pivots)
