@@ -193,16 +193,22 @@ def random_code(
     seed=None,
     rng: np.random.Generator | None = None,
 ) -> LinearCode:
-    """Uniformly random code: redraw H until it has full row rank."""
+    """Uniformly random code: redraw H until it has full row rank.
+
+    LinearCode's own rank check decides each draw: H is over the tower's
+    extension field and has partition.n columns by construction, so the
+    only ValueError it can raise is for a rank-deficient H.
+    """
     n = partition.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
     if rng is None:
         rng = np.random.default_rng(seed)
     while True:
-        H = Matrix.random(tower.ext_field, n - k, n, rng)
-        if rank(H) == n - k:
-            return LinearCode(tower, partition, H)
+        try:
+            return LinearCode(tower, partition, Matrix.random(tower.ext_field, n - k, n, rng))
+        except ValueError:
+            continue
 
 
 def random_instance(

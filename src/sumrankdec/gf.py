@@ -47,6 +47,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .linalg import LinearSystemError, Matrix, solve_unique
+
 __all__ = [
     "PrimeField",
     "ExtField",
@@ -473,7 +475,7 @@ class ExtField:
         n1 = self.order - 1
         factors = _prime_factors(n1)
         first = [self.subfield.order] if self.deg >= 2 else []  # the residue class of x
-        for g in chain(first, (c for c in range(2, self.order) if c not in first)):
+        for g in chain(first, (c for c in range(1, self.order) if c not in first)):
             if all(self._pow_i(g, n1 // r) != 1 for r in factors):
                 return g
         raise RuntimeError("no multiplicative generator found")  # unreachable
@@ -704,27 +706,11 @@ class FieldTower:
 
     # ---- small helpers ---------------------------------------------------
     def _invert_base_matrix(self, bmat: np.ndarray) -> np.ndarray:
-        # tiny Gauss-Jordan over GF(q); raises if the basis is dependent
-        K = self.base_field
-        m = self.m
-        a = bmat.copy()
-        inv = np.eye(m, dtype=np.int64)
-        for col in range(m):
-            piv = next((r for r in range(col, m) if a[r, col] != 0), None)
-            if piv is None:
-                raise ValueError("basis elements are linearly dependent over GF(q)")
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                inv[[col, piv]] = inv[[piv, col]]
-            f = K.inv(int(a[col, col]))
-            a[col] = K.mul(f, a[col])
-            inv[col] = K.mul(f, inv[col])
-            for r in range(m):
-                if r != col and a[r, col] != 0:
-                    fac = int(a[r, col])
-                    a[r] = K.sub(a[r], K.mul(fac, a[col]))
-                    inv[r] = K.sub(inv[r], K.mul(fac, inv[col]))
-        return inv
+        K, m = self.base_field, self.m
+        try:
+            return solve_unique(Matrix(K, bmat, _checked=True), Matrix.identity(K, m)).array
+        except LinearSystemError:
+            raise ValueError("basis elements are linearly dependent over GF(q)") from None
 
     # ---- scalar arithmetic (codes in GF(q^m)) -----------------------------
     def add(self, a: int, b: int) -> int:
@@ -786,18 +772,14 @@ class FieldTower:
             digits = flat.reshape(self.m, r, c).transpose(1, 0, 2)
         return digits.reshape(r * self.m, c)
 
-    def ext_matrix(self, M) -> "Matrix":
+    def ext_matrix(self, M) -> Matrix:
         """Matrix version of ext(); expands a GF(q^m) matrix over GF(q)."""
-        from .linalg import Matrix
-
         if M.field != self.ext_field:
             raise ValueError("matrix is not over this tower's extension field")
         return Matrix(self.base_field, self.ext_array(M.array), _checked=True)
 
-    def lift(self, M) -> "Matrix":
+    def lift(self, M) -> Matrix:
         """Reinterpret a GF(q) matrix as a GF(q^m) matrix (codes unchanged)."""
-        from .linalg import Matrix
-
         if M.field != self.base_field:
             raise ValueError("matrix is not over this tower's base field")
         return Matrix(self.ext_field, M.array, _checked=True)

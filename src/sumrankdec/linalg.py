@@ -389,21 +389,23 @@ def right_kernel(M: Matrix) -> Matrix:
 
     The basis is returned in reduced echelon form, so equal kernels compare
     equal as matrices.  An empty result has shape (0, cols).
+
+    M is reduced with its columns reversed.  The kernel vector of free
+    column f there is e_f minus column f of the pivot rows, placed at the
+    pivot columns; a pivot row has nonzeros only right of its pivot, so the
+    vector is zero right of f.  Reversed back, its leading entry is a 1 in
+    column c - 1 - f, and it is zero in every other free column: taken in
+    decreasing f, these vectors are already the reduced echelon basis.
     """
     field = M.field
-    R, pivots = rref(M)
     c = M.cols
-    free = np.delete(np.arange(c), pivots)
-    if not free.size:
-        return Matrix.zeros(field, 0, c)
-    # the kernel vector of free column f is e_f minus column f of R's pivot
-    # rows, placed at the pivot columns
+    R, _, pivots = _rref_arrays(field, M.array[:, ::-1])
+    free = np.delete(np.arange(c), pivots)[::-1]
     basis = np.zeros((free.size, c), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     if pivots:
-        basis[:, list(pivots)] = field.neg(R.array[: len(pivots), free].T)
-    out, _, piv = _rref_arrays(field, basis)
-    return Matrix(field, out[: len(piv), :], _checked=True)
+        basis[:, pivots] = field.neg(R[: len(pivots), free].T)
+    return Matrix(field, basis[:, ::-1], _checked=True)
 
 
 def solve_unique(M: Matrix, rhs: Matrix) -> Matrix:
@@ -426,24 +428,22 @@ def solve_unique(M: Matrix, rhs: Matrix) -> Matrix:
 
 
 def row_space_intersection(M1: Matrix, M2: Matrix) -> Matrix:
-    """Canonical basis of the intersection of two row spaces (Zassenhaus)."""
+    """Canonical basis of the intersection of two row spaces (Zassenhaus).
+
+    The nonzero rows of the reduced echelon form of [M1 M1; M2 0] whose
+    left half is zero span the intersection in their right half.  They are
+    the last pivot rows, and the full reduction leaves them reduced against
+    each other, so their right halves are the canonical basis as they stand.
+    """
     M1._compat(M2)
     if M1.cols != M2.cols:
         raise ValueError("matrices must have equal column counts")
-    field = M1.field
     n = M1.cols
     top = np.hstack([M1.array, M1.array])
     bot = np.hstack([M2.array, np.zeros_like(M2.array)])
-    stacked = np.vstack([top, bot])
-    R, pivots = rref(Matrix(field, stacked, _checked=True))
-    rarr = R.array
-    inter_rows = []
-    for i in range(len(pivots)):
-        if not np.any(rarr[i, :n]):
-            inter_rows.append(rarr[i, n:])
-    if not inter_rows:
-        return Matrix.zeros(field, 0, n)
-    return row_space_basis(Matrix(field, np.array(inter_rows), _checked=True))
+    R, pivots = rref(Matrix(M1.field, np.vstack([top, bot]), _checked=True))
+    left = sum(p < n for p in pivots)
+    return R[left : len(pivots), n:]
 
 
 def matrix_to_dict(M: Matrix, tower) -> dict:

@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import Matrix, block_diag, hstack, rank, row_space_basis, rref_stack, solve_unique
+from .linalg import (Matrix, block_diag, hstack, matrix_from_dict, matrix_to_dict, rank,
+                     row_space_basis, rref_stack, solve_unique)
 
 __all__ = [
     "LengthPartition",
@@ -222,8 +223,6 @@ class ErrorModel:
         return self.E.rows
 
     def to_dict(self) -> dict:
-        from .linalg import matrix_to_dict
-
         return {
             "profile": list(self.profile),
             "full_rank": self.full_rank,
@@ -235,8 +234,6 @@ class ErrorModel:
 
     @classmethod
     def from_dict(cls, d: dict, tower: FieldTower, partition: LengthPartition) -> "ErrorModel":
-        from .linalg import matrix_from_dict
-
         return cls(
             tower=tower,
             partition=partition,
@@ -294,6 +291,11 @@ def sample_error(
     uniform over GF(q^m)^(s x t) subject to rk_q(A_block_i) = t_i, plus
     rk(A) = t over GF(q^m) when require_full_rank is set.  Deterministic for
     a given seed.
+
+    E = A @ lift(B) needs no checks of its own.  Block i of E is A_i @ B_i
+    with B_i over GF(q), so its expansion is ext(A_i) @ B_i, and B_i has
+    full row rank t_i: the GF(q)-rank of E's block i is that of A_i.
+    lift(B) has full row rank t over GF(q^m) too, so rk(E) = rk(A).
     """
     profile = check_profile(tower, partition, profile, s, require_full_rank)
     t = sum(profile)
@@ -318,15 +320,10 @@ def sample_error(
         A = Matrix.random(Fqm, s, t, rng)
         if (block_ranks(tower, A.array[None], a_parts)[0] != a_parts.parts).any():
             continue
-        if require_full_rank and rank(A) != t:
-            continue
-        E = A @ tower.lift(B)
-        if (block_ranks(tower, E.array[None], partition)[0] != profile).any():
-            continue
-        full = rank(E) == t
+        full = rank(A) == t
         if require_full_rank and not full:
             continue
-        return ErrorModel(tower, partition, E, A, B, profile, full_rank=full,
+        return ErrorModel(tower, partition, A @ tower.lift(B), A, B, profile, full_rank=full,
                           seed=seed if isinstance(seed, int) else None)
     raise SamplingFailure(f"no admissible error after {max_attempts} attempts")
 

@@ -124,3 +124,17 @@ def reduced_stacks(min_work: int | None = None):
         linalg, "_SLICE_MIN_WORK", bound
     ):
         yield shapes
+
+
+@contextmanager
+def eliminations():
+    """Record the shape of every matrix that linalg._rref_arrays reduces."""
+    shapes: list[tuple[int, ...]] = []
+    inner = linalg._rref_arrays
+
+    def spy(field, arr, *args, **kwargs):
+        shapes.append(arr.shape)
+        return inner(field, arr, *args, **kwargs)
+
+    with mock.patch.object(linalg, "_rref_arrays", spy):
+        yield shapes

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import eliminations
 from sumrankdec.code import (
     BudgetExceeded,
     InterleavedCode,
@@ -213,6 +214,30 @@ class TestRandomCode:
         part = LengthPartition([2, 2, 2])
         seen = {random_code(ref_tower, part, 2, seed=s).H for s in range(100)}
         assert len(seen) == 100
+
+    def test_redraws_until_full_row_rank(self):
+        # over GF(2) a 1 x 2 parity-check row is zero a quarter of the time;
+        # the code is the first nonzero draw of the same stream
+        tower = FieldTower.standard(2, 1)
+        redrawn = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            H = Matrix.random(tower.ext_field, 1, 2, rng)
+            while H.is_zero:
+                redrawn += 1
+                H = Matrix.random(tower.ext_field, 1, 2, rng)
+            assert random_code(tower, LengthPartition([1, 1]), 1, seed=seed).H == H
+        assert redrawn
+
+    def test_set_up_eliminates_h_twice(self, ref_tower):
+        # one rank check and one kernel; the first draw has full rank
+        part = LengthPartition([2, 2, 2])
+        first = Matrix.random(ref_tower.ext_field, 4, 6, np.random.default_rng(3))
+        assert rank(first) == 4
+        with eliminations() as shapes:
+            code = random_code(ref_tower, part, 2, seed=3)
+            code.generator
+        assert code.H == first and shapes == [(4, 6), (4, 6)]
 
     def test_k_bounds(self, ref_tower):
         part = LengthPartition([2, 2, 2])

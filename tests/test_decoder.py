@@ -453,6 +453,7 @@ class TestDecodeRandomised:
             (5, 2, (2, 2, 2), 1, 3, 3),
             (2, 3, (1, 1, 1, 1, 1, 1, 1), 2, 2, 2),
             (3, 4, (4,), 1, 2, 2),
+            (2, 1, (1,) * 10, 3, 2, 2),  # binary Hamming metric
         ],
     )
     def test_exact_recovery(self, p, m, parts, k, s, t):

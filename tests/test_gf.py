@@ -355,11 +355,13 @@ def _above_table_limit(p, deg):
     return ExtField(K, default_modulus(K, deg))
 
 
-# Characteristic 2 and odd p, two-level towers, odd fields on each side of
-# the add/sub table bound q^2 <= TABLE_LIMIT (GF(31^2) inside, GF(37^2) and
-# GF(257^2), whose digits are wider than 8 bits, outside) and one field of
-# each kind above TABLE_LIMIT.
+# GF(2) as a degree-1 extension (its only unit generates it), characteristic
+# 2 and odd p, two-level towers, odd fields on each side of the add/sub table
+# bound q^2 <= TABLE_LIMIT (GF(31^2) inside, GF(37^2) and GF(257^2), whose
+# digits are wider than 8 bits, outside) and one field of each kind above
+# TABLE_LIMIT.
 KERNEL_FIELDS = [
+    FieldTower.standard(2, 1).ext_field,
     FieldTower.standard(2, 3).ext_field,
     FieldTower.standard(2, 12).ext_field,
     FieldTower(5, 1, 2, [2, 4, 1]).ext_field,
@@ -528,6 +530,7 @@ class TestTables:
     @pytest.mark.parametrize(
         "tower, generator",
         [
+            (FieldTower.standard(2, 1), 1),
             (FieldTower(5, 1, 2, [2, 4, 1]), 5),
             (FieldTower.standard(2, 3), 2),
             (FieldTower.standard(3, 2), 4),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reduced_stacks
+from conftest import eliminations, reduced_stacks
 from sumrankdec.gf import FieldTower, PrimeField
 from sumrankdec.linalg import (
     _rref_arrays,
@@ -39,6 +39,16 @@ STACK_FIELDS = [
     FieldTower.standard(2, 12).ext_field,
     PrimeField(2**31 - 1),
 ]
+
+# GF(2) as a degree-1 extension, characteristic 2, odd p and the two-level
+# GF(4) <= GF(16)
+RIGHT_KERNEL_FIELDS = [
+    FieldTower.standard(2, 1).ext_field,
+    FieldTower.standard(2, 3).ext_field,
+    FieldTower.standard(5, 2).ext_field,
+    FieldTower.standard(2, 2, e=2).ext_field,
+]
+RIGHT_KERNEL_SHAPES = ["zero", "empty", "full", "dependent"]
 
 # how the leading 2c rows of a tall member relate to the rows below
 TALL_KINDS = ["zero", "full", "in_span", "grows_below"]
@@ -244,6 +254,35 @@ class TestRightKernel:
         R, piv = rref(K)
         assert R == K and len(piv) == K.rows
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(RIGHT_KERNEL_FIELDS),
+        kind=st.sampled_from(RIGHT_KERNEL_SHAPES),
+        rows=st.integers(1, 5),
+        cols=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_properties(self, field, kind, rows, cols, seed):
+        # the three together pin the canonical basis: the right space, and
+        # the one reduced echelon basis of it
+        rng = np.random.default_rng(seed)
+        if kind == "zero":
+            a = np.zeros((rows, cols), dtype=np.int64)
+        elif kind == "empty":
+            a = np.zeros((0, cols), dtype=np.int64)
+        else:
+            a = field.random(rng, (rows, cols))
+            if kind == "full":
+                a[:, : min(rows, cols)] = 0
+                a[np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 1
+            elif rows > 1:  # the last row a combination of the others
+                a[-1] = field.matmul(field.random(rng, (1, rows - 1)), a[:-1])[0]
+        M = Matrix(field, a)
+        K = right_kernel(M)
+        assert K.cols == cols and (M @ K.T).is_zero
+        assert K.rows == cols - rank(M)
+        assert row_space_basis(K) == K
+
 
 class TestSolveUnique:
     def test_identity(self, ref_tower):
@@ -302,10 +341,19 @@ class TestRowSpaces:
             U = Matrix.random(f, 2, 5, rng)
             W = Matrix.random(f, 3, 5, rng)
             X = row_space_intersection(U, W)
+            assert row_space_basis(X) == X
             for i in range(X.rows):
                 r = X.row(i)
                 assert rank(vstack([U, r])) == rank(U)
                 assert rank(vstack([W, r])) == rank(W)
+
+    def test_one_elimination(self, ref_tower):
+        rng = np.random.default_rng(14)
+        f = ref_tower.ext_field
+        U, W = Matrix.random(f, 2, 4, rng), Matrix.random(f, 3, 4, rng)
+        with eliminations() as shapes:
+            row_space_intersection(U, W)
+        assert shapes == [(5, 8)]
 
     def test_row_space_equality_invariant_to_row_ops(self, ref_tower):
         rng = np.random.default_rng(13)

@@ -314,6 +314,28 @@ def block_stacks(draw):
     return tower, LengthPartition(parts), np.stack(members)
 
 
+class TestSamplerInvariants:
+    """sample_error checks A only; E = A @ lift(B) must still meet the model."""
+
+    @pytest.mark.parametrize("tower", [FieldTower.standard(2, 1)] + BLOCK_TOWERS, ids=repr)
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(
+        parts=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        s=st.integers(1, 4),
+        full=st.booleans(),
+        data=st.data(),
+    )
+    def test_error_model(self, tower, parts, s, full, data):
+        part = LengthPartition(parts)
+        cap = sum(min(ni, tower.m * s) for ni in parts)
+        t = data.draw(st.integers(0, min(cap, s) if full else cap))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        profile = random_profile(rng, tower, part, t, s)
+        em = sample_error(tower, part, profile, s, require_full_rank=full, rng=rng)
+        check_error_model(em)
+        assert em.profile == profile and (em.full_rank or not full)
+
+
 def check_against_per_block_loop(tower, part, arr):
     """block_kernels and block_ranks of arr equal the per-block loop they replace."""
     K, lead = block_kernels(tower, arr, part)
