@@ -43,7 +43,7 @@ from .linalg import (
     matrix_to_dict,
     row_spaces_equal,
 )
-from .sumrank import Infeasible, LengthPartition, SamplingFailure, check_profile
+from .sumrank import Infeasible, LengthPartition, SamplingFailure, check_profile, random_profile
 
 __all__ = ["main", "TrialConfig", "TrialSummary", "run_trials", "run_bench"]
 
@@ -67,11 +67,11 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _tower_from_args(args) -> FieldTower:
-    if args.modulus is None and args.base_modulus is None:
-        return FieldTower.standard(args.p, args.m, e=args.e)
-    if args.modulus is None:
+    if args.modulus is None and args.base_modulus is not None:
         raise UsageError("--modulus is required when --base-modulus is given")
     try:
+        if args.modulus is None:
+            return FieldTower.standard(args.p, args.m, e=args.e)
         return FieldTower(
             args.p,
             args.e,
@@ -80,6 +80,29 @@ def _tower_from_args(args) -> FieldTower:
             base_modulus=_parse_ints(args.base_modulus) if args.base_modulus else None,
         )
     except ValueError as ex:
+        raise UsageError(str(ex)) from ex
+
+
+def _partition_from_args(args) -> LengthPartition:
+    try:
+        return LengthPartition(_parse_ints(args.partition))
+    except ValueError as ex:
+        raise UsageError(str(ex)) from ex
+
+
+def _check_instances(tower, partition, k, s, t=None, profile=None, full_rank=True) -> None:
+    """Raise UsageError unless random_code and random_instance accept these."""
+    if not 1 <= k < partition.n:
+        raise UsageError(f"need 1 <= k < n, got k = {k}, n = {partition.n}")
+    if s < 1:
+        raise UsageError(f"interleaving order must be >= 1, got s = {s}")
+    try:
+        if profile is None:
+            # some profile of total weight t, if any; its own generator
+            # leaves the seeded draws alone
+            profile = random_profile(np.random.default_rng(0), tower, partition, t, s)
+        check_profile(tower, partition, profile, s, full_rank)
+    except Infeasible as ex:
         raise UsageError(str(ex)) from ex
 
 
@@ -273,13 +296,8 @@ def run_single_trial(config: TrialConfig, code: LinearCode, index: int):
 
 
 def run_trials(config: TrialConfig) -> TrialSummary:
-    try:
-        if config.profile is not None:
-            check_profile(config.tower, config.partition, config.profile, config.s, config.full_rank)
-        elif config.full_rank and config.total_weight > config.s:
-            raise Infeasible(f"full-rank errors need t <= s, got t = {config.total_weight}")
-    except Infeasible as ex:
-        raise UsageError(str(ex)) from ex
+    _check_instances(config.tower, config.partition, config.k, config.s, config.t,
+                     config.profile, config.full_rank)
 
     code, d = (pick_code(config)) if config.trials > 0 else (None, None)
     outcomes = []
@@ -306,7 +324,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
 
 def cmd_trial(args) -> int:
     tower = _tower_from_args(args)
-    partition = LengthPartition(_parse_ints(args.partition))
+    partition = _partition_from_args(args)
     if (args.t is None) == (args.profile is None):
         raise UsageError("give exactly one of --t or --profile")
     profile = tuple(_parse_ints(args.profile)) if args.profile else None
@@ -354,12 +372,19 @@ def run_bench(
     reps: int,
     seed: int,
 ) -> list[dict]:
-    rows = []
+    if block_size < 1 or reps < 1:
+        raise UsageError(f"need block size >= 1 and reps >= 1, got {block_size} and {reps}")
+    grid = []
     for n in sizes:
-        if n % block_size:
-            raise UsageError(f"length {n} is not a multiple of the block size {block_size}")
+        if n < 1 or n % block_size:
+            raise UsageError(f"length {n} is not a positive multiple of the block size {block_size}")
         partition = LengthPartition((block_size,) * (n // block_size))
         k = max(1, min(n - 1, round(rate * n)))
+        for s in s_values:
+            _check_instances(tower, partition, k, s, t)
+        grid.append((n, partition, k))
+    rows = []
+    for n, partition, k in grid:
         for s in s_values:
             rng = np.random.default_rng(np.random.SeedSequence((seed, n, s)))
             code = random_code(tower, partition, k, rng=rng)
@@ -482,7 +507,7 @@ def cmd_mindist(args) -> int:
 
 def cmd_gen(args) -> int:
     tower = _tower_from_args(args)
-    partition = LengthPartition(_parse_ints(args.partition))
+    partition = _partition_from_args(args)
     if (args.t is None) == (args.profile is None):
         raise UsageError("give exactly one of --t or --profile")
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x6E6)))

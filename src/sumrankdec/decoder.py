@@ -5,13 +5,11 @@ recovers the error support from the syndrome matrix alone and then solves a
 linear system for the error values (column-erasure decoding):
 
 1. S = H @ Y^T collapses the received matrix to syndromes.
-2. Row-reduce [S | H] pivoting only in the columns of S; the H part of the
-   rows below rank(S) annihilates the error.  Only the narrow S is
-   eliminated: only pivot rows are ever subtracted, so the transform P
-   that reduces S is zero outside the columns I of the original pivot rows,
-   except for one 1 per non-pivot row.  Carrying the block P[:, I] through
-   the elimination gives P @ H as one product P[:, I] @ H[I] plus the
-   permuted non-pivot rows of H, instead of rank(S) full-width row updates.
+2. The annihilator h_sub, a basis of {v @ H : v @ S = 0}, vanishes on the
+   error (the paper's rows of P @ H beside the zero rows of P @ S span it).
+   Only the narrow S^T is eliminated: its pivot columns I are the first
+   rank(S) independent rows of S, and each other row of S, written in
+   terms of them, gives one left-kernel vector and one row of h_sub.
 3. Per block, the right kernel of the expanded annihilator equals the GF(q)
    row space of the error block, yielding a block-diagonal support basis B.
    All blocks are reduced at once over GF(q^m), in one stacked elimination,
@@ -26,14 +24,14 @@ linear system for the error values (column-erasure decoding):
    error blocks, check their rows below against that slice.  The stage
    then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m) instead of
    O(l (n - k) w^2).
-4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  Step 2's
-   transform P is invertible, so the system P @ [H @ B^T | S] is equivalent;
-   its rows below rank(S) are [h_sub @ B^T | 0], which is zero because B
-   spans the kernels of h_sub's expanded blocks.  The decoder therefore
-   solves only the t = rank(S) pivot rows, a (t x n)(n x t) product and a
-   t x (t + s) elimination instead of (n-k) rows; row-equivalent systems
-   share one reduced echelon form, so the solution and every failure are
-   the same.  Verification still recomputes H @ C^T in full.
+4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  A left-kernel
+   vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
+   because B spans the kernels of h_sub's expanded blocks.  So every
+   non-pivot row of the system is a combination of the rows I, and the
+   decoder solves only those t = rank(S) rows, a (t x n)(n x t) product
+   and a t x (t + s) elimination instead of (n-k) rows; row-equivalent
+   systems share one reduced echelon form, so the solution and every
+   failure are the same.  Verification still recomputes H @ C^T in full.
 
 Recovery is guaranteed when the error weight t is at most d - 2, the
 interleaving order satisfies s >= t, and the error matrix has full
@@ -143,8 +141,8 @@ class DecodingReport:
 
     Besides the outcome (C_hat, E_hat = A_hat @ B_hat) it keeps the two
     intermediates of support recovery: S, the (n-k) x s syndrome matrix
-    H @ Y^T, and h_sub, the annihilator rows, which number
-    S.rows - t_hat.  to_dict leaves both out.
+    H @ Y^T, and h_sub, the S.rows - t_hat annihilator rows, a basis of
+    {v @ H : v @ S = 0}.  to_dict leaves both out.
     """
 
     C_hat: Matrix
@@ -169,22 +167,20 @@ class DecodingReport:
 
 
 def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
-    """Annihilator rows: [S | H] row-reduced with pivots only in S's columns.
+    """Annihilator rows: a basis of {v @ H : v @ S = 0}.
 
-    For the transform P that reduces S, the reduced matrix is P @ [S | H].
-    Its rows below rank(S) have a zero S part, and their H part P[t_hat:] @ H
-    annihilates the error.  Returns (h_sub, t_hat, top) with t_hat = rank(S)
-    and top = P[:t_hat] @ [S | H], the pivot rows, from which decode builds
-    the erasure system.  Raises SupportSpaceEmpty when rank(S) = n - k (no
-    zero syndrome rows remain).
-
-    Only S is eliminated, carrying the block T = P[:, I] of the transform on
-    the original indices I = perm[:t_hat] of the pivot rows; then
-    P @ H = T @ H[I] + [0; H[perm[t_hat:]]], one product and one addition.
+    S^T is reduced to R.  Its pivot columns I are the first t_hat = rank(S)
+    linearly independent rows of S, and every other row f of S equals
+    sum_k R[k, f] S[I[k]].  So the vectors e_f - sum_k R[k, f] e_I[k], one
+    per non-pivot row f in F, are a basis of the left kernel of S, and
+    h_sub = H[F] - R[:t_hat, F]^T @ H[I] annihilates the error.  Returns
+    (h_sub, t_hat, top) with top = [S[I] | H[I]], the rows from which decode
+    builds the erasure system.  Raises SupportSpaceEmpty when
+    rank(S) = n - k (the left kernel of S is zero).
     """
     field = S.field
     # looked up on the module, where a tracer can wrap the elimination engine
-    R, (T, perm), pivots = linalg._rref_arrays(field, S.array, transform=True)
+    R, _, pivots = linalg._rref_arrays(field, S.array.T)
     t_hat = len(pivots)
     if t_hat >= H.rows:
         raise SupportSpaceEmpty(
@@ -193,9 +189,10 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
             t_hat=t_hat,
             redundancy=H.rows,
         )
-    PH = field.matmul(T, H.array[perm[:t_hat]])
-    h_sub = field.add(H.array[perm[t_hat:]], PH[t_hat:])
-    top = np.hstack([R[:t_hat], PH[:t_hat]])
+    free = np.delete(np.arange(H.rows), pivots)
+    HI = H.array[pivots]
+    h_sub = field.sub(H.array[free], field.matmul(R[:t_hat, free].T, HI))
+    top = np.hstack([S.array[pivots], HI])
     return Matrix(field, h_sub, _checked=True), t_hat, Matrix(field, top, _checked=True)
 
 
@@ -235,9 +232,9 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     NonUniqueSolution or Inconsistent (from the solver) otherwise.  An empty
     basis solves only S = 0 and raises Inconsistent for any other S.  Any
     system with the same row space as [H @ B^T | S] has the same reduced
-    echelon form, so the same solution or failure; decode passes the t_hat
-    pivot rows of compute_hsub, P[:t_hat] @ H and P[:t_hat] @ S, because
-    the other rows of P @ [H @ B^T | S] are [h_sub @ B^T | 0] = 0.
+    echelon form, so the same solution or failure; decode passes the rows
+    I of compute_hsub, as every other row of [H @ B^T | S] is a combination
+    of them plus a row of [h_sub @ B^T | 0] = 0.
     """
     if B.rows == 0:
         if not S.is_zero:

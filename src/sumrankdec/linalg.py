@@ -203,33 +203,18 @@ def block_diag(blocks: Sequence[Matrix]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None, transform: bool = False):
-    """Reduced row-echelon form, pivoting only in the first pivot_cols columns.
+def _rref_arrays(field, arr: np.ndarray):
+    """Reduced row-echelon form: returns (R, None, pivots).
 
-    Returns (R, T, pivots); pivots stay at index 2, where
+    The middle slot is always None; pivots stay at index 2, where
     decodebench/spans.py reads them.  Pivot choice: leftmost unprocessed
-    column, topmost nonzero row.  Later columns get the same row operations,
-    so [S | X] with pivot_cols = S.cols reduces to [R | P @ X].
-
-    T is None unless transform is set; then it is (block, perm), the part
-    of the transform P (P @ arr = R) that gives P @ X for any X without
-    carrying X through the elimination.  perm[i] is the original index of
-    the row that ends at row i, so the t = len(pivots) pivot rows came from
-    I = perm[:t].  Only pivot rows are ever subtracted, so row i of P is
-    zero outside I, except for a single 1 at perm[i] in the rows below t.
-    block = P[:, I] (r x t): its column k is written as the unit vector of
-    the k-th pivot row when that row is chosen, since no earlier row
-    operation has touched it.  Hence P @ X = block @ X[I] + [0; X[perm[t:]]].
+    column, topmost nonzero row.
     """
     a = np.array(arr, dtype=np.int64)
     r, c = a.shape
-    npiv = c if pivot_cols is None else pivot_cols
-    if transform:
-        a = np.hstack([a, np.zeros((r, min(r, npiv)), dtype=np.int64)])
-        perm = np.arange(r)
     pivots: list[int] = []
     row = 0
-    for col in range(npiv):
+    for col in range(c):
         if row == r:
             break
         nz = np.nonzero(a[row:, col])[0]
@@ -238,10 +223,6 @@ def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None, transfor
         pr = row + int(nz[0])
         if pr != row:
             a[[row, pr]] = a[[pr, row]]
-            if transform:
-                perm[[row, pr]] = perm[[pr, row]]
-        if transform:
-            a[row, c + row] = 1
         # the pivot row is zero left of col, so only columns col: change
         prow = a[row, col:]
         pv = int(prow[0])
@@ -253,8 +234,6 @@ def _rref_arrays(field, arr: np.ndarray, pivot_cols: int | None = None, transfor
         a[:, col:] = field.sub(a[:, col:], field.mul(fac[:, None], prow[None, :]))
         pivots.append(col)
         row += 1
-    if transform:
-        return a[:, :c], (a[:, c : c + row], perm), pivots
     return a, None, pivots
 
 
@@ -360,12 +339,9 @@ def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, pivots
 
 
-def rref(M: Matrix, pivot_cols: int | None = None) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form and pivot columns of M.
-
-    With pivot_cols set, pivots come only from the first pivot_cols columns.
-    """
-    a, _, pivots = _rref_arrays(M.field, M.array, pivot_cols)
+def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row-echelon form and pivot columns of M."""
+    a, _, pivots = _rref_arrays(M.field, M.array)
     return Matrix(M.field, a, _checked=True), tuple(pivots)
 
 

@@ -217,6 +217,31 @@ class TestBench:
         assert rc == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "trial --p 4 --m 2 --partition 2,2,2 --k 2 --s 2 --t 2 --trials 1",
+            "bench --p 4 --m 2 --sizes 8 --reps 1",
+            "trial --p 5 --m 0 --partition 2,2,2 --k 2 --s 2 --t 2 --trials 1",
+            "bench --p 5 --m 0 --sizes 8 --reps 1",
+            "trial --p 5 --m 2 --partition 2,2,2 --k 7 --s 2 --t 2 --trials 1",
+            "trial --p 5 --m 2 --partition 2,0,2 --k 2 --s 2 --t 2 --trials 1",
+            "gen --p 5 --m 2 --partition 2,0,2 --k 2 --s 2 --t 2 --out-prefix never",
+            "trial --p 5 --m 2 --partition 2,2,2 --k 2 --s 0 --t 0 --trials 1",
+            "trial --p 5 --m 2 --partition 2,2,2 --k 2 --s 2 --t -1 --trials 1",
+            "bench --p 5 --m 2 --sizes 8 --t 9 --reps 1",
+            "bench --p 5 --m 2 --sizes 8 --s 0 --reps 1",
+            "bench --p 5 --m 2 --sizes 8 --reps 0",
+            "bench --p 5 --m 2 --sizes 8 --block-size 0 --reps 1",
+        ],
+    )
+    def test_invalid_parameters_exit_2(self, argv, capsys):
+        # checked before any decoding: no traceback, and exit 2, not 1
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

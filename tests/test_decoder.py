@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumrankdec
-from conftest import code_with_distance, make_instance, reduced_stacks
+from conftest import code_with_distance, eliminations, make_instance, reduced_stacks
 from sumrankdec import decoder
 from sumrankdec.code import LinearCode, min_sum_rank_distance, random_code, syndrome
 from sumrankdec.decoder import (
@@ -35,7 +35,7 @@ from sumrankdec.linalg import (
     row_space_basis,
     row_space_intersection,
     row_spaces_equal,
-    rref,
+    solve_unique,
     vstack,
 )
 from sumrankdec.sumrank import (
@@ -197,37 +197,40 @@ class TestComputeHsub:
         assert h_sub.rows == H.rows - t_hat
         assert (h_sub @ E.T).is_zero
         assert row_space_basis(h_sub) == row_space_basis(right_kernel(S.T) @ H)
-        # entry-identical to P[t:] @ H for the transform P that reduces S
-        RP, _ = rref(hstack([S, Matrix.identity(H.field, H.rows)]), pivot_cols=S.cols)
-        P = RP[:, S.cols :]
-        assert h_sub == (P @ H)[t_hat:, :]
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(syndrome_cases())
-    def test_matches_pivot_limited_rref(self, case):
-        # the narrow elimination of S and one product give, entry for
-        # entry, the split of the full-width reduction of [S | H]
+    def test_left_kernel_contract(self, case):
+        # I: the first linearly independent rows of S; every other row f of
+        # S is X[f] @ S[I], so H[f] - X[f] @ H[I] is an annihilator row
         H, S = case
-        R, pivots = rref(hstack([S, H]), pivot_cols=S.cols)
-        t = len(pivots)
-        if t == H.rows:
-            with pytest.raises(SupportSpaceEmpty):
-                compute_hsub(H, S)
+        I: list[int] = []
+        for i in range(S.rows):
+            if rank(S[I + [i], :]) > len(I):
+                I.append(i)
+        F = [f for f in range(S.rows) if f not in I]
+        with eliminations() as shapes:
+            if not F:
+                with pytest.raises(SupportSpaceEmpty):
+                    compute_hsub(H, S)
+            else:
+                h_sub, t_hat, top = compute_hsub(H, S)
+        assert shapes == [(S.cols, S.rows)]
+        if not F:
             return
-        h_sub, t_hat, top = compute_hsub(H, S)
-        assert t_hat == t
-        assert h_sub == R[t:, S.cols :]
-        assert top == R[:t]
+        X = solve_unique(S[I, :].T, S[F, :].T).T
+        assert t_hat == len(I)
+        assert h_sub == H[F, :] - X @ H[I, :]
+        assert top == hstack([S[I, :], H[I, :]])
 
     def test_dependent_leading_rows(self, ref_tower):
-        # row 1 of S repeats row 0, so the first non-pivot row is H_0 - H_1
-        # (not H_1 - H_0, which a pivot choice by rref(S^T) would give)
+        # row 1 of S repeats row 0, so the first non-pivot row is H_1 - H_0
         f = ref_tower.ext_field
         H = Matrix(f, f.random(np.random.default_rng(4), (4, 6)))
         S = Matrix(f, [[0, 1], [0, 1], [1, 0], [0, 0]])
         h_sub, t_hat, _ = compute_hsub(H, S)
         assert t_hat == 2
-        assert h_sub.tolist() == [f.sub(H.array[0], H.array[1]).tolist(), H.array[3].tolist()]
+        assert h_sub.tolist() == [f.sub(H.array[1], H.array[0]).tolist(), H.array[3].tolist()]
 
 
 class TestLemmaInvariants:
@@ -327,9 +330,10 @@ def _erasure_outcome(H, B, S):
 class TestErasureOnPivotRows:
     """decode solves the erasure system on compute_hsub's t_hat pivot rows.
 
-    The other rows of P @ [H @ B^T | S] are [h_sub @ B^T | 0], which is zero,
-    so both systems have one reduced echelon form: the same solution, and
-    the same solver error for a wrong support basis.
+    Every other row of [H @ B^T | S] is a combination of them plus a row of
+    [h_sub @ B^T | 0], which is zero, so both systems have one reduced
+    echelon form: the same solution, and the same solver error for a wrong
+    support basis.
     """
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
