@@ -296,6 +296,8 @@ def run_single_trial(config: TrialConfig, code: LinearCode, index: int):
 
 
 def run_trials(config: TrialConfig) -> TrialSummary:
+    if config.trials < 0:
+        raise UsageError(f"need trials >= 0, got {config.trials}")
     _check_instances(config.tower, config.partition, config.k, config.s, config.t,
                      config.profile, config.full_rank)
 
@@ -379,7 +381,7 @@ def run_bench(
         if n < 1 or n % block_size:
             raise UsageError(f"length {n} is not a positive multiple of the block size {block_size}")
         partition = LengthPartition((block_size,) * (n // block_size))
-        k = max(1, min(n - 1, round(rate * n)))
+        k = round(rate * n)
         for s in s_values:
             _check_instances(tower, partition, k, s, t)
         grid.append((n, partition, k))

@@ -9,6 +9,7 @@ spaces, kept in canonical reduced-echelon form so they compare by equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -83,6 +84,19 @@ class LengthPartition:
     def from_dict(cls, d: dict) -> "LengthPartition":
         return cls(d["parts"])
 
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (parts, real, rev, cols): _reduce_blocks's gather of the
+        column blocks into an (l, w) grid, built once per partition."""
+        parts = np.array(self.parts)
+        j = np.arange(parts.max())
+        real = j < parts[:, None]
+        rev = np.where(real, parts[:, None] - 1 - j, j)  # an involution on 0..w-1
+        cols = np.cumsum(parts)[:, None] - 1 - j  # pad entries land anywhere; masked
+        for a in (parts, real, rev, cols):
+            a.setflags(write=False)
+        return parts, real, rev, cols
+
     @classmethod
     def hamming(cls, n: int) -> "LengthPartition":
         return cls((1,) * n)
@@ -101,39 +115,46 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     its GF(q^m)-kernel, which row operations over GF(q^m) keep; so every
     member is first reduced over GF(q^m) to at most n_i rows.  A member of
     full GF(q^m)-rank n_i has kernel {0}; only the others are expanded over
-    GF(q) and reduced in a second stacked call.  With fewer rows than the
-    shortest block (one codeword per member, as in min_sum_rank_distance)
-    no member can reach full rank, so the first call is skipped and every
-    member is expanded unreduced: the GF(q)-row space, and so the reduced
-    rows, are the same.  Zero columns never pivot, and reversing the columns
-    makes the free-column kernel vectors, reversed back, a reduced echelon
-    basis (see block_kernels).
+    GF(q) and reduced in a second stacked call.  A zero member has rank 0
+    and kernel GF(q)^{n_i} and takes part in neither call; the stack is
+    copied without the zero members only when there are some.  With fewer
+    rows than the shortest block (one codeword per member, as in
+    min_sum_rank_distance) no member can reach full rank, so the first call
+    is skipped and every member, zero or not, is expanded unreduced: the
+    GF(q)-row space, and so the reduced rows, are the same, and leaving out
+    zero members there costs more than it spares.  Zero columns never
+    pivot, and reversing the columns makes the free-column kernel vectors,
+    reversed back, a reduced echelon basis (see block_kernels).
 
     Returns (ranks, deficient, Rq, pq, rev, real): the GF(q)-ranks of all
-    batch * l expanded blocks, the members below full GF(q^m)-rank, their
-    GF(q)-reduced rows and pivot masks (reversed columns), and per block the
-    column reversal and the mask of real (unpadded) columns.
+    batch * l expanded blocks, the members expanded over GF(q), their
+    GF(q)-reduced rows and pivot masks (reversed columns; None if no member
+    is expanded), and per block the column reversal and the mask of real
+    (unpadded) columns.
     """
-    parts = np.array(partition.parts)
-    ell, w = parts.size, int(parts.max())
+    parts, real, rev, cols = partition._grid
+    ell, w = real.shape
     if arr.shape[1] == 0:  # a zero row leaves every kernel as it is
         arr = np.zeros((arr.shape[0], 1, arr.shape[2]), dtype=np.int64)
     batch, r, _ = arr.shape
-    j = np.arange(w)
-    real = j < parts[:, None]
-    rev = np.where(real, parts[:, None] - 1 - j, j)  # an involution on 0..w-1
-    cols = np.cumsum(parts)[:, None] - 1 - j  # pad entries land anywhere; masked
     X = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
 
     ranks = np.tile(parts, batch)
     if r < parts.min():
         # no block can reach full GF(q^m)-rank: expand every member as it is
-        R, deficient = X, np.arange(batch * ell)
+        live, R, short = np.arange(batch * ell), X, slice(None)
     else:
+        ranks *= X.any(axis=(1, 2))
+        live = np.flatnonzero(ranks)
+        if live.size < ranks.size:
+            X = X[live]
         R, piv = rref_stack(tower.ext_field, X)
-        deficient = np.flatnonzero(piv.sum(axis=1) < ranks)
+        short = piv.sum(axis=1) < ranks[live]
+    deficient = live[short]
+    if not deficient.size:
+        return ranks, deficient, None, None, rev, real
     h = min(r, w)  # rows below the GF(q^m)-rank are zero
-    ext = tower.ext_array(R[deficient, :h].reshape(-1, w))
+    ext = tower.ext_array(R[short, :h].reshape(-1, w))
     Rq, pq = rref_stack(tower.base_field, ext.reshape(deficient.size, h * tower.m, w))
     ranks[deficient] = pq.sum(axis=1)
     return ranks, deficient, Rq, pq, rev, real
@@ -156,11 +177,17 @@ def block_kernels(
     columns, and equals right_kernel(tower.ext_matrix(block_i)).  Row o of
     K[b, i] is the basis vector whose leading entry is in column o, and is
     zero where lead[b, i, o] is False; lead.sum(-1) are the kernel dimensions.
+    A zero block's kernel GF(q)^{n_i} has the unit vectors as its basis.
     """
-    _, deficient, Rq, pq, rev, real = _reduce_blocks(tower, arr, partition)
+    ranks, deficient, Rq, pq, rev, real = _reduce_blocks(tower, arr, partition)
     ell, w = real.shape
     K = np.zeros((arr.shape[0] * ell, w, w), dtype=np.int64)
     lead = np.zeros((arr.shape[0] * ell, w), dtype=bool)
+    j = np.arange(w)
+    if not ranks.all():
+        zero = np.flatnonzero(ranks == 0)
+        lead[zero] = real[zero % ell]
+        K[zero[:, None], j, j] = lead[zero]
     if deficient.size:
         # T[d, p] is the reduced row with its pivot in column p, zero if p is
         # free; the kernel vector of free column f is e_f - T[d, :, f], with
@@ -168,7 +195,6 @@ def block_kernels(
         d = np.arange(deficient.size)[:, None]
         T = Rq[d, np.cumsum(pq, axis=1) - 1] * pq[:, :, None]
         rv = rev[deficient % ell]
-        j = np.arange(w)
         kern = tower.base_field.neg(T[d[:, :, None], rv[:, None, :], rv[:, :, None]])
         kern[:, j, j] = 1
         lead[deficient] = (~pq & real[deficient % ell])[d, rv]

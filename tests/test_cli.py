@@ -234,6 +234,8 @@ class TestUsageErrors:
             "bench --p 5 --m 2 --sizes 8 --s 0 --reps 1",
             "bench --p 5 --m 2 --sizes 8 --reps 0",
             "bench --p 5 --m 2 --sizes 8 --block-size 0 --reps 1",
+            "trial --p 5 --m 2 --partition 2,2,2 --k 2 --s 2 --t 2 --trials -1",
+            "bench --p 5 --m 2 --sizes 8 --rate 2 --reps 1",
         ],
     )
     def test_invalid_parameters_exit_2(self, argv, capsys):

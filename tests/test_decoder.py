@@ -43,6 +43,7 @@ from sumrankdec.sumrank import (
     hamming_support,
     rank_support,
     sample_error,
+    sum_rank_weight,
 )
 
 FAILURES = (SupportSpaceEmpty, SupportMismatch, ResidualCheckFailed, NonUniqueSolution, Inconsistent)
@@ -441,13 +442,104 @@ class TestDecoderPromise:
             except FAILURES as ex:
                 report, failure = None, ex
         w = max(code.partition.parts)
-        assert shapes[0] == (code.partition.ell, 2 * w, w)
+        # zero blocks of h_sub never reach an elimination
+        h_sub = compute_hsub(code.H, syndrome(code.H, inst.Y))[0]
+        nonzero = sum(blk.array.any() for blk in code.partition.blocks(h_sub))
+        assert shapes[0] == (nonzero, 2 * w, w)
         if kind == "inside":
             assert failure is None and report.C_hat == inst.C
         elif failure is not None:
             assert failure.stage in {"annihilator", "supports", "erasure", "verify"}
         else:
             assert inst.icode.contains(report.C_hat)
+
+
+# GF(2) as a degree-1 extension is the binary Hamming and rank metric.
+VERDICT_TOWERS = PROPERTY_TOWERS + [FieldTower.standard(2, 1)]
+
+
+def full_verdict(code, Y, E, t_hat):
+    """The check by the whole residual: Y - E is a codeword stack of weight t_hat."""
+    return syndrome(code.H, Y - E).is_zero and sum_rank_weight(code.tower, E, code.partition) == t_hat
+
+
+def support_verdict(code, S, E, t_hat):
+    try:
+        decoder._verify(code, S, E, t_hat)
+    except ResidualCheckFailed:
+        return False
+    return True
+
+
+def planted_candidates(E, partition, rng):
+    """E with one entry changed inside its nonzero columns J, one set outside
+    J, and one set in a zero block, where E has such places."""
+    field, a = E.field, E.array
+    used = a.any(axis=0)
+    zero_blocks = [sl for sl in partition.slices if not used[sl].any()]
+    places = [np.flatnonzero(used), np.flatnonzero(~used)]
+    if zero_blocks:
+        sl = zero_blocks[rng.integers(len(zero_blocks))]
+        places.append(np.arange(sl.start, sl.stop))
+    out = []
+    for cols in places:
+        if cols.size:
+            b = a.copy()
+            i, j = rng.integers(a.shape[0]), rng.choice(cols)
+            b[i, j] = field.add(b[i, j], 1 + int(rng.integers(field.order - 1)))
+            out.append(Matrix(field, b))
+    return out
+
+
+@st.composite
+def verdict_cases(draw):
+    """(code, s, t, full_rank, rng) over VERDICT_TOWERS: t from 0 up to n - k,
+    inside the guarantee or not."""
+    tower = draw(st.sampled_from(VERDICT_TOWERS))
+    parts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    part = LengthPartition(parts)
+    k = draw(st.integers(1, part.n - 1))
+    s = draw(st.integers(1, 3))
+    full_rank = draw(st.booleans())
+    cap = sum(min(ni, tower.m * s) for ni in parts)
+    t = draw(st.integers(0, min(part.n - k, s if full_rank else cap)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_code(tower, part, k, rng=rng), s, t, full_rank, rng
+
+
+class TestVerifyOnSupport:
+    """decode's check over E_hat's nonzero columns gives the whole residual's verdict."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(verdict_cases())
+    def test_same_verdict_as_full_residual(self, case):
+        code, s, t, full_rank, rng = case
+        inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=full_rank)
+        S = syndrome(code.H, inst.Y)
+        t_hat = rank(S)
+        try:
+            E = decode(inst.icode, inst.Y).E_hat
+            assert full_verdict(code, inst.Y, E, t_hat)
+        except FAILURES:
+            E = inst.E
+        for cand in [E] + planted_candidates(E, code.partition, rng):
+            assert support_verdict(code, S, cand, t_hat) == full_verdict(code, inst.Y, cand, t_hat)
+
+    @pytest.mark.parametrize(
+        "tower", [FieldTower.standard(2, 1), FieldTower.standard(2, 3), FieldTower.standard(5, 2)], ids=repr
+    )
+    def test_error_free_word_has_empty_support(self, tower):
+        # t_hat = 0: J is empty and the residual product has inner dimension 0
+        rng = np.random.default_rng(4)
+        code = code_with_distance(tower, LengthPartition([2, 1, 2]), 2, rng, d_min=2)
+        inst = make_instance(code, s=2, rng=rng, t=0)
+        report = decode(inst.icode, inst.Y)
+        assert report.t_hat == 0 and report.E_hat.is_zero and report.C_hat == inst.C
+        S = syndrome(code.H, inst.Y)
+        planted = planted_candidates(report.E_hat, code.partition, rng)
+        assert len(planted) == 2
+        for cand in planted:
+            assert not support_verdict(code, S, cand, 0) and not full_verdict(code, inst.Y, cand, 0)
 
 
 class TestDecodeRandomised:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_stacks
 from sumrankdec import sumrank
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, rank, right_kernel, row_space_basis
@@ -376,6 +377,33 @@ class TestBlockKernels:
         arr[3, 0, 5:] = [ref_tower.alpha, ref_tower.mul(ref_tower.alpha, 2)]
         check_against_per_block_loop(ref_tower, part, arr)
         assert fields and set(fields) == {ref_tower.base_field}
+
+    @pytest.mark.parametrize("case", ["mixed", "all_zero", "zero_row", "short"])
+    def test_zero_members(self, ref_tower, case):
+        # a zero block has rank 0 and kernel GF(q)^{n_i} without elimination;
+        # "short" has one row, the r < min(parts) branch of the distance oracle
+        part = LengthPartition([2, 3, 2])
+        rows = {"zero_row": 0, "short": 1}.get(case, 3)
+        arr = ref_tower.ext_field.random(np.random.default_rng(11), (2, rows, 7))
+        if case == "all_zero":
+            arr[:] = 0
+        else:
+            arr[0, :, 2:5] = 0
+            arr[1, :, :2] = 0
+            arr[1, :, 5:] = 0
+        nonzero = sum(int(blocks[b].any()) for blocks in np.split(arr, [2, 5], axis=2) for b in range(2))
+        for fn in (block_kernels, block_ranks):
+            with reduced_stacks() as shapes:
+                fn(ref_tower, arr, part)
+            if rows >= min(part.parts):
+                # zero members skip both eliminations: the first sees exactly
+                # the nonzero members, the second at most those
+                assert max((shape[0] for shape in shapes), default=0) == nonzero
+            else:
+                # below the shortest block, one GF(q) elimination expands
+                # every member as it is, zero or not
+                assert [shape[0] for shape in shapes] == [arr.shape[0] * part.ell]
+        check_against_per_block_loop(ref_tower, part, arr)
 
     def test_zero_row_matrix(self, ref_tower):
         part = LengthPartition([2, 1])
