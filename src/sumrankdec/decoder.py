@@ -15,8 +15,14 @@ linear system for the error values (column-erasure decoding):
    All blocks are reduced at once over GF(q^m), in one stacked elimination,
    to at most n_i basis rows; the GF(q)-kernel is GF(q)^{n_i} meet the
    GF(q^m)-kernel, so a block of full GF(q^m)-rank (typically every
-   error-free one) has kernel {0}, and only the other blocks' basis rows
-   are expanded over GF(q) and reduced in a second stacked elimination.
+   error-free one) has kernel {0}.  The GF(q^m)-kernel of an error block is
+   the GF(q^m)-span of its GF(q) row space B_i whenever d > t + n_i (a
+   vector of that kernel outside the span would give a nonzero codeword of
+   weight at most t + n_i), so its reduced rows lie in GF(q) and its
+   GF(q)-kernel basis is read off them.  Only blocks whose reduced rows
+   leave GF(q) are expanded over GF(q) and reduced in a second stacked
+   elimination.  Zero blocks and nonzero blocks of length 1 (every block in
+   the Hamming metric) need no elimination at all.
    When the annihilator is tall (n - k - t > 4w with w = max n_i, for a
    large enough stack; see linalg.rref_stack), the first elimination
    reduces only the leading 2w rows of every block.  An error-free block

@@ -107,17 +107,23 @@ class LengthPartition:
 
 
 def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition):
-    """The two stacked eliminations behind block_ranks and block_kernels.
+    """The stacked eliminations behind block_ranks and block_kernels.
 
     Every column block of every matrix in the (batch, r, n) stack arr is one
     member, gathered with its columns reversed and zero-padded to w, the
     largest block length.  The GF(q)-kernel of a block is GF(q)^{n_i} meet
     its GF(q^m)-kernel, which row operations over GF(q^m) keep; so every
     member is first reduced over GF(q^m) to at most n_i rows.  A member of
-    full GF(q^m)-rank n_i has kernel {0}; only the others are expanded over
-    GF(q) and reduced in a second stacked call.  A zero member has rank 0
-    and kernel GF(q)^{n_i} and takes part in neither call; the stack is
-    copied without the zero members only when there are some.  With fewer
+    full GF(q^m)-rank n_i has kernel {0}.  So has a nonzero member of length
+    1, without any elimination; a zero member has rank 0 and kernel
+    GF(q)^{n_i}.  Only the members of length >= 2 that are not zero are
+    reduced, and the stack is copied without the others only when there are
+    some.  A member short of full rank whose reduced rows R all lie in GF(q)
+    (codes below q) is done too: its kernel vectors e_f - sum_p R[p, f] e_p
+    lie in GF(q)^{n_i}, and a GF(q)-kernel is never larger than the
+    GF(q^m)-kernel, so both kernels have the same basis and R is the GF(q)
+    reduced echelon form of the expanded block.  Only the other members are
+    expanded over GF(q) and reduced in a second stacked call.  With fewer
     rows than the shortest block (one codeword per member, as in
     min_sum_rank_distance) no member can reach full rank, so the first call
     is skipped and every member, zero or not, is expanded unreduced: the
@@ -126,11 +132,11 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     pivot, and reversing the columns makes the free-column kernel vectors,
     reversed back, a reduced echelon basis (see block_kernels).
 
-    Returns (ranks, deficient, Rq, pq, rev, real): the GF(q)-ranks of all
-    batch * l expanded blocks, the members expanded over GF(q), their
-    GF(q)-reduced rows and pivot masks (reversed columns; None if no member
-    is expanded), and per block the column reversal and the mask of real
-    (unpadded) columns.
+    Returns (ranks, deficient, R, piv, rev, real): the GF(q)-ranks of all
+    batch * l expanded blocks, the members of length >= 2 short of full
+    rank, their GF(q)-reduced rows and pivot masks (reversed columns; None
+    if no member has length >= 2 and is nonzero), and per block the column
+    reversal and the mask of real (unpadded) columns.
     """
     parts, real, rev, cols = partition._grid
     ell, w = real.shape
@@ -139,25 +145,34 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     batch, r, _ = arr.shape
     X = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
 
-    ranks = np.tile(parts, batch)
     if r < parts.min():
         # no block can reach full GF(q^m)-rank: expand every member as it is
-        live, R, short = np.arange(batch * ell), X, slice(None)
+        ranks = np.tile(parts, batch)
+        deficient, R, piv, expand = np.arange(batch * ell), X, None, slice(None)
     else:
-        ranks *= X.any(axis=(1, 2))
-        live = np.flatnonzero(ranks)
-        if live.size < ranks.size:
-            X = X[live]
-        R, piv = rref_stack(tower.ext_field, X)
+        ranks = (X.any(axis=(1, 2)).reshape(batch, ell) * parts).ravel()
+        live = np.flatnonzero(ranks > 1)
+        if not live.size:
+            return ranks, live, None, None, rev, real
+        R, piv = rref_stack(tower.ext_field, X[live] if live.size < ranks.size else X)
         short = piv.sum(axis=1) < ranks[live]
-    deficient = live[short]
-    if not deficient.size:
-        return ranks, deficient, None, None, rev, real
-    h = min(r, w)  # rows below the GF(q^m)-rank are zero
-    ext = tower.ext_array(R[short, :h].reshape(-1, w))
-    Rq, pq = rref_stack(tower.base_field, ext.reshape(deficient.size, h * tower.m, w))
-    ranks[deficient] = pq.sum(axis=1)
-    return ranks, deficient, Rq, pq, rev, real
+        deficient = live[short]
+        R, piv = R[short, : min(r, w)], piv[short]  # rows below the rank are zero
+        if R.max(initial=0) < tower.q:  # every reduced row lies in GF(q)
+            ranks[deficient] = piv.sum(axis=1)
+            return ranks, deficient, R, piv, rev, real
+        expand = (R >= tower.q).any(axis=(1, 2))
+    ext = tower.ext_array(R[expand].reshape(-1, w))
+    Rq, pq = rref_stack(tower.base_field, ext.reshape(-1, R.shape[1] * tower.m, w))
+    if len(Rq) == len(deficient):
+        R, piv = Rq, pq
+    else:
+        # the GF(q)-rank can exceed the GF(q^m)-rank: make room for its rows
+        pad = np.zeros((len(R), Rq.shape[1] - R.shape[1], w), dtype=np.int64)
+        R = np.concatenate([R, pad], axis=1)  # np.pad costs 15x more on small stacks
+        R[expand], piv[expand] = Rq, pq
+    ranks[deficient] = piv.sum(axis=1)
+    return ranks, deficient, R, piv, rev, real
 
 
 def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) -> np.ndarray:
@@ -177,9 +192,13 @@ def block_kernels(
     columns, and equals right_kernel(tower.ext_matrix(block_i)).  Row o of
     K[b, i] is the basis vector whose leading entry is in column o, and is
     zero where lead[b, i, o] is False; lead.sum(-1) are the kernel dimensions.
-    A zero block's kernel GF(q)^{n_i} has the unit vectors as its basis.
+    A zero block's kernel GF(q)^{n_i} has the unit vectors as its basis; a
+    nonzero block of length 1, or of full GF(q^m)-rank, has kernel {0}.  A
+    block whose GF(q^m)-reduced rows lie in GF(q) takes its kernel basis from
+    them, and only the others are expanded and reduced over GF(q) (see
+    _reduce_blocks).
     """
-    ranks, deficient, Rq, pq, rev, real = _reduce_blocks(tower, arr, partition)
+    ranks, deficient, R, piv, rev, real = _reduce_blocks(tower, arr, partition)
     ell, w = real.shape
     K = np.zeros((arr.shape[0] * ell, w, w), dtype=np.int64)
     lead = np.zeros((arr.shape[0] * ell, w), dtype=bool)
@@ -193,11 +212,11 @@ def block_kernels(
         # free; the kernel vector of free column f is e_f - T[d, :, f], with
         # its leading entry at f once the columns are reversed back
         d = np.arange(deficient.size)[:, None]
-        T = Rq[d, np.cumsum(pq, axis=1) - 1] * pq[:, :, None]
+        T = R[d, np.cumsum(piv, axis=1) - 1] * piv[:, :, None]
         rv = rev[deficient % ell]
         kern = tower.base_field.neg(T[d[:, :, None], rv[:, None, :], rv[:, :, None]])
         kern[:, j, j] = 1
-        lead[deficient] = (~pq & real[deficient % ell])[d, rv]
+        lead[deficient] = (~piv & real[deficient % ell])[d, rv]
         K[deficient] = kern * lead[deficient][:, :, None]
     return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w)
 
@@ -335,14 +354,15 @@ def sample_error(
                           Matrix.zeros(Fq, 0, partition.n), profile, full_rank=True,
                           seed=seed if isinstance(seed, int) else None)
 
-    # A's column blocks, one per nonzero block weight
+    # A's column blocks, one per nonzero block weight, and B's row blocks
     a_parts = LengthPartition([ti for ti in profile if ti])
+    b_rows = [slice(end - ti, end) for ti, end in zip(profile, np.cumsum(profile))]
     for _ in range(max_attempts):
-        b_blocks = [
-            _random_full_rank(Fq, ti, ni, rng, max_attempts) if ti else Matrix.zeros(Fq, 0, ni)
-            for ti, ni in zip(profile, partition.parts)
-        ]
-        B = block_diag(b_blocks)
+        B = np.zeros((t, partition.n), dtype=np.int64)
+        for ti, ni, rows, cols in zip(profile, partition.parts, b_rows, partition.slices):
+            if ti:
+                B[rows, cols] = _random_full_rank(Fq, ti, ni, rng, max_attempts).array
+        B = Matrix(Fq, B, _checked=True)
         A = Matrix.random(Fqm, s, t, rng)
         if (block_ranks(tower, A.array[None], a_parts)[0] != a_parts.parts).any():
             continue

@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from sumrankdec import example_case, linalg
+from sumrankdec import example_case, linalg, sumrank
 from sumrankdec.code import (
     InterleavedCode,
     LinearCode,
@@ -138,3 +138,24 @@ def eliminations():
 
     with mock.patch.object(linalg, "_rref_arrays", spy):
         yield shapes
+
+
+@contextmanager
+def stacked_eliminations():
+    """Record (field, batch) of every stacked elimination that block_ranks
+    and block_kernels run: the GF(q^m) reduction and the GF(q) fallback."""
+    calls: list = []
+    inner = sumrank.rref_stack
+
+    def spy(field, a):
+        calls.append((field, a.shape[0]))
+        return inner(field, a)
+
+    with mock.patch.object(sumrank, "rref_stack", spy):
+        yield calls
+
+
+def with_basis(tower: FieldTower, basis) -> FieldTower:
+    """The same tower with a custom expansion basis."""
+    return FieldTower(tower.p, tower.e, tower.m, tower.ext_modulus,
+                      base_modulus=tower.base_modulus, basis=basis)

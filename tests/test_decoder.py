@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumrankdec
-from conftest import code_with_distance, eliminations, make_instance, reduced_stacks
+from conftest import (code_with_distance, eliminations, make_instance, reduced_stacks,
+                      stacked_eliminations, with_basis)
 from sumrankdec import decoder
 from sumrankdec.code import LinearCode, min_sum_rank_distance, random_code, syndrome
 from sumrankdec.decoder import (
@@ -386,9 +387,13 @@ class TestErasureOnPivotRows:
                         erasure_decode(*system)
 
 
+# a decode inside the guarantee never expands, so only the fallback uses the basis
+TALL_TOWERS = PROPERTY_TOWERS + [with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7])]
+
+
 @st.composite
 def tall_decoding_cases(draw):
-    """(code, s, t, kind, rng) over PROPERTY_TOWERS with n - k - t > 4 max n_i,
+    """(code, s, t, kind, rng) over TALL_TOWERS with n - k - t > 4 max n_i,
     so the annihilator's blocks are tall enough for rref_stack's slice path.
 
     "inside" draws a random code with t <= d - 2, s >= t and a full-rank
@@ -396,7 +401,7 @@ def tall_decoding_cases(draw):
     "overweight" plants the codeword (1, a, 0, ..., 0) in the code, so
     d <= 2 and t > d - 2.  d is certified by min_sum_rank_distance.
     """
-    tower = draw(st.sampled_from(PROPERTY_TOWERS))
+    tower = draw(st.sampled_from(TALL_TOWERS))
     w = draw(st.integers(2, 3))
     k = draw(st.integers(1, 2))
     kind = draw(st.sampled_from(["inside", "deficient", "overweight"]))
@@ -436,18 +441,26 @@ class TestDecoderPromise:
     def test_exact_inside_typed_or_verified_outside(self, case):
         code, s, t, kind, rng = case
         inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=kind != "deficient")
-        with reduced_stacks(min_work=0) as shapes:
+        with reduced_stacks(min_work=0) as shapes, stacked_eliminations() as calls:
             try:
                 report, failure = decode(inst.icode, inst.Y), None
             except FAILURES as ex:
                 report, failure = None, ex
         w = max(code.partition.parts)
-        # zero blocks of h_sub never reach an elimination
+        # zero blocks and nonzero blocks of length 1 of h_sub never reach an
+        # elimination
         h_sub = compute_hsub(code.H, syndrome(code.H, inst.Y))[0]
-        nonzero = sum(blk.array.any() for blk in code.partition.blocks(h_sub))
-        assert shapes[0] == (nonzero, 2 * w, w)
+        long = sum(blk.cols > 1 and blk.array.any() for blk in code.partition.blocks(h_sub))
+        assert shapes[0] == (long, 2 * w, w)
         if kind == "inside":
             assert failure is None and report.C_hat == inst.C
+            # with d > t + w the GF(q^m)-kernel of every block of h_sub, and of
+            # E_hat, is spanned by the error's GF(q) support, so no reduced row
+            # leaves GF(q) and nothing is expanded; only an E_hat of s < min n_i
+            # rows takes the distance oracle's branch, which expands every block
+            assert code.d > t + w
+            expanded = [batch for field, batch in calls if field == code.tower.base_field]
+            assert expanded == ([] if s >= min(code.partition.parts) else [code.partition.ell])
         elif failure is not None:
             assert failure.stage in {"annihilator", "supports", "erasure", "verify"}
         else:

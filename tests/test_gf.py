@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import with_basis
 from sumrankdec import gf
 from sumrankdec.gf import ExtField, FieldTower, PrimeField, default_modulus, is_irreducible
 from sumrankdec.linalg import Matrix, rank, right_kernel
@@ -376,17 +377,12 @@ KERNEL_FIELDS = [
 ]
 
 
-def _with_basis(tower, basis):
-    return FieldTower(tower.p, tower.e, tower.m, tower.ext_modulus,
-                      base_modulus=tower.base_modulus, basis=basis)
-
-
 # towers whose expansion maps go through base_field.matmul (custom bases),
 # over GF(p) and over char-2 and odd extension subfields
 CUSTOM_BASIS_TOWERS = [
-    _with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
-    _with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
-    _with_basis(FieldTower.standard(3, 2, e=2), [11, 28]),
+    with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
+    with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
+    with_basis(FieldTower.standard(3, 2, e=2), [11, 28]),
 ]
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reduced_stacks
+from conftest import reduced_stacks, stacked_eliminations, with_basis
 from sumrankdec import sumrank
 from sumrankdec.gf import FieldTower
-from sumrankdec.linalg import Matrix, rank, right_kernel, row_space_basis
+from sumrankdec.linalg import Matrix, block_diag, rank, right_kernel, row_space_basis, rref
 from sumrankdec.sumrank import (
     Infeasible,
     LengthPartition,
@@ -184,6 +184,32 @@ class TestSampleError:
         b = sample_error(ref_tower, part, (1, 1, 1), s=3, seed=5)
         assert a.E == b.E and a.A == b.A and a.B == b.B
 
+    @pytest.mark.parametrize("tower, parts, profile, s, full", [
+        (FieldTower.standard(5, 2), (2, 2, 2, 2), (1, 0, 2, 1), 4, True),
+        (FieldTower.standard(2, 3), (3, 1, 2), (2, 1, 0), 2, False),
+        (FieldTower.standard(2, 12), (1,) * 8, (0, 1, 0, 0, 1, 1, 0, 0), 3, True),
+        (with_basis(FieldTower.standard(2, 2, e=2), [6, 9]), (2, 3), (2, 1), 3, True),
+        (FieldTower.standard(2, 1), (3, 2), (1, 1), 2, True),
+    ], ids=["gf25", "gf8-deficient", "hamming", "basis", "m1"])
+    def test_same_draws_as_block_diag(self, tower, parts, profile, s, full):
+        # the construction B = block_diag(per-block matrices) and a per-block
+        # rank loop on A: writing B in place must draw the same instances
+        part, a_parts = LengthPartition(parts), LengthPartition([ti for ti in profile if ti])
+        Fq = tower.base_field
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            while True:
+                B = block_diag([
+                    sumrank._random_full_rank(Fq, ti, ni, rng, 1000) if ti else Matrix.zeros(Fq, 0, ni)
+                    for ti, ni in zip(profile, parts)
+                ])
+                A = Matrix.random(tower.ext_field, s, sum(profile), rng)
+                ranks = [rank(tower.ext_matrix(blk)) for blk in a_parts.blocks(A)]
+                if ranks == list(a_parts.parts) and (rank(A) == sum(profile) or not full):
+                    break
+            em = sample_error(tower, part, profile, s, require_full_rank=full, seed=seed)
+            assert em.B == B and em.A == A and em.E == A @ tower.lift(B)
+
     def test_full_rank_infeasible(self, ref_tower):
         part = LengthPartition([2, 2, 2])
         with pytest.raises(Infeasible):
@@ -262,19 +288,14 @@ class TestRandomProfile:
             random_profile(rng, ref_tower, LengthPartition([1, 1]), 3, s=1)
 
 
-def _with_basis(tower, basis):
-    return FieldTower(tower.p, tower.e, tower.m, tower.ext_modulus,
-                      base_modulus=tower.base_modulus, basis=basis)
-
-
 # characteristic 2 and odd p, the two-level GF(4) <= GF(16), custom bases
 BLOCK_TOWERS = [
     FieldTower.standard(2, 3),
     FieldTower.standard(5, 2),
     FieldTower.standard(3, 2),
     FieldTower.standard(2, 2, e=2),
-    _with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
-    _with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
+    with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
+    with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
 ]
 # GF(p^2) for p = 2^31 - 1: no tables at either level, so tiny shapes only
 LARGE_TOWER = FieldTower.standard(2**31 - 1, 2)
@@ -362,12 +383,9 @@ class TestBlockKernels:
     def test_matches_per_block_kernels(self, case):
         check_against_per_block_loop(*case)
 
-    def test_short_stack_skips_the_extension_stage(self, ref_tower, monkeypatch):
+    def test_short_stack_skips_the_extension_stage(self, ref_tower):
         # one row cannot give a block of 2 or 3 full GF(q^m)-rank, so only the
         # GF(q) elimination runs (the distance oracle's case)
-        fields = []
-        stack = sumrank.rref_stack
-        monkeypatch.setattr(sumrank, "rref_stack", lambda F, a: fields.append(F) or stack(F, a))
         rng = np.random.default_rng(5)
         part = LengthPartition([2, 3, 2])
         arr = ref_tower.ext_field.random(rng, (4, 1, 7))
@@ -375,8 +393,81 @@ class TestBlockKernels:
         arr[2] = ref_tower.base_field.random(rng, (1, 7))  # GF(q)-rank 1 per block
         arr[3, 0, :2] = [1, 3]  # a block whose GF(q)-rank 2 needs the expansion
         arr[3, 0, 5:] = [ref_tower.alpha, ref_tower.mul(ref_tower.alpha, 2)]
+        with stacked_eliminations() as calls:
+            block_kernels(ref_tower, arr, part)
+        assert calls == [(ref_tower.base_field, arr.shape[0] * part.ell)]
         check_against_per_block_loop(ref_tower, part, arr)
-        assert fields and set(fields) == {ref_tower.base_field}
+
+    @pytest.mark.parametrize("kinds", [
+        ("q", "random", "q", "q", "random", "q", "zero", "q"),
+        ("q", "random", "qm", "q", "random", "qm", "zero", "q"),
+        ("qm", "qm", "qm", "qm", "qm", "qm", "qm", "qm"),
+    ], ids=["q-deficient", "mixed", "qm-deficient"])
+    def test_only_irrational_members_are_expanded(self, ref_tower, kinds):
+        # A @ C with A of full column rank has C's row space: its reduced rows
+        # lie in GF(q) when C does ("q"), so only the "qm" members, whose
+        # reduced rows leave GF(q), reach the GF(q) elimination
+        rng = np.random.default_rng(3)
+        F, Fq = ref_tower.ext_field, ref_tower.base_field
+        part, rows = LengthPartition([2, 3, 2, 3]), 3
+        members = []
+        for kind, ni in zip(kinds, part.parts * 2):
+            if kind == "zero":
+                members.append(np.zeros((rows, ni), dtype=np.int64))
+            elif kind == "random":
+                members.append(F.random(rng, (rows, ni)))
+            else:
+                A = F.random(rng, (rows, ni - 1))
+                assert rank(Matrix(F, A)) == ni - 1
+                C = (Fq if kind == "q" else F).random(rng, (ni - 1, ni))
+                while kind == "qm" and (rref(Matrix(F, C))[0].array < ref_tower.q).all():
+                    C = F.random(rng, (ni - 1, ni))  # a row space not defined over GF(q)
+                members.append(F.matmul(A, C))
+        arr = np.stack([np.hstack(members[:4]), np.hstack(members[4:])])
+        reduced = [rref(blk)[0] for b in range(2) for blk in part.blocks(Matrix(F, arr[b]))]
+        # the draws are what they claim: only "random" members have full
+        # rank, and exactly the "qm" ones have reduced rows outside GF(q)
+        assert [rank(R) < R.cols for R in reduced] == [k != "random" for k in kinds]
+        irrational = [k for k, R in zip(kinds, reduced) if (R.array >= ref_tower.q).any()]
+        assert irrational == [k for k in kinds if k == "qm"]
+        want = [(F, len(kinds) - kinds.count("zero"))]
+        want += [(Fq, len(irrational))] if irrational else []
+        for fn in (block_kernels, block_ranks):
+            with stacked_eliminations() as calls:
+                fn(ref_tower, arr, part)
+            assert calls == want
+        check_against_per_block_loop(ref_tower, part, arr)
+
+    def test_degree_one_tower_never_expands(self):
+        # over GF(q) = GF(q^m) every reduced row lies in GF(q)
+        tower = FieldTower.standard(2, 1)
+        part = LengthPartition([2, 3, 2])
+        arr = tower.ext_field.random(np.random.default_rng(7), (6, 2, 7))
+        nonzero = sum(blocks[b].any() for blocks in np.split(arr, [2, 5], axis=2) for b in range(6))
+        with stacked_eliminations() as calls:
+            block_kernels(tower, arr, part)
+        assert calls == [(tower.ext_field, nonzero)]
+        check_against_per_block_loop(tower, part, arr)
+
+    def test_length_one_members_reach_no_elimination(self, ref_tower):
+        # a nonzero column has GF(q)-rank 1 and kernel {0}; a zero one rank 0
+        rng = np.random.default_rng(9)
+        F = ref_tower.ext_field
+        part = LengthPartition([1, 3, 1, 2])
+        arr = F.random(rng, (3, 2, 7))
+        arr[0, :, 0] = 0
+        arr[1, :, 1:4] = 0
+        for fn in (block_kernels, block_ranks):
+            with stacked_eliminations() as calls:
+                fn(ref_tower, arr, part)
+            assert calls[0] == (F, 5)  # the nonzero members of length >= 2
+        check_against_per_block_loop(ref_tower, part, arr)
+        hamming = LengthPartition.hamming(7)
+        with stacked_eliminations() as calls:
+            block_kernels(ref_tower, arr, hamming)
+            block_ranks(ref_tower, arr, hamming)
+        assert calls == []
+        check_against_per_block_loop(ref_tower, hamming, arr)
 
     @pytest.mark.parametrize("case", ["mixed", "all_zero", "zero_row", "short"])
     def test_zero_members(self, ref_tower, case):
