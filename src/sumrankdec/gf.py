@@ -36,7 +36,19 @@ into codes in float64 as well when the field's codes are below 2^53
 at most order - 1; larger fields recompose in int64.  Fields of order up to
 TABLE_LIMIT get exp/log tables, built by doubling (about a second at 2^20);
 larger fields multiply element by element in polynomial arithmetic (correct
-but slow).
+but slow).  The exp table is stored in the smallest unsigned dtype holding
+order - 1, uint16 up to GF(2^16).  Logs stay int64: np.take converts any
+other index dtype to int64 first, so int32 log sums would add a copy of
+every index array without narrowing the gather.  At GF(2^20) that is a
+16.8 MB uint32 exp table and an 8.4 MB log table, against 33.6 and 8.4 MB
+with an int64 exp table.  mul, div and inv return int64 codes; the
+characteristic-2 matmul gathers and XOR-reduces its tensor in the exp dtype
+and casts once.  Elimination uses two fused kernels, one table pass each:
+div(a, b) = a / b, which raises ZeroDivisionError on a zero divisor (a
+check, not an assert, so also under python -O), and submul(a, f, b) =
+a - f*b, the exp/log product followed by one XOR in characteristic 2, or
+by the subtraction that add/sub use in odd characteristic (one table lookup
+while q^2 <= TABLE_LIMIT).  Above TABLE_LIMIT both take the element path.
 """
 
 from __future__ import annotations
@@ -244,7 +256,9 @@ def default_modulus(K, degree: int) -> list[int]:
 
 
 def _unwrap(a: np.ndarray):
-    return int(a) if a.ndim == 0 else a
+    """A 0-d result as a Python int, an array as int64 codes (table lookups
+    come back in the table's narrow dtype)."""
+    return int(a) if a.ndim == 0 else a.astype(np.int64, copy=False)
 
 
 class PrimeField:
@@ -293,15 +307,26 @@ class PrimeField:
     def mul(self, a, b):
         return _unwrap((np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p)
 
-    def inv(self, a):
-        arr = np.asarray(a, dtype=np.int64)
-        if (arr == 0).any():
+    def submul(self, a, f, b):
+        """a - f*b, the row update of an elimination step."""
+        f, b = np.asarray(f, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return _unwrap((np.asarray(a, dtype=np.int64) - f * b) % self.p)
+
+    def div(self, a, b):
+        """a / b; raises ZeroDivisionError if any entry of b is zero."""
+        b = np.asarray(b, dtype=np.int64)
+        if np.count_nonzero(b) < b.size:
             raise ZeroDivisionError("division by zero in GF(p)")
         if self.p > TABLE_LIMIT:
-            return _unwrap(self._fermat_inv(arr))
-        if self._inv_table is None:
-            self._inv_table = self._fermat_inv(np.arange(self.p, dtype=np.int64))
-        return _unwrap(self._inv_table.take(arr))
+            inv = self._fermat_inv(b)
+        else:
+            if self._inv_table is None:
+                self._inv_table = self._fermat_inv(np.arange(self.p, dtype=np.int64))
+            inv = self._inv_table.take(b)
+        return _unwrap(np.asarray(a, dtype=np.int64) * inv % self.p)
+
+    def inv(self, a):
+        return self.div(1, a)
 
     def _fermat_inv(self, a: np.ndarray) -> np.ndarray:
         # a^(p-2) by square and multiply; products of two residues fit int64
@@ -497,11 +522,15 @@ class ExtField:
             exp[size : size + k] = self._gfp.matmul(self._digits(exp[:k]), mat) @ self._powers
             size, g_size = 2 * size, self._mul_i(g_size, g_size)
         # log(0) = 2*n1 and exp is doubled then padded with zeros, so
-        # exp[log(a) + log(b)] is a*b for every a, b, zero or not
+        # exp[log(a) + log(b)] is a*b for every a, b, zero or not, and
+        # exp[log(a) - log(b) + n1] is a/b for every nonzero b.  exp entries
+        # take the narrowest unsigned dtype holding order - 1; logs stay
+        # int64, the index dtype take uses without a converted copy
         log = np.full(self.order, 2 * n1, dtype=np.int64)
         log[exp] = np.arange(n1)
         self.generator = g
-        self._exp = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)])
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)]).astype(
+            np.min_scalar_type(self.order - 1))
         self._log = log
         return True
 
@@ -541,8 +570,11 @@ class ExtField:
         subtraction table); larger fields, whose q x q tables would exceed
         TABLE_LIMIT, run the digit kernel.
         """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        return self._digitwise_codes(op, np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+
+    def _digitwise_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """_digitwise on an int64 array a and an array b of codes in int64 or
+        in the exp table's narrow dtype (submul's products); returns int64."""
         if self.char == 2:
             return _unwrap(a ^ b)
         tables = self._sum_tables
@@ -559,26 +591,36 @@ class ExtField:
     def sub(self, a, b):
         return self._digitwise(np.subtract, a, b)
 
+    def _prod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b for int64 code arrays, in the exp table's dtype; above
+        TABLE_LIMIT, element by element in int64."""
+        if self._ensure_tables():
+            return self._exp.take(self._log.take(a) + self._log.take(b))
+        return np.asarray(np.frompyfunc(self._mul_i, 2, 1)(a, b), dtype=np.int64)
+
     def mul(self, a, b):
+        return _unwrap(self._prod(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)))
+
+    def submul(self, a, f, b):
+        """a - f*b, the row update of an elimination step: one exp/log pass,
+        then the XOR or subtraction of sub."""
+        prod = self._prod(np.asarray(f, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return self._digitwise_codes(np.subtract, np.asarray(a, dtype=np.int64), prod)
+
+    def div(self, a, b):
+        """a / b in one exp/log pass; raises ZeroDivisionError if any entry
+        of b is zero."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self._ensure_tables():
-            return _unwrap(self._exp.take(self._log.take(a) + self._log.take(b)))
-        if a.ndim == 0 and b.ndim == 0:
-            return self._mul_i(int(a), int(b))
-        fn = np.frompyfunc(self._mul_i, 2, 1)
-        return fn(a, b).astype(np.int64)
-
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if (a == 0).any():
+        if np.count_nonzero(b) < b.size:
             raise ZeroDivisionError("division by zero in GF(q^m)")
         if self._ensure_tables():
-            return _unwrap(self._exp.take(self.order - 1 - self._log.take(a)))
-        if a.ndim == 0:
-            return self._inv_i(int(a))
-        fn = np.frompyfunc(self._inv_i, 1, 1)
-        return fn(a).astype(np.int64)
+            return _unwrap(self._exp.take(self._log.take(a) + (self.order - 1 - self._log.take(b))))
+        inv = np.asarray(np.frompyfunc(self._inv_i, 1, 1)(b), dtype=np.int64)
+        return _unwrap(self._prod(a, inv))
+
+    def inv(self, a):
+        return self.div(1, a)
 
     def pow(self, a: int, k: int) -> int:
         return self._pow_i(int(a), int(k))
@@ -592,14 +634,15 @@ class ExtField:
             # contiguous slabs; keep the longer output axis innermost
             if b.shape[1] < a.shape[0]:
                 return self.matmul(b.T, a.T).T
-            return np.bitwise_xor.reduce(self.mul(a.T[:, :, None], b[:, None, :]), axis=0, initial=0)
+            prods = self._prod(a.T[:, :, None], b[:, None, :])
+            return np.bitwise_xor.reduce(prods, axis=0, initial=0).astype(np.int64, copy=False)
         # x -> x * b[k, c] is GF(p)-linear and row i of its matrix is the digit
         # vector of p^i * b[k, c], so a @ b is digits(a) times these stacked
         # matrices over GF(p).  Expand the operand with fewer columns.
         if b.shape[1] > a.shape[0]:
             return self.matmul(b.T, a.T).T
         (rows, inner), cols, d = a.shape, b.shape[1], self.pdigits
-        mats = self._digits(self.mul(b[:, None, :], self._powers[:, None]))
+        mats = self._digits(self._prod(b[:, None, :], self._powers[:, None]))
         prod = self._gfp._product(self._digits(a).reshape(rows, inner * d), mats.reshape(inner * d, cols * d))
         prod = prod.reshape(rows * cols, d)
         if prod.dtype == np.float64 and self.order <= 2**53:

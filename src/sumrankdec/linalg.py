@@ -208,7 +208,9 @@ def _rref_arrays(field, arr: np.ndarray):
 
     The middle slot is always None; pivots stay at index 2, where
     decodebench/spans.py reads them.  Pivot choice: leftmost unprocessed
-    column, topmost nonzero row.
+    column, topmost nonzero row.  A pivot step is one field.div of the pivot
+    row and one field.submul over the columns from the pivot on: one fused
+    table pass each, and the only field arithmetic in the loop.
     """
     a = np.array(arr, dtype=np.int64)
     r, c = a.shape
@@ -217,7 +219,7 @@ def _rref_arrays(field, arr: np.ndarray):
     for col in range(c):
         if row == r:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        nz = a[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
@@ -227,11 +229,11 @@ def _rref_arrays(field, arr: np.ndarray):
         prow = a[row, col:]
         pv = int(prow[0])
         if pv != 1:
-            prow = field.mul(field.inv(pv), prow)
+            prow = field.div(prow, pv)
             a[row, col:] = prow
         fac = a[:, col].copy()
         fac[row] = 0
-        a[:, col:] = field.sub(a[:, col:], field.mul(fac[:, None], prow[None, :]))
+        a[:, col:] = field.submul(a[:, col:], fac[:, None], prow[None, :])
         pivots.append(col)
         row += 1
     return a, None, pivots
@@ -254,7 +256,9 @@ def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
     """Reduce the (batch, r, c) stack a in place; return its pivot mask.
 
     Every step updates the whole stack: a member without a pivot in the
-    column swaps a row with itself and gets zero elimination factors.
+    column swaps a row with itself and gets zero elimination factors.  As in
+    _rref_arrays, a step is one field.div of the pivot rows and one
+    field.submul over the stack.
     """
     batch, r, c = a.shape
     pivots = np.zeros((batch, c), dtype=bool)
@@ -278,11 +282,11 @@ def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
         a[members, pr, col:] = a[members, top, col:]
         pv = np.where(has, prow[:, 0], 1)
         if (pv != 1).any():
-            prow = field.mul(field.inv(pv)[:, None], prow)
+            prow = field.div(prow, pv[:, None])
         a[members, top, col:] = prow
         fac = x * has[:, None]
         fac[members, top] = 0
-        a[:, :, col:] = field.sub(a[:, :, col:], field.mul(fac[:, :, None], prow[:, None, :]))
+        a[:, :, col:] = field.submul(a[:, :, col:], fac[:, :, None], prow[:, None, :])
         pivots[:, col] = has
         row += has
     return pivots
@@ -299,7 +303,7 @@ def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     member with c pivots there is done: its RREF is the reduced slice
     followed by zero rows.  For each other member, every row below the slice
     minus its entries in the pivot columns times the slice's pivot rows
-    (one mul/sub pass per pivot column, exact because the slice is in RREF)
+    (one submul pass per pivot column, exact because the slice is in RREF)
     vanishes exactly when the row lies in the slice's row space.  When all
     of them vanish, the member's row space is the slice's, and so is its
     RREF, which is canonical for the row space.  Only members whose rank
@@ -328,7 +332,7 @@ def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rest = a[short, h:]
     res = rest
     for col in np.flatnonzero(p.any(axis=0)):
-        res = field.sub(res, field.mul(rest[:, :, col, None], prows[:, None, col, :]))
+        res = field.submul(res, rest[:, :, col, None], prows[:, None, col, :])
     grew = short[res.any(axis=(1, 2))]
     a[:, :h] = top
     a[:, h:] = 0

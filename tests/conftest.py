@@ -32,6 +32,16 @@ from sumrankdec.linalg import Matrix
 from sumrankdec.sumrank import ErrorModel, LengthPartition
 
 
+# Small towers for the property tests, including a two-level GF(4) <= GF(16).
+PROPERTY_TOWERS = [
+    FieldTower.standard(2, 2),
+    FieldTower.standard(2, 3),
+    FieldTower.standard(3, 2),
+    FieldTower.standard(5, 2),
+    FieldTower.standard(2, 2, e=2),
+]
+
+
 @pytest.fixture(scope="session")
 def ref():
     return example_case.load()

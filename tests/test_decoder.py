@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumrankdec
-from conftest import (code_with_distance, eliminations, make_instance, reduced_stacks,
-                      stacked_eliminations, with_basis)
+from conftest import (PROPERTY_TOWERS, code_with_distance, eliminations, make_instance,
+                      reduced_stacks, stacked_eliminations, with_basis)
 from sumrankdec import decoder
-from sumrankdec.code import LinearCode, min_sum_rank_distance, random_code, syndrome
+from sumrankdec.code import (InterleavedCode, LinearCode, min_sum_rank_distance, random_code,
+                             syndrome)
 from sumrankdec.decoder import (
     ResidualCheckFailed,
     SupportMismatch,
@@ -42,22 +43,13 @@ from sumrankdec.linalg import (
 from sumrankdec.sumrank import (
     LengthPartition,
     hamming_support,
+    random_profile,
     rank_support,
     sample_error,
     sum_rank_weight,
 )
 
 FAILURES = (SupportSpaceEmpty, SupportMismatch, ResidualCheckFailed, NonUniqueSolution, Inconsistent)
-
-# Small towers for the property tests, including a two-level GF(4) <= GF(16).
-PROPERTY_TOWERS = [
-    FieldTower.standard(2, 2),
-    FieldTower.standard(2, 3),
-    FieldTower.standard(3, 2),
-    FieldTower.standard(5, 2),
-    FieldTower.standard(2, 2, e=2),
-]
-
 
 # The annihilator oracle also runs odd p over a two-digit base field, GF(9) <= GF(81).
 ORACLE_TOWERS = PROPERTY_TOWERS + [FieldTower.standard(3, 2, e=2)]
@@ -465,6 +457,57 @@ class TestDecoderPromise:
             assert failure.stage in {"annihilator", "supports", "erasure", "verify"}
         else:
             assert inst.icode.contains(report.C_hat)
+
+
+@st.composite
+def high_order_cases(draw):
+    """(icode, C, E, kind) with interleaving order s >= 4t, the paper's s >> t.
+
+    The code has k = 1 or 2 and certified distance d >= t + 2.  "inside"
+    adds a full-rank error of weight t, inside the guarantee.  "deficient"
+    adds E = M @ E_r: E_r is an error of weight t with r < t rows and M a
+    random s x r matrix, so E has GF(q^m)-rank at most r < t however large
+    s is, outside the full-rank condition.
+    """
+    tower = draw(st.sampled_from(PROPERTY_TOWERS))
+    kind = draw(st.sampled_from(["inside", "deficient"]))
+    t = draw(st.integers(1 if kind == "inside" else 2, 3))
+    s = draw(st.integers(4 * t, 6 * t))
+    k = draw(st.integers(1, 2))
+    part = LengthPartition(draw(st.lists(st.integers(1, 3), min_size=t + 3, max_size=t + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = code_with_distance(tower, part, k, rng, d_min=t + 2)
+    if kind == "inside":
+        inst = make_instance(code, s=s, rng=rng, t=t)
+        return inst.icode, inst.C, inst.E, kind
+    r = draw(st.integers(1, t - 1))
+    small = sample_error(tower, part, random_profile(rng, tower, part, t, r), r,
+                         require_full_rank=False, rng=rng)
+    E = Matrix.random(tower.ext_field, s, r, rng) @ small.E
+    icode = InterleavedCode(code, s)
+    C = icode.encode(Matrix.random(tower.ext_field, s, k, rng))
+    return icode, C, E, kind
+
+
+class TestHighOrderPromise:
+    """decode() at s >= 4t, inside the guarantee and with rank-deficient errors."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(high_order_cases())
+    def test_exact_inside_typed_or_verified_outside(self, case):
+        icode, C, E, kind = case
+        try:
+            report, failure = decode(icode, C + E), None
+        except FAILURES as ex:
+            report, failure = None, ex
+        if kind == "inside":
+            assert failure is None and report.C_hat == C and report.E_hat == E
+            return
+        assert rank(E) < sum_rank_weight(icode.tower, E, icode.partition)
+        if failure is not None:
+            assert failure.stage in {"annihilator", "supports", "erasure", "verify"}
+        else:
+            assert icode.contains(report.C_hat)
 
 
 # GF(2) as a degree-1 extension is the binary Hamming and rank metric.

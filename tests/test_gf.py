@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import with_basis
+from conftest import PROPERTY_TOWERS, with_basis
 from sumrankdec import gf
 from sumrankdec.gf import ExtField, FieldTower, PrimeField, default_modulus, is_irreducible
 from sumrankdec.linalg import Matrix, rank, right_kernel
@@ -441,6 +441,144 @@ class TestVectorisedKernels:
             acc = reduce(F._add_i, (F._mul_i(bj, x) for bj, x in zip(tower.basis, col)), 0)
             assert acc == arr[i, j]
             assert tower.unext(col) == arr[i, j]
+
+
+# Every field an elimination can run over: the kernel fields (GF(2) as a
+# degree-1 extension and two fields above TABLE_LIMIT among them), the
+# decoder's property towers, both sides of the uint16/uint32 exp-table switch
+# (GF(2^16), GF(2^17)) and prime fields, one without an inverse table.
+FUSED_FIELDS = (
+    KERNEL_FIELDS
+    + [t.ext_field for t in PROPERTY_TOWERS]
+    + [FieldTower.standard(2, 16).ext_field, FieldTower.standard(2, 17).ext_field]
+    + [PrimeField(2), PrimeField(5), PrimeField(2**31 - 1)]
+)
+
+# The operand shapes of the pivot steps, (a, f, b) for submul(a, f, b):
+# _rref_arrays, _reduce_stack and rref_stack's residual pass.  div divides
+# an a-shaped array by divisors of f's shape.
+ENGINE_SHAPES = [
+    ((4, 5), (4, 1), (1, 5)),
+    ((3, 4, 5), (3, 4, 1), (3, 1, 5)),
+    ((2, 6, 3), (2, 6, 1), (2, 1, 3)),
+]
+
+
+def _nonzero(field, rng, shape):
+    return field.random(rng, shape) % (field.order - 1) + 1
+
+
+class TestFusedKernels:
+    """submul, div and the narrow-table products against the scalar oracles."""
+
+    @pytest.mark.parametrize("field", FUSED_FIELDS, ids=repr)
+    @settings(derandomize=True, database=None, max_examples=6, deadline=None)
+    @given(shapes=st.sampled_from(ENGINE_SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_match_scalar_oracles(self, field, shapes, seed):
+        rng = np.random.default_rng(seed)
+        a, f, b = (field.random(rng, shape) for shape in shapes)
+        # zeros in every operand, and the largest code
+        a[..., ::2, 0] = 0
+        f[..., ::3, :] = 0
+        b[..., ::4] = 0
+        b.flat[-1] = field.order - 1
+        F, B = np.broadcast_arrays(f, b)
+        got = field.submul(a, f, b)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert got.ravel().tolist() == [
+            field._add_i(x, field._neg_i(field._mul_i(y, z)))
+            for x, y, z in zip(a.ravel().tolist(), F.ravel().tolist(), B.ravel().tolist())
+        ]
+        d = _nonzero(field, rng, f.shape)
+        D = np.broadcast_to(d, a.shape)
+        got = field.div(a, d)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert got.ravel().tolist() == [
+            field._mul_i(x, field._inv_i(y)) for x, y in zip(a.ravel().tolist(), D.ravel().tolist())
+        ]
+        # the pivot row of _rref_arrays: an array by a Python int
+        row, pv = a.reshape(-1, a.shape[-1])[0], int(d.flat[0])
+        assert field.div(row, pv).tolist() == [field._mul_i(x, field._inv_i(pv)) for x in row.tolist()]
+
+    @pytest.mark.parametrize("field", FUSED_FIELDS, ids=repr)
+    def test_scalars_stay_ints(self, field):
+        x, y = field.order - 1, field.order // 2 or 1
+        for got, want in [
+            (field.submul(x, y, x), field._add_i(x, field._neg_i(field._mul_i(y, x)))),
+            (field.submul(x, 0, y), x),
+            (field.div(x, y), field._mul_i(x, field._inv_i(y))),
+            (field.div(0, y), 0),
+            (field.inv(y), field._inv_i(y)),
+        ]:
+            assert type(got) is int and got == want
+
+    @pytest.mark.parametrize("m, dtype", [(12, np.uint16), (16, np.uint16), (17, np.uint32)])
+    def test_narrow_tables(self, m, dtype):
+        F = FieldTower.standard(2, m).ext_field
+        F.mul(1, 1)
+        assert F._exp.dtype == dtype and F._log.dtype == np.int64
+        rng = np.random.default_rng(m)
+        a, b = F.random(rng, (3, 9)), F.random(rng, (9, 4))
+        a[0] = F.order - 1
+        a[1, ::2] = 0
+        b[:, 0] = F.order - 1
+        for x, y in [(a, b), (b.T, a.T)]:  # both operand orders of the tensor
+            out = F.matmul(x, y)
+            assert out.dtype == np.int64 and out.tolist() == _oracle_matmul(F, x, y)
+        assert F.mul(a, a).dtype == np.int64 and F.inv(b[b != 0]).dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "field",
+        [FieldTower.standard(2, 3).ext_field, FieldTower.standard(5, 2).ext_field,
+         FieldTower.standard(257, 2).ext_field, _above_table_limit(3, 13)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("dtype", [object, np.uint64, np.uint32, np.int32])
+    def test_sums_take_any_integer_dtype(self, field, dtype):
+        # add, sub and neg convert both operands to int64 codes; only submul
+        # hands the sum kernel its narrow products unconverted
+        rng = np.random.default_rng(7)
+        a, b = field.random(rng, (2, 5)), field.random(rng, (2, 5))
+        b[0, 0] = field.order - 1
+        x, y = a.astype(dtype), b.astype(dtype)
+        for got, want in [
+            (field.add(a, y), field.add(a, b)),
+            (field.add(x, y), field.add(a, b)),
+            (field.sub(a, y), field.sub(a, b)),
+            (field.sub(x, b), field.sub(a, b)),
+            (field.neg(y), field.neg(b)),
+        ]:
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "field",
+        [FieldTower.standard(2, 12).ext_field, FieldTower.standard(5, 2).ext_field,
+         _above_table_limit(2, 21), PrimeField(5), PrimeField(2**31 - 1)],
+        ids=repr,
+    )
+    def test_division_by_zero_raises(self, field):
+        for a, b in [(np.array([1, 2]), np.array([3, 0])), (np.ones((2, 2), dtype=np.int64), 0), (1, 0)]:
+            with pytest.raises(ZeroDivisionError):
+                field.div(a, b)
+        with pytest.raises(ZeroDivisionError):
+            field.inv(np.array([[1], [0]]))
+
+    def test_division_by_zero_under_optimize_flag(self):
+        code = (
+            "from sumrankdec.gf import FieldTower, PrimeField\n"
+            "for f in (FieldTower.standard(2, 12).ext_field, FieldTower.standard(5, 2).ext_field,"
+            " PrimeField(5)):\n"
+            "    try:\n"
+            "        f.div([1, 2], [3, 0])\n"
+            "    except ZeroDivisionError:\n"
+            "        print('raised')\n"
+        )
+        src = str(Path(gf.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["raised"] * 3
 
 
 class TestAddTables:
