@@ -8,17 +8,22 @@ Subcommands:
   mindist   brute-force the minimum sum-rank distance of a code file
   gen       generate a random code plus a corrupted received instance
 
-Exit codes: 0 success, 1 decoding/verification failure, 2 usage error.
+trial and bench share one draw-and-decode step, decode_trial.
+
+Exit codes: 0 success, 1 decoding/verification failure, 2 usage error (also
+for a malformed input file).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import statistics
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +119,27 @@ def _add_field_args(sub) -> None:
     sub.add_argument("--base-modulus", help="little-endian GF(p) coefficients of the degree-e modulus")
 
 
+def _add_instance_args(sub) -> None:
+    """The arguments of one seeded instance, shared by trial and gen."""
+    _add_field_args(sub)
+    sub.add_argument("--partition", required=True, help="comma-separated block lengths")
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--s", type=int, required=True, help="interleaving order")
+    sub.add_argument("--t", type=int, help="total error weight (random block profile)")
+    sub.add_argument("--profile", help="fixed per-block weights, comma-separated")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--no-full-rank", action="store_true", help="sample errors without the rank condition")
+
+
+def _instance_args(args) -> tuple[FieldTower, LengthPartition, tuple[int, ...] | None]:
+    """(tower, partition, profile) from the arguments of _add_instance_args."""
+    tower = _tower_from_args(args)
+    partition = _partition_from_args(args)
+    if (args.t is None) == (args.profile is None):
+        raise UsageError("give exactly one of --t or --profile")
+    return tower, partition, tuple(_parse_ints(args.profile)) if args.profile else None
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -197,8 +223,6 @@ class TrialConfig:
     trials: int
     seed: int
     full_rank: bool = True
-    code_tries: int = 50
-    mindist_budget: int = 10**6
 
     @property
     def total_weight(self) -> int:
@@ -222,14 +246,20 @@ class TrialConfig:
 class TrialSummary:
     config: TrialConfig
     code_d: int | None
-    successes: int
-    failures: dict[str, int]
     outcomes: tuple[str, ...]
     timings_ms: tuple[float, ...]
 
     @property
     def trials(self) -> int:
         return len(self.outcomes)
+
+    @property
+    def successes(self) -> int:
+        return self.outcomes.count("Success")
+
+    @property
+    def failures(self) -> dict[str, int]:
+        return dict(sorted(Counter(o for o in self.outcomes if o != "Success").items()))
 
     def to_dict(self) -> dict:
         payload = {
@@ -238,98 +268,60 @@ class TrialSummary:
                 "code_d": self.code_d,
                 "trials": self.trials,
                 "successes": self.successes,
-                "failures": dict(sorted(self.failures.items())),
+                "failures": self.failures,
                 "outcomes": list(self.outcomes),
             }
         }
         if self.timings_ms:
-            payload["timing"] = {
-                "min_ms": min(self.timings_ms),
-                "median_ms": statistics.median(self.timings_ms),
-                "max_ms": max(self.timings_ms),
-            }
+            payload["timing"] = _time_range(self.timings_ms)
         return payload
 
 
-def pick_code(config: TrialConfig) -> tuple[LinearCode, int | None]:
-    """Draw a code from the master seed; under the full-rank regime the code
-    is redrawn until its brute-forced distance covers t + 2."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC0DE)))
-    need = config.total_weight + 2 if config.full_rank else None
-    last_d = None
-    for _ in range(config.code_tries):
-        code = random_code(config.tower, config.partition, config.k, rng=rng)
-        try:
-            d = min_sum_rank_distance(code, budget=config.mindist_budget)
-        except BudgetExceeded:
-            if need is not None:
-                raise UsageError(
-                    "cannot verify the distance hypothesis: enumeration exceeds the budget"
-                ) from None
-            return code, None
-        code.d = d
-        last_d = d
-        if need is None or d >= need:
-            return code, d
-    raise UsageError(
-        f"no code with minimum distance >= {need} found in {config.code_tries} draws "
-        f"(last d = {last_d}); weaken t or change the parameters"
-    )
+def _time_range(ms) -> dict[str, float]:
+    return {"min_ms": min(ms), "median_ms": statistics.median(ms), "max_ms": max(ms)}
 
 
-def run_single_trial(config: TrialConfig, code: LinearCode, index: int):
-    """One forward-constructed instance: returns (label, elapsed_ms)."""
-    icode = InterleavedCode(code, config.s)
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-    C, em = random_instance(icode, rng, t=config.t, profile=config.profile,
-                            require_full_rank=config.full_rank)
+def decode_trial(icode: InterleavedCode, rng: np.random.Generator, t: int | None,
+                 profile: tuple[int, ...] | None, full_rank: bool) -> tuple[str, float]:
+    """Draw one instance from rng and decode it: returns (label, elapsed_ms),
+    the label being Success, WrongCodeword or the typed failure's name."""
+    C, em = random_instance(icode, rng, t=t, profile=profile, require_full_rank=full_rank)
     Y = C + em.E
     started = time.perf_counter()
     try:
-        report = decode(icode, Y)
+        label = "Success" if decode(icode, Y).C_hat == C else "WrongCodeword"
     except _FAILURE_TYPES as ex:
-        return type(ex).__name__, (time.perf_counter() - started) * 1e3
-    elapsed = (time.perf_counter() - started) * 1e3
-    if report.C_hat != C:
-        return "WrongCodeword", elapsed
-    return "Success", elapsed
+        label = type(ex).__name__
+    return label, (time.perf_counter() - started) * 1e3
 
 
 def run_trials(config: TrialConfig) -> TrialSummary:
+    """Trial i decodes an instance drawn from the seed (config.seed, i), all
+    against one code drawn from (config.seed, 0xC0DE).  Under the full-rank
+    regime that code is redrawn until its distance covers t + 2 (random_code
+    raises BudgetExceeded or SamplingFailure otherwise)."""
     if config.trials < 0:
         raise UsageError(f"need trials >= 0, got {config.trials}")
     _check_instances(config.tower, config.partition, config.k, config.s, config.t,
                      config.profile, config.full_rank)
-
-    code, d = (pick_code(config)) if config.trials > 0 else (None, None)
-    outcomes = []
-    timings = []
-    failures: dict[str, int] = {}
-    successes = 0
-    for i in range(config.trials):
-        label, ms = run_single_trial(config, code, i)
-        outcomes.append(label)
-        timings.append(ms)
-        if label == "Success":
-            successes += 1
-        else:
-            failures[label] = failures.get(label, 0) + 1
-    return TrialSummary(
-        config=config,
-        code_d=d,
-        successes=successes,
-        failures=failures,
-        outcomes=tuple(outcomes),
-        timings_ms=tuple(timings),
-    )
+    if config.trials == 0:
+        return TrialSummary(config, None, (), ())
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC0DE)))
+    need = config.total_weight + 2 if config.full_rank else None
+    code = random_code(config.tower, config.partition, config.k, rng=rng, d_min=need)
+    if need is None:
+        with contextlib.suppress(BudgetExceeded):
+            code.d = min_sum_rank_distance(code)
+    icode = InterleavedCode(code, config.s)
+    outcomes, timings = zip(*(
+        decode_trial(icode, np.random.default_rng(np.random.SeedSequence((config.seed, i))),
+                     config.t, config.profile, config.full_rank)
+        for i in range(config.trials)))
+    return TrialSummary(config, code.d, outcomes, timings)
 
 
 def cmd_trial(args) -> int:
-    tower = _tower_from_args(args)
-    partition = _partition_from_args(args)
-    if (args.t is None) == (args.profile is None):
-        raise UsageError("give exactly one of --t or --profile")
-    profile = tuple(_parse_ints(args.profile)) if args.profile else None
+    tower, partition, profile = _instance_args(args)
     config = TrialConfig(
         tower=tower,
         partition=partition,
@@ -343,6 +335,8 @@ def cmd_trial(args) -> int:
     )
     try:
         summary = run_trials(config)
+    except BudgetExceeded as ex:
+        raise UsageError(f"cannot verify the distance hypothesis: {ex}") from ex
     except SamplingFailure as ex:
         raise UsageError(str(ex)) from ex
     payload = summary.to_dict()
@@ -389,34 +383,10 @@ def run_bench(
     for n, partition, k in grid:
         for s in s_values:
             rng = np.random.default_rng(np.random.SeedSequence((seed, n, s)))
-            code = random_code(tower, partition, k, rng=rng)
-            icode = InterleavedCode(code, s)
-            times = []
-            outcomes = []
-            for _ in range(reps):
-                C, em = random_instance(icode, rng, t=t)
-                Y = C + em.E
-                started = time.perf_counter()
-                try:
-                    report = decode(icode, Y)
-                    ok = report.C_hat == C
-                except _FAILURE_TYPES:
-                    ok = False
-                times.append((time.perf_counter() - started) * 1e3)
-                outcomes.append(ok)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "s": s,
-                    "t": t,
-                    "median_ms": statistics.median(times),
-                    "min_ms": min(times),
-                    "max_ms": max(times),
-                    "recovered": sum(outcomes),
-                    "reps": reps,
-                }
-            )
+            icode = InterleavedCode(random_code(tower, partition, k, rng=rng), s)
+            labels, times = zip(*(decode_trial(icode, rng, t, None, True) for _ in range(reps)))
+            rows.append({"n": n, "k": k, "s": s, "t": t, **_time_range(times),
+                         "recovered": labels.count("Success"), "reps": reps})
     return rows
 
 
@@ -477,6 +447,9 @@ def cmd_decode(args) -> int:
         Y = matrix_from_dict(received, code.tower)
     except (KeyError, ValueError) as ex:
         raise UsageError(f"invalid received-matrix file {args.received}: {ex}") from ex
+    if Y.field != code.tower.ext_field or Y.rows < 1 or Y.cols != code.n:
+        raise UsageError(f"invalid received-matrix file {args.received}: need >= 1 row of {code.n} "
+                         f"entries over {code.tower.ext_field!r}, got {Y.rows} x {Y.cols} over {Y.field!r}")
     icode = InterleavedCode(code, Y.rows)
     try:
         report = decode(icode, Y)
@@ -508,17 +481,14 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    tower = _tower_from_args(args)
-    partition = _partition_from_args(args)
-    if (args.t is None) == (args.profile is None):
-        raise UsageError("give exactly one of --t or --profile")
+    tower, partition, profile = _instance_args(args)
+    _check_instances(tower, partition, args.k, args.s, args.t, profile, not args.no_full_rank)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x6E6)))
-    profile = tuple(_parse_ints(args.profile)) if args.profile else None
     try:
         code = random_code(tower, partition, args.k, rng=rng)
         C, em = random_instance(InterleavedCode(code, args.s), rng, t=args.t, profile=profile,
                                 require_full_rank=not args.no_full_rank)
-    except (Infeasible, SamplingFailure, ValueError) as ex:
+    except SamplingFailure as ex:
         raise UsageError(str(ex)) from ex
     Y = C + em.E
 
@@ -554,15 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("trial", help="seeded Monte Carlo decoding trials")
-    _add_field_args(p)
-    p.add_argument("--partition", required=True, help="comma-separated block lengths")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True, help="interleaving order")
-    p.add_argument("--t", type=int, help="total error weight (random per-trial profiles)")
-    p.add_argument("--profile", help="fixed per-block weights, comma-separated")
+    _add_instance_args(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-full-rank", action="store_true", help="sample errors without the rank condition")
     p.add_argument("--json-out")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_trial)
@@ -592,14 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("gen", help="generate a code and a corrupted instance")
-    _add_field_args(p)
-    p.add_argument("--partition", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--profile")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-full-rank", action="store_true")
+    _add_instance_args(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_gen)
 

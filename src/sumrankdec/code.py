@@ -15,7 +15,8 @@ import numpy as np
 
 from .gf import FieldTower
 from .linalg import Matrix, rank, right_kernel, matrix_from_dict, matrix_to_dict
-from .sumrank import ErrorModel, LengthPartition, block_ranks, random_profile, sample_error
+from .sumrank import (ErrorModel, LengthPartition, SamplingFailure, block_ranks, random_profile,
+                      sample_error)
 
 __all__ = [
     "LinearCode",
@@ -33,6 +34,9 @@ __all__ = [
 # Codewords per stacked weight computation in min_sum_rank_distance; larger
 # chunks raise peak memory without making the enumeration faster.
 _MINDIST_CHUNK = 512
+
+# Codes random_code draws, at most, to find one of distance >= d_min.
+_CODE_DRAWS = 50
 
 
 class BudgetExceeded(RuntimeError):
@@ -192,23 +196,42 @@ def random_code(
     k: int,
     seed=None,
     rng: np.random.Generator | None = None,
+    d_min: int | None = None,
 ) -> LinearCode:
     """Uniformly random code: redraw H until it has full row rank.
 
     LinearCode's own rank check decides each draw: H is over the tower's
     extension field and has partition.n columns by construction, so the
     only ValueError it can raise is for a rank-deficient H.
+
+    With d_min set, the code is redrawn, up to _CODE_DRAWS times, until its
+    brute-forced distance code.d reaches d_min; min_sum_rank_distance may
+    raise BudgetExceeded, and SamplingFailure means no draw reached d_min.
     """
     n = partition.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k = {k}, n = {n}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    while True:
-        try:
-            return LinearCode(tower, partition, Matrix.random(tower.ext_field, n - k, n, rng))
-        except ValueError:
-            continue
+
+    def draw() -> LinearCode:
+        while True:
+            try:
+                return LinearCode(tower, partition, Matrix.random(tower.ext_field, n - k, n, rng))
+            except ValueError:
+                continue
+
+    if d_min is None:
+        return draw()
+    for _ in range(_CODE_DRAWS):
+        code = draw()
+        code.d = min_sum_rank_distance(code)
+        if code.d >= d_min:
+            return code
+    raise SamplingFailure(
+        f"no code with minimum distance >= {d_min} found in {_CODE_DRAWS} draws "
+        f"(last d = {code.d}); weaken t or change the parameters"
+    )
 
 
 def random_instance(

@@ -61,7 +61,7 @@ import numpy as np
 from . import linalg
 from .code import InterleavedCode, LinearCode, syndrome
 from .gf import FieldTower
-from .linalg import Inconsistent, LinearSystemError, Matrix, matrix_to_dict, solve_unique
+from .linalg import LinearSystemError, Matrix, matrix_to_dict, solve_unique
 from .sumrank import LengthPartition, block_kernels, sum_rank_weight
 
 __all__ = [
@@ -246,10 +246,6 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     I of compute_hsub, as every other row of [H @ B^T | S] is a combination
     of them plus a row of [h_sub @ B^T | 0] = 0.
     """
-    if B.rows == 0:
-        if not S.is_zero:
-            raise Inconsistent("nonzero syndrome with an empty support basis")
-        return Matrix.zeros(H.field, S.cols, 0)
     bt = Matrix(H.field, B.array.T, _checked=True)
     At = solve_unique(H @ bt, S)
     return At.T

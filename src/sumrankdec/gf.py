@@ -388,7 +388,7 @@ class PrimeField:
 class ExtField:
     """GF(|sub|^deg) as sub[x] modulo a monic irreducible polynomial."""
 
-    def __init__(self, subfield, modulus: Sequence[int], check_irreducible: bool = True):
+    def __init__(self, subfield, modulus: Sequence[int]):
         modulus = [int(c) for c in modulus]
         if len(modulus) < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
@@ -399,7 +399,7 @@ class ExtField:
         # every code, up to order - 1, must fit int64 (the array kernels rely on it)
         if self.order - 1 > _INT64_MAX:
             raise ValueError(f"GF({subfield.order}^{self.deg}) is too large: codes overflow int64")
-        if check_irreducible and not is_irreducible(subfield, modulus):
+        if not is_irreducible(subfield, modulus):
             raise ValueError("modulus is reducible over the subfield")
         self.subfield = subfield
         self.modulus = tuple(modulus)

@@ -53,8 +53,8 @@ class SkewIsometry:
         f = self.tower.ext_field
         if M.field != f:
             raise ValueError("matrix is not over the isometry's field")
-        diag = np.asarray([self.tower.inv(d) for d in self.diagonal], dtype=np.int64)
-        return Matrix(f, f.mul(M.array, diag[None, :]), _checked=True)
+        diag = np.asarray(self.diagonal, dtype=np.int64)
+        return Matrix(f, f.div(M.array, diag[None, :]), _checked=True)
 
     @classmethod
     def random(cls, tower: FieldTower, partition: LengthPartition, rng: np.random.Generator) -> "SkewIsometry":

@@ -42,6 +42,10 @@ class SamplingFailure(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
 
 
+# Draws of an error, and of each block of its B, before sample_error fails.
+_SAMPLE_ATTEMPTS = 1000
+
+
 @dataclass(frozen=True)
 class LengthPartition:
     """The vector (n_1, ..., n_l) of positive block lengths."""
@@ -291,13 +295,13 @@ class ErrorModel:
         )
 
 
-def _random_full_rank(field, rows: int, cols: int, rng, budget: int) -> Matrix:
+def _random_full_rank(field, rows: int, cols: int, rng) -> Matrix:
     want = min(rows, cols)
-    for _ in range(budget):
+    for _ in range(_SAMPLE_ATTEMPTS):
         M = Matrix.random(field, rows, cols, rng)
         if rank(M) == want:
             return M
-    raise SamplingFailure(f"no full-rank {rows}x{cols} matrix after {budget} draws")
+    raise SamplingFailure(f"no full-rank {rows}x{cols} matrix after {_SAMPLE_ATTEMPTS} draws")
 
 
 def check_profile(
@@ -328,7 +332,6 @@ def sample_error(
     require_full_rank: bool = True,
     seed=None,
     rng: np.random.Generator | None = None,
-    max_attempts: int = 1000,
 ) -> ErrorModel:
     """Draw an error with the given per-block weights via rejection sampling.
 
@@ -357,11 +360,11 @@ def sample_error(
     # A's column blocks, one per nonzero block weight, and B's row blocks
     a_parts = LengthPartition([ti for ti in profile if ti])
     b_rows = [slice(end - ti, end) for ti, end in zip(profile, np.cumsum(profile))]
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         B = np.zeros((t, partition.n), dtype=np.int64)
         for ti, ni, rows, cols in zip(profile, partition.parts, b_rows, partition.slices):
             if ti:
-                B[rows, cols] = _random_full_rank(Fq, ti, ni, rng, max_attempts).array
+                B[rows, cols] = _random_full_rank(Fq, ti, ni, rng).array
         B = Matrix(Fq, B, _checked=True)
         A = Matrix.random(Fqm, s, t, rng)
         if (block_ranks(tower, A.array[None], a_parts)[0] != a_parts.parts).any():
@@ -371,7 +374,7 @@ def sample_error(
             continue
         return ErrorModel(tower, partition, A @ tower.lift(B), A, B, profile, full_rank=full,
                           seed=seed if isinstance(seed, int) else None)
-    raise SamplingFailure(f"no admissible error after {max_attempts} attempts")
+    raise SamplingFailure(f"no admissible error after {_SAMPLE_ATTEMPTS} attempts")
 
 
 def random_profile(

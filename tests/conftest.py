@@ -20,13 +20,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from sumrankdec import example_case, linalg, sumrank
-from sumrankdec.code import (
-    InterleavedCode,
-    LinearCode,
-    min_sum_rank_distance,
-    random_code,
-    random_instance,
-)
+from sumrankdec.code import InterleavedCode, LinearCode, random_instance
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix
 from sumrankdec.sumrank import ErrorModel, LengthPartition
@@ -50,27 +44,6 @@ def ref():
 @pytest.fixture(scope="session")
 def ref_tower(ref):
     return ref.tower
-
-
-def code_with_distance(
-    tower: FieldTower,
-    partition: LengthPartition,
-    k: int,
-    rng: np.random.Generator,
-    d_min: int,
-    tries: int = 100,
-    budget: int = 10**6,
-) -> LinearCode:
-    """Random code redrawn until its brute-forced distance reaches d_min."""
-    best = None
-    for _ in range(tries):
-        code = random_code(tower, partition, k, rng=rng)
-        d = min_sum_rank_distance(code, budget=budget)
-        if d >= d_min:
-            code.d = d
-            return code
-        best = d if best is None else max(best, d)
-    raise RuntimeError(f"no code with d >= {d_min} in {tries} draws (best {best})")
 
 
 @dataclass

@@ -10,10 +10,10 @@ import time
 import numpy as np
 
 import conftest
-from conftest import code_with_distance, make_instance
+from conftest import make_instance
 from sumrankdec import example_case
 from sumrankdec.cli import TrialConfig, doubling_ratios, run_bench, run_trials
-from sumrankdec.code import InterleavedCode, min_sum_rank_distance, syndrome
+from sumrankdec.code import InterleavedCode, min_sum_rank_distance, random_code, syndrome
 from sumrankdec.decoder import (
     ResidualCheckFailed,
     SupportMismatch,
@@ -160,7 +160,7 @@ def test_criterion_4_support_recovery_invariants():
         instances.append(make_instance(ref.code, s=sum(profile) + 1, rng=rng, profile=profile))
     tower2 = _tower(2, 3)
     part2 = LengthPartition([2, 2, 1])
-    code2 = code_with_distance(tower2, part2, 2, rng, d_min=4)
+    code2 = random_code(tower2, part2, 2, rng=rng, d_min=4)
     for _ in range(30):
         instances.append(make_instance(code2, s=2, rng=rng, t=2))
 
@@ -196,7 +196,7 @@ def test_criterion_5_metric_reductions():
 
     tower_h = _tower(2, 3)
     part_h = LengthPartition.hamming(7)
-    code_h = code_with_distance(tower_h, part_h, 2, rng, d_min=4)
+    code_h = random_code(tower_h, part_h, 2, rng=rng, d_min=4)
     for i in range(100):
         t = 1 + int(rng.integers(code_h.d - 2))
         inst = make_instance(code_h, s=max(t, 1), rng=rng, t=t)
@@ -211,7 +211,7 @@ def test_criterion_5_metric_reductions():
 
     tower_r = _tower(3, 4)
     part_r = LengthPartition.full(4)
-    code_r = code_with_distance(tower_r, part_r, 1, rng, d_min=4)
+    code_r = random_code(tower_r, part_r, 1, rng=rng, d_min=4)
     for i in range(100):
         t = 1 + int(rng.integers(code_r.d - 2))
         inst = make_instance(code_r, s=max(t, 1), rng=rng, t=t)

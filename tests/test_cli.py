@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, reproducibility, file round trips."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -108,6 +109,20 @@ class TestTrial:
                   "--trials", "1", "--seed", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("args,digest", [
+        (["--k", "2", "--s", "2", "--t", "2", "--trials", "10", "--seed", "3"],
+         "7003c084803dbfd39c66eb5cee32cf343ad695b15a5d5a0bf2b5e022c4aaa1a5"),
+        (["--k", "1", "--s", "2", "--t", "3", "--trials", "15", "--seed", "5", "--no-full-rank"],
+         "ce13e6b874c1bc01858cc4f12a652f7b64c23eac8092b5f570dc6d744fce6abd"),
+    ], ids=["full-rank", "no-full-rank"])
+    def test_summary_golden(self, tmp_path, args, digest):
+        # the seeded code draw, its certified distance, the instance draws
+        # and every outcome label are pinned; only the timing may vary
+        out = tmp_path / "s.json"
+        run(["trial", *BASE, *args, "--json-out", str(out)])
+        summary = json.dumps(json.loads(out.read_text())["summary"], sort_keys=True)
+        assert hashlib.sha256(summary.encode()).hexdigest() == digest
+
     def test_profile_run(self, tmp_path):
         out = tmp_path / "p.json"
         rc = run(["trial", *BASE, "--k", "1", "--s", "3", "--profile", "1,2,0", "--trials", "10",
@@ -187,6 +202,22 @@ class TestDecodeFiles:
     def test_missing_file(self, capsys):
         assert run(["decode", "--code", "/nonexistent.json", "--received", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "cols": 5, "data": [row[:5] for row in d["data"]]},
+        lambda d: {**d, "rows": 0, "data": []},
+        lambda d: {**d, "field": "base", "data": [[x % 5 for x in row] for row in d["data"]]},
+    ], ids=["wrong-width", "no-rows", "base-field"])
+    def test_malformed_received_matrix(self, tmp_path, capsys, edit):
+        # each parses as a matrix, but not as an s x n stack over GF(q^m)
+        prefix = str(tmp_path / "x")
+        assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
+                    "--out-prefix", prefix]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(Path(f"{prefix}.received.json").read_text()))))
+        capsys.readouterr()
+        assert run(["decode", "--code", f"{prefix}.code.json", "--received", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid received-matrix file")
+
 
 class TestMindist:
     def test_reference_code_file(self, tmp_path, ref, capsys):
@@ -210,6 +241,21 @@ class TestBench:
         assert rc == 0
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row
+
+    def test_golden_grid(self, tmp_path):
+        # the seeded code and instance draws of each cell are pinned through
+        # the recovery counts; n = 16 with s = 2 loses one of three
+        csv_path = tmp_path / "bench.csv"
+        assert run(["bench", "--p", "2", "--m", "2", "--sizes", "16,32", "--s", "2,4", "--t", "2",
+                    "--block-size", "4", "--reps", "3", "--seed", "0",
+                    "--csv-out", str(csv_path)]) == 0
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert [(r["n"], r["k"], r["s"], r["t"], r["recovered"], r["reps"]) for r in rows] == [
+            ("16", "8", "2", "2", "2", "3"),
+            ("16", "8", "4", "2", "3", "3"),
+            ("32", "16", "2", "2", "3", "3"),
+            ("32", "16", "4", "2", "3", "3"),
+        ]
 
     def test_bad_block_size(self, capsys):
         rc = run(["bench", "--p", "2", "--m", "2", "--sizes", "10", "--s", "2", "--t", "2",

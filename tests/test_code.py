@@ -19,7 +19,7 @@ from sumrankdec.code import (
 )
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, rank, row_spaces_equal
-from sumrankdec.sumrank import LengthPartition, random_profile, sample_error
+from sumrankdec.sumrank import LengthPartition, SamplingFailure, random_profile, sample_error
 
 
 class TestSyndrome:
@@ -245,6 +245,28 @@ class TestRandomCode:
             random_code(ref_tower, part, 0, seed=0)
         with pytest.raises(ValueError):
             random_code(ref_tower, part, 6, seed=0)
+
+    def test_d_min_redraws_until_the_distance_is_reached(self, ref_tower):
+        # the certified code is the first draw of the same stream whose
+        # distance reaches d_min; seed 1 draws a code of distance 3 first
+        part = LengthPartition([2, 2, 2])
+        rng = np.random.default_rng(1)
+        draws = [random_code(ref_tower, part, 2, rng=rng) for _ in range(2)]
+        assert [min_sum_rank_distance(c) for c in draws] == [3, 4]
+        code = random_code(ref_tower, part, 2, seed=1, d_min=4)
+        assert code.H == draws[1].H and code.d == 4
+        assert random_code(ref_tower, part, 2, seed=1).d is None
+
+    def test_d_min_out_of_reach(self):
+        # a binary code of length 3 and dimension 2 has distance at most 2
+        tower = FieldTower.standard(2, 1)
+        with pytest.raises(SamplingFailure, match="distance >= 3"):
+            random_code(tower, LengthPartition([1, 1, 1]), 2, seed=0, d_min=3)
+
+    def test_d_min_beyond_the_enumeration_budget(self, ref_tower):
+        # 25^5 codewords exceed min_sum_rank_distance's budget of 10^6
+        with pytest.raises(BudgetExceeded):
+            random_code(ref_tower, LengthPartition([2] * 8), 5, seed=0, d_min=3)
 
 
 class TestRandomInstance:

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumrankdec
-from conftest import (PROPERTY_TOWERS, code_with_distance, eliminations, make_instance,
-                      reduced_stacks, stacked_eliminations, with_basis)
+from conftest import (PROPERTY_TOWERS, eliminations, make_instance, reduced_stacks,
+                      stacked_eliminations, with_basis)
 from sumrankdec import decoder
 from sumrankdec.code import (InterleavedCode, LinearCode, min_sum_rank_distance, random_code,
                              syndrome)
@@ -150,7 +150,7 @@ class TestComputeHsub:
     def test_annihilates_error(self, ref_tower):
         rng = np.random.default_rng(0)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=4)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         for _ in range(10):
             inst = make_instance(code, s=2, rng=rng, t=2)
             S = syndrome(code.H, inst.Y)
@@ -163,7 +163,7 @@ class TestComputeHsub:
         rng = np.random.default_rng(1)
         part = LengthPartition([2, 2, 2])
         f = ref_tower.ext_field
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=3)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=3)
         for _ in range(100):
             em = sample_error(ref_tower, part, (2, 1, 1), s=4, rng=rng)
             S = syndrome(code.H, em.E)
@@ -277,7 +277,7 @@ class TestErasureDecode:
     def test_forward_construction(self, ref_tower):
         rng = np.random.default_rng(3)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=5)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=5)
         for _ in range(10):
             em = sample_error(ref_tower, part, (1, 1, 1), s=3, rng=rng)
             S = syndrome(code.H, em.E)
@@ -301,7 +301,7 @@ class TestErasureDecode:
         # t >= d makes the erasure system rank-deficient for some supports
         rng = np.random.default_rng(4)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=4)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         hit = False
         for _ in range(50):
             em = sample_error(ref_tower, part, (2, 2, 1), s=5, rng=rng)
@@ -365,7 +365,7 @@ class TestErasureOnPivotRows:
     def test_wrong_supports_fail_alike(self, tower):
         rng = np.random.default_rng(12)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(tower, part, 2, rng, d_min=4)
+        code = random_code(tower, part, 2, rng=rng, d_min=4)
         for _ in range(5):
             inst = make_instance(code, s=2, rng=rng, t=2)
             S = syndrome(code.H, inst.Y)
@@ -476,7 +476,7 @@ def high_order_cases(draw):
     k = draw(st.integers(1, 2))
     part = LengthPartition(draw(st.lists(st.integers(1, 3), min_size=t + 3, max_size=t + 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    code = code_with_distance(tower, part, k, rng, d_min=t + 2)
+    code = random_code(tower, part, k, rng=rng, d_min=t + 2)
     if kind == "inside":
         inst = make_instance(code, s=s, rng=rng, t=t)
         return inst.icode, inst.C, inst.E, kind
@@ -587,7 +587,7 @@ class TestVerifyOnSupport:
     def test_error_free_word_has_empty_support(self, tower):
         # t_hat = 0: J is empty and the residual product has inner dimension 0
         rng = np.random.default_rng(4)
-        code = code_with_distance(tower, LengthPartition([2, 1, 2]), 2, rng, d_min=2)
+        code = random_code(tower, LengthPartition([2, 1, 2]), 2, rng=rng, d_min=2)
         inst = make_instance(code, s=2, rng=rng, t=0)
         report = decode(inst.icode, inst.Y)
         assert report.t_hat == 0 and report.E_hat.is_zero and report.C_hat == inst.C
@@ -612,7 +612,7 @@ class TestDecodeRandomised:
         tower = FieldTower(5, 1, 2, [2, 4, 1]) if (p, m) == (5, 2) else FieldTower.standard(p, m)
         part = LengthPartition(parts)
         rng = np.random.default_rng(5)
-        code = code_with_distance(tower, part, k, rng, d_min=t + 2)
+        code = random_code(tower, part, k, rng=rng, d_min=t + 2)
         for _ in range(25):
             inst = make_instance(code, s=s, rng=rng, t=t)
             report = decode(inst.icode, inst.Y)
@@ -632,7 +632,7 @@ class TestRobustness:
     def test_rank_deficient_errors_never_silently_wrong(self, ref_tower):
         rng = np.random.default_rng(6)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=4)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         failures = 0
         for _ in range(30):
             # s < t forces rk(E) < t
@@ -648,7 +648,7 @@ class TestRobustness:
     def test_overweight_errors_never_silently_wrong(self, ref_tower):
         rng = np.random.default_rng(7)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=4)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         t = code.d  # beyond the d - 2 guarantee
         for _ in range(30):
             inst = make_instance(code, s=t, rng=rng, t=t)
@@ -661,7 +661,7 @@ class TestRobustness:
     def test_support_mismatch_surfaced(self, ref_tower):
         rng = np.random.default_rng(8)
         part = LengthPartition([2, 2, 2])
-        code = code_with_distance(ref_tower, part, 2, rng, d_min=4)
+        code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         hit = False
         for _ in range(50):
             inst = make_instance(code, s=2, rng=rng, profile=(1, 1, 1), require_full_rank=False)
@@ -709,7 +709,7 @@ class TestSpecialCaseReductions:
         tower = FieldTower.standard(2, 3)
         part = LengthPartition.hamming(7)
         rng = np.random.default_rng(9)
-        code = code_with_distance(tower, part, 2, rng, d_min=4)
+        code = random_code(tower, part, 2, rng=rng, d_min=4)
         for _ in range(20):
             inst = make_instance(code, s=2, rng=rng, t=2)
             report = decode(inst.icode, inst.Y)
@@ -721,7 +721,7 @@ class TestSpecialCaseReductions:
         tower = FieldTower.standard(3, 3)
         part = LengthPartition.full(4)
         rng = np.random.default_rng(10)
-        code = code_with_distance(tower, part, 1, rng, d_min=3)
+        code = random_code(tower, part, 1, rng=rng, d_min=3)
         for _ in range(20):
             inst = make_instance(code, s=2, rng=rng, t=1)
             report = decode(inst.icode, inst.Y)

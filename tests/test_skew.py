@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import code_with_distance, make_instance
-from sumrankdec.code import InterleavedCode, min_sum_rank_distance
+from conftest import make_instance
+from sumrankdec.code import InterleavedCode, min_sum_rank_distance, random_code
 from sumrankdec.decoder import decode
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, rank
@@ -85,7 +85,7 @@ class TestSkewCode:
         # enumerate the skew-side codewords and minimise the skew weight
         rng = np.random.default_rng(6)
         part = LengthPartition([2, 2])
-        code = code_with_distance(ref_tower, part, 1, rng, d_min=2)
+        code = random_code(ref_tower, part, 1, rng=rng, d_min=2)
         iso = SkewIsometry.random(ref_tower, part, rng)
         G = code.generator
         best = None
@@ -120,7 +120,7 @@ class TestSkewDecode:
         tower = FieldTower.standard(2, 3)
         part = LengthPartition([2, 2, 1])
         rng = np.random.default_rng(8)
-        code = code_with_distance(tower, part, 2, rng, d_min=4)
+        code = random_code(tower, part, 2, rng=rng, d_min=4)
         icode = InterleavedCode(code, 2)
         for _ in range(10):
             iso = SkewIsometry.random(tower, part, rng)

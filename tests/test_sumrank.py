@@ -200,7 +200,7 @@ class TestSampleError:
             rng = np.random.default_rng(seed)
             while True:
                 B = block_diag([
-                    sumrank._random_full_rank(Fq, ti, ni, rng, 1000) if ti else Matrix.zeros(Fq, 0, ni)
+                    sumrank._random_full_rank(Fq, ti, ni, rng) if ti else Matrix.zeros(Fq, 0, ni)
                     for ti, ni in zip(profile, parts)
                 ])
                 A = Matrix.random(tower.ext_field, s, sum(profile), rng)
