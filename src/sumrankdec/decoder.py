@@ -34,10 +34,12 @@ linear system for the error values (column-erasure decoding):
    vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
    because B spans the kernels of h_sub's expanded blocks.  So every
    non-pivot row of the system is a combination of the rows I, and the
-   decoder solves only those t = rank(S) rows, a (t x n)(n x t) product
-   and a t x (t + s) elimination instead of (n-k) rows; row-equivalent
-   systems share one reduced echelon form, so the solution and every
-   failure are the same.
+   decoder solves only those t = rank(S) rows, a t x (t + s) elimination
+   instead of (n-k) rows; row-equivalent systems share one reduced echelon
+   form, so the solution and every failure are the same.  B is zero
+   outside its support columns J, |J| <= t w, so both products run over J
+   only: H[I] @ B^T is a (t x |J|)(|J| x t) product instead of
+   (t x n)(n x t), and E = A @ B is computed on J and is zero elsewhere.
 5. Verify C = Y - E without recomputing H @ C^T: E is zero outside its
    nonzero columns J, so H @ C^T = S - H[:, J] @ E[:, J]^T vanishes exactly
    when H[:, J] @ E[:, J]^T = S, a product over |J| <= t w columns instead
@@ -244,10 +246,15 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     system with the same row space as [H @ B^T | S] has the same reduced
     echelon form, so the same solution or failure; decode passes the rows
     I of compute_hsub, as every other row of [H @ B^T | S] is a combination
-    of them plus a row of [h_sub @ B^T | 0] = 0.
+    of them plus a row of [h_sub @ B^T | 0] = 0.  The product H @ B^T runs
+    over the columns J where B is nonzero only, which gives the same
+    entries: B's other columns add zero terms.
     """
-    bt = Matrix(H.field, B.array.T, _checked=True)
-    At = solve_unique(H @ bt, S)
+    if H.cols != B.cols:
+        raise ValueError(f"inner dimensions differ: {H.shape} @ {(B.cols, B.rows)}")
+    J = B.array.any(axis=0).nonzero()[0]
+    HBt = H.field.matmul(H.array[:, J], B.array[:, J].T)
+    At = solve_unique(Matrix(H.field, HBt, _checked=True), S)
     return At.T
 
 
@@ -293,7 +300,11 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     except LinearSystemError as ex:
         ex.stage = "erasure"
         raise
-    E_hat = A @ tower.lift(B)
+    # E_hat = A @ B is zero outside B's support columns J (step 4)
+    J = B.array.any(axis=0).nonzero()[0]
+    E = np.zeros((icode.s, code.n), dtype=np.int64)
+    E[:, J] = tower.ext_field.matmul(A.array, B.array[:, J])
+    E_hat = Matrix(tower.ext_field, E, _checked=True)
     _verify(code, S, E_hat, t_hat)
     return DecodingReport(
         C_hat=Y - E_hat,

@@ -37,13 +37,19 @@ at most order - 1; larger fields recompose in int64.  Fields of order up to
 TABLE_LIMIT get exp/log tables, built by doubling (about a second at 2^20);
 larger fields multiply element by element in polynomial arithmetic (correct
 but slow).  The exp table is stored in the smallest unsigned dtype holding
-order - 1, uint16 up to GF(2^16).  Logs stay int64: np.take converts any
-other index dtype to int64 first, so int32 log sums would add a copy of
-every index array without narrowing the gather.  At GF(2^20) that is a
-16.8 MB uint32 exp table and an 8.4 MB log table, against 33.6 and 8.4 MB
-with an int64 exp table.  mul, div and inv return int64 codes; the
-characteristic-2 matmul gathers and XOR-reduces its tensor in the exp dtype
-and casts once.  Elimination uses two fused kernels, one table pass each:
+order - 1, uint16 up to GF(2^16).  The element-wise kernels (mul, div,
+submul) keep int64 logs: np.take converts any other index dtype to int64
+first, so on elimination-size arrays int32 log sums add a copy of every
+index array without narrowing the gather.  The characteristic-2 matmul
+gathers a uint16 copy of the log table and adds its (inner, shorter,
+longer) tensor of log sums in uint16 wherever every sum fits, that is
+4 (order - 1) < 2^16, up to GF(2^14): on the tensor the narrow add saves
+more than the converted gather costs.  Larger fields add int64 logs.  At
+GF(2^20) the tables are a 16.8 MB uint32 exp table and an 8.4 MB log
+table, against 33.6 and 8.4 MB with an int64 exp table.  mul, div and inv
+return int64 codes; the characteristic-2 matmul gathers and XOR-reduces its
+tensor in the exp dtype and casts once.  Elimination uses two fused
+kernels, one table pass each:
 div(a, b) = a / b, which raises ZeroDivisionError on a zero divisor (a
 check, not an assert, so also under python -O), and submul(a, f, b) =
 a - f*b, the exp/log product followed by one XOR in characteristic 2, or
@@ -535,6 +541,16 @@ class ExtField:
         return True
 
     @cached_property
+    def _log16(self) -> np.ndarray | None:
+        # the log table in uint16, for the char-2 matmul's tensor of log sums,
+        # while every sum of two logs fits: at most 4 (order - 1), two logs
+        # of zero, so up to GF(2^14)
+        if 4 * (self.order - 1) >= 1 << 16:
+            return None
+        self._ensure_tables()
+        return self._log.astype(np.uint16)
+
+    @cached_property
     def _digit_table(self) -> np.ndarray | None:
         # digits of every code in the smallest signed dtype holding +-2p;
         # characteristic 2 adds by XOR instead
@@ -634,7 +650,11 @@ class ExtField:
             # contiguous slabs; keep the longer output axis innermost
             if b.shape[1] < a.shape[0]:
                 return self.matmul(b.T, a.T).T
-            prods = self._prod(a.T[:, :, None], b[:, None, :])
+            log16 = self._log16
+            if log16 is None:
+                prods = self._prod(a.T[:, :, None], b[:, None, :])
+            else:
+                prods = self._exp.take(log16.take(a.T)[:, :, None] + log16.take(b)[:, None, :])
             return np.bitwise_xor.reduce(prods, axis=0, initial=0).astype(np.int64, copy=False)
         # x -> x * b[k, c] is GF(p)-linear and row i of its matrix is the digit
         # vector of p^i * b[k, c], so a @ b is digits(a) times these stacked

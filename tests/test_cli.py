@@ -244,17 +244,20 @@ class TestBench:
 
     def test_golden_grid(self, tmp_path):
         # the seeded code and instance draws of each cell are pinned through
-        # the recovery counts; n = 16 with s = 2 loses one of three
+        # the outcome counts; the codes carry no distance certificate, and at
+        # n = 16 with s = 2 (d = 2 < t + 2) one of three ends in a typed failure
         csv_path = tmp_path / "bench.csv"
         assert run(["bench", "--p", "2", "--m", "2", "--sizes", "16,32", "--s", "2,4", "--t", "2",
                     "--block-size", "4", "--reps", "3", "--seed", "0",
                     "--csv-out", str(csv_path)]) == 0
         rows = list(csv.DictReader(csv_path.read_text().splitlines()))
-        assert [(r["n"], r["k"], r["s"], r["t"], r["recovered"], r["reps"]) for r in rows] == [
-            ("16", "8", "2", "2", "2", "3"),
-            ("16", "8", "4", "2", "3", "3"),
-            ("32", "16", "2", "2", "3", "3"),
-            ("32", "16", "4", "2", "3", "3"),
+        counts = [(r["n"], r["k"], r["s"], r["t"], r["recovered"], r["typed"], r["wrong"], r["reps"])
+                  for r in rows]
+        assert counts == [
+            ("16", "8", "2", "2", "2", "1", "0", "3"),
+            ("16", "8", "4", "2", "3", "0", "0", "3"),
+            ("32", "16", "2", "2", "3", "0", "0", "3"),
+            ("32", "16", "4", "2", "3", "0", "0", "3"),
         ]
 
     def test_bad_block_size(self, capsys):

@@ -321,6 +321,29 @@ def _erasure_outcome(H, B, S):
         return type(ex)
 
 
+def _full_product_outcome(tower, H, B, S):
+    """The erasure system with its product over all n columns, H @ lift(B)^T:
+    the solution as nested lists, or the type of the solver error."""
+    try:
+        return solve_unique(H @ tower.lift(B).T, S).T.tolist()
+    except LinearSystemError as ex:
+        return type(ex)
+
+
+def _solver_errors_as_full_product(tower, H, B, S):
+    """erasure_decode, whose product runs over B's support columns only,
+    against the product over all n columns, on B and on B with a repeated
+    and with a dropped row: the same solution or solver error each time.
+    Returns the solver errors seen."""
+    errors = set()
+    for B2 in (B, vstack([B, B[:1]]), B[1:]):
+        outcome = _erasure_outcome(H, B2, S)
+        assert outcome == _full_product_outcome(tower, H, B2, S)
+        if isinstance(outcome, type):
+            errors.add(outcome)
+    return errors
+
+
 class TestErasureOnPivotRows:
     """decode solves the erasure system on compute_hsub's t_hat pivot rows.
 
@@ -441,7 +464,13 @@ class TestDecoderPromise:
         w = max(code.partition.parts)
         # zero blocks and nonzero blocks of length 1 of h_sub never reach an
         # elimination
-        h_sub = compute_hsub(code.H, syndrome(code.H, inst.Y))[0]
+        S = syndrome(code.H, inst.Y)
+        h_sub, t_hat, top = compute_hsub(code.H, S)
+        if failure is None or failure.stage != "supports":
+            # decode's erasure system on the pivot rows I
+            B = recover_block_supports(code.tower, h_sub, code.partition, t_hat).B
+            H_top, S_top = top[:, S.cols :], top[:, : S.cols]
+            assert _erasure_outcome(H_top, B, S_top) == _full_product_outcome(code.tower, H_top, B, S_top)
         long = sum(blk.cols > 1 and blk.array.any() for blk in code.partition.blocks(h_sub))
         assert shapes[0] == (long, 2 * w, w)
         if kind == "inside":
@@ -590,7 +619,8 @@ class TestVerifyOnSupport:
         code = random_code(tower, LengthPartition([2, 1, 2]), 2, rng=rng, d_min=2)
         inst = make_instance(code, s=2, rng=rng, t=0)
         report = decode(inst.icode, inst.Y)
-        assert report.t_hat == 0 and report.E_hat.is_zero and report.C_hat == inst.C
+        assert report.t_hat == 0 and report.E_hat.shape == (2, code.n) and report.E_hat.is_zero
+        assert report.C_hat == inst.C
         S = syndrome(code.H, inst.Y)
         planted = planted_candidates(report.E_hat, code.partition, rng)
         assert len(planted) == 2
@@ -634,9 +664,12 @@ class TestRobustness:
         part = LengthPartition([2, 2, 2])
         code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         failures = 0
+        solver_errors = set()
         for _ in range(30):
             # s < t forces rk(E) < t
             inst = make_instance(code, s=3, rng=rng, profile=(2, 1, 1), require_full_rank=False)
+            solver_errors |= _solver_errors_as_full_product(
+                ref_tower, code.H, inst.em.B, syndrome(code.H, inst.Y))
             try:
                 report = decode(inst.icode, inst.Y)
             except FAILURES:
@@ -644,19 +677,24 @@ class TestRobustness:
                 continue
             assert syndrome(code.H, report.C_hat).is_zero
         assert failures > 0
+        assert solver_errors == {NonUniqueSolution, Inconsistent}
 
     def test_overweight_errors_never_silently_wrong(self, ref_tower):
         rng = np.random.default_rng(7)
         part = LengthPartition([2, 2, 2])
         code = random_code(ref_tower, part, 2, rng=rng, d_min=4)
         t = code.d  # beyond the d - 2 guarantee
+        solver_errors = set()
         for _ in range(30):
             inst = make_instance(code, s=t, rng=rng, t=t)
+            solver_errors |= _solver_errors_as_full_product(
+                ref_tower, code.H, inst.em.B, syndrome(code.H, inst.Y))
             try:
                 report = decode(inst.icode, inst.Y)
             except FAILURES:
                 continue
             assert syndrome(code.H, report.C_hat).is_zero
+        assert solver_errors == {NonUniqueSolution, Inconsistent}
 
     def test_support_mismatch_surfaced(self, ref_tower):
         rng = np.random.default_rng(8)

@@ -581,6 +581,44 @@ class TestFusedKernels:
         assert out.stdout.split() == ["raised"] * 3
 
 
+# Characteristic-2 fields on both sides of the uint16 log-sum bound: a sum of
+# two logs is at most 4 (order - 1), which fits uint16 up to GF(2^14).
+LOG_SUM_FIELDS = [FieldTower.standard(2, m).ext_field for m in (1, 3, 12, 14, 15)]
+
+
+class TestLogSumRoute:
+    """The characteristic-2 matmul adds its logs in uint16 where every sum fits."""
+
+    @pytest.mark.parametrize("field", LOG_SUM_FIELDS, ids=repr)
+    def test_route_by_fit_bound(self, field):
+        if field.order <= 1 << 14:
+            assert field._log16.dtype == np.uint16
+            assert np.array_equal(field._log16, field._log)
+        else:
+            assert field._log16 is None
+
+    @pytest.mark.parametrize("field", LOG_SUM_FIELDS, ids=repr)
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(3, 0, 4), seed=0)  # inner dimension 0
+    @example(shape=(5, 4, 2), seed=1)  # rows > cols: the transpose branch
+    @example(shape=(2, 4, 5), seed=2)
+    def test_matches_oracle_and_int64_logs(self, field, shape, seed):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(seed)
+        a, b = field.random(rng, (rows, inner)), field.random(rng, (inner, cols))
+        # all-zero rows and columns give the largest log sum, 4 (order - 1)
+        a[::2] = 0
+        b[:, ::3] = 0
+        b[::2, 1::3] = field.order - 1
+        out = field.matmul(a, b)
+        assert out.dtype == np.int64 and out.shape == (rows, cols)
+        assert out.tolist() == _oracle_matmul(field, a, b)
+        int64_logs = np.bitwise_xor.reduce(field._prod(a.T[:, :, None], b[:, None, :]), axis=0, initial=0)
+        assert np.array_equal(out, int64_logs)
+
+
 class TestAddTables:
     def test_tables_only_up_to_table_limit(self):
         inside = FieldTower.standard(31, 2).ext_field  # 961^2 <= TABLE_LIMIT
