@@ -371,7 +371,8 @@ def run_bench(
     """Decode reps instances per (n, s) cell.  The codes are random and carry
     no distance certificate, so an instance may lie outside the guarantee;
     each row counts the decodes that recovered C, that raised a typed
-    failure (typed) and that returned another codeword (wrong)."""
+    failure (typed) and that returned another codeword (wrong), and gives
+    setup_ms, the time of the cell's random_code, generator included."""
     if block_size < 1 or reps < 1:
         raise UsageError(f"need block size >= 1 and reps >= 1, got {block_size} and {reps}")
     grid = []
@@ -387,11 +388,14 @@ def run_bench(
     for n, partition, k in grid:
         for s in s_values:
             rng = np.random.default_rng(np.random.SeedSequence((seed, n, s)))
+            started = time.perf_counter()
             icode = InterleavedCode(random_code(tower, partition, k, rng=rng), s)
+            setup_ms = (time.perf_counter() - started) * 1e3
             labels, times = zip(*(decode_trial(icode, rng, t, None, True) for _ in range(reps)))
             recovered, wrong = labels.count("Success"), labels.count("WrongCodeword")
-            rows.append({"n": n, "k": k, "s": s, "t": t, **_time_range(times), "recovered": recovered,
-                         "typed": reps - recovered - wrong, "wrong": wrong, "reps": reps})
+            rows.append({"n": n, "k": k, "s": s, "t": t, "setup_ms": setup_ms, **_time_range(times),
+                         "recovered": recovered, "typed": reps - recovered - wrong, "wrong": wrong,
+                         "reps": reps})
     return rows
 
 
@@ -415,7 +419,8 @@ def cmd_bench(args) -> int:
     rows = run_bench(
         tower, sizes, s_values, args.rate, args.t, args.block_size, args.reps, args.seed
     )
-    header = ["n", "k", "s", "t", "median_ms", "min_ms", "max_ms", "recovered", "typed", "wrong", "reps"]
+    header = ["n", "k", "s", "t", "setup_ms", "median_ms", "min_ms", "max_ms", "recovered", "typed",
+              "wrong", "reps"]
     print("  ".join(f"{h:>10}" for h in header))
     for row in rows:
         print("  ".join(f"{row[h]:>10.3f}" if isinstance(row[h], float) else f"{row[h]:>10}" for h in header))

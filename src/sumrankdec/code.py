@@ -1,7 +1,8 @@
 """Linear constituent codes given by parity-check matrices, and interleaving.
 
-A code is defined by a full-row-rank parity-check matrix H over GF(q^m); the
-generator matrix is derived on demand as the canonical right-kernel basis.
+A code is defined by a full-row-rank parity-check matrix H over GF(q^m); its
+generator matrix is the canonical right-kernel basis, which LinearCode takes
+from the same elimination of H that checks the rank.
 The minimum sum-rank distance oracle enumerates the full message space and is
 intended for test-scale codes only (guarded by a codeword budget).  It weighs
 512 codewords per stacked elimination, 1-4 x 10^5 codewords per second on a
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import Matrix, rank, right_kernel, matrix_from_dict, matrix_to_dict
+from .linalg import Matrix, _right_kernel, rank, right_kernel, matrix_from_dict, matrix_to_dict
 from .sumrank import (ErrorModel, LengthPartition, SamplingFailure, block_ranks, random_profile,
                       sample_error)
 
@@ -65,7 +66,13 @@ def generator_from_parity(H: Matrix) -> Matrix:
 
 
 class LinearCode:
-    """A linear sum-rank-metric code over a field tower."""
+    """A linear sum-rank-metric code over a field tower.
+
+    H is eliminated once, in __init__: its rank is the full-row-rank check
+    (random_code redraws on its ValueError), and the free-column vectors of
+    the same reduction are the canonical generator, so generator is not
+    computed lazily.  A G passed in is validated against H and kept instead.
+    """
 
     def __init__(
         self,
@@ -79,7 +86,8 @@ class LinearCode:
             raise ValueError("H is not over the tower's extension field")
         if H.cols != partition.n:
             raise ValueError(f"H has {H.cols} columns, partition length is {partition.n}")
-        if rank(H) != H.rows:
+        kernel, rank_H = _right_kernel(H)
+        if rank_H != H.rows:
             raise ValueError("parity-check matrix must have full row rank")
         self.tower = tower
         self.partition = partition
@@ -92,13 +100,7 @@ class LinearCode:
                 raise ValueError("G must be a full-rank k x n matrix")
             if not (G @ H.T).is_zero:
                 raise ValueError("G is not orthogonal to H")
-        self._G = G
-
-    @property
-    def generator(self) -> Matrix:
-        if self._G is None:
-            self._G = generator_from_parity(self.H)
-        return self._G
+        self.generator = kernel if G is None else G
 
     def syndrome(self, Y: Matrix) -> Matrix:
         return syndrome(self.H, Y)
@@ -112,9 +114,8 @@ class LinearCode:
             "partition": self.partition.to_dict(),
             "k": self.k,
             "H": matrix_to_dict(self.H, self.tower),
+            "G": matrix_to_dict(self.generator, self.tower),
         }
-        if self._G is not None:
-            d["G"] = matrix_to_dict(self._G, self.tower)
         if self.d is not None:
             d["d"] = self.d
         return d

@@ -246,14 +246,13 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     system with the same row space as [H @ B^T | S] has the same reduced
     echelon form, so the same solution or failure; decode passes the rows
     I of compute_hsub, as every other row of [H @ B^T | S] is a combination
-    of them plus a row of [h_sub @ B^T | 0] = 0.  The product H @ B^T runs
-    over the columns J where B is nonzero only, which gives the same
-    entries: B's other columns add zero terms.
+    of them plus a row of [h_sub @ B^T | 0] = 0.  decode also passes H and B
+    on the columns J where B is nonzero only, which gives the same product:
+    B's other columns add zero terms.
     """
     if H.cols != B.cols:
         raise ValueError(f"inner dimensions differ: {H.shape} @ {(B.cols, B.rows)}")
-    J = B.array.any(axis=0).nonzero()[0]
-    HBt = H.field.matmul(H.array[:, J], B.array[:, J].T)
+    HBt = H.field.matmul(H.array, B.array.T)
     At = solve_unique(Matrix(H.field, HBt, _checked=True), S)
     return At.T
 
@@ -295,15 +294,17 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     h_sub, t_hat, top = compute_hsub(code.H, S)
     support = recover_block_supports(tower, h_sub, partition, t_hat)
     B = support.B
+    # both products of step 4 run over B's support columns J only
+    J = np.flatnonzero(B.array.any(axis=0))
+    BJ = B.array[:, J]
+    HJ = Matrix(top.field, top.array[:, S.cols + J], _checked=True)
     try:
-        A = erasure_decode(top[:, S.cols :], B, top[:, : S.cols])
+        A = erasure_decode(HJ, Matrix(B.field, BJ, _checked=True), top[:, : S.cols])
     except LinearSystemError as ex:
         ex.stage = "erasure"
         raise
-    # E_hat = A @ B is zero outside B's support columns J (step 4)
-    J = B.array.any(axis=0).nonzero()[0]
     E = np.zeros((icode.s, code.n), dtype=np.int64)
-    E[:, J] = tower.ext_field.matmul(A.array, B.array[:, J])
+    E[:, J] = tower.ext_field.matmul(A.array, BJ)
     E_hat = Matrix(tower.ext_field, E, _checked=True)
     _verify(code, S, E_hat, t_hat)
     return DecodingReport(

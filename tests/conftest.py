@@ -124,6 +124,29 @@ def eliminations():
 
 
 @contextmanager
+def panel_reductions(min_rows: int | None = None, min_cols: int | None = None,
+                     width: int | None = None):
+    """Record the shape of every matrix that linalg._rref_arrays sends to
+    the panel route.  With min_rows, min_cols or width set, the route bound
+    or the panel width is lowered to it, so that matrices of test size take
+    the route in several panels."""
+    shapes: list[tuple[int, ...]] = []
+    inner = linalg._reduce_panels
+
+    def spy(field, a):
+        shapes.append(a.shape)
+        return inner(field, a)
+
+    with mock.patch.object(linalg, "_reduce_panels", spy), mock.patch.multiple(
+        linalg,
+        _PANEL_MIN_ROWS=linalg._PANEL_MIN_ROWS if min_rows is None else min_rows,
+        _PANEL_MIN_COLS=linalg._PANEL_MIN_COLS if min_cols is None else min_cols,
+        _PANEL=linalg._PANEL if width is None else width,
+    ):
+        yield shapes
+
+
+@contextmanager
 def stacked_eliminations():
     """Record (field, batch) of every stacked elimination that block_ranks
     and block_kernels run: the GF(q^m) reduction and the GF(q) fallback."""

@@ -259,6 +259,7 @@ class TestBench:
             ("32", "16", "2", "2", "3", "0", "0", "3"),
             ("32", "16", "4", "2", "3", "0", "0", "3"),
         ]
+        assert all(float(r["setup_ms"]) > 0 for r in rows)
 
     def test_bad_block_size(self, capsys):
         rc = run(["bench", "--p", "2", "--m", "2", "--sizes", "10", "--s", "2", "--t", "2",

@@ -1,11 +1,12 @@
 """Parity-check codes, syndromes, generators and the distance oracle."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import eliminations
+from conftest import eliminations, panel_reductions
 from sumrankdec.code import (
     BudgetExceeded,
     InterleavedCode,
@@ -90,6 +91,19 @@ class TestLinearCodeValidation:
         H = Matrix.zeros(ref_tower.ext_field, 2, 6)
         with pytest.raises(ValueError, match="full row rank"):
             LinearCode(ref_tower, part, H)
+
+    @pytest.mark.parametrize("rows,n", [(4, 6), (40, 160)], ids=["stepping", "panels"])
+    def test_dependent_rows_rejected(self, rows, n):
+        # one row a combination of the others; at 40 x 160 over GF(5^2) the
+        # one elimination of H takes the panel route
+        tower = FieldTower.standard(5, 2)
+        f = tower.ext_field
+        rng = np.random.default_rng(21)
+        H = f.random(rng, (rows, n))
+        H[-1] = f.matmul(f.random(rng, (1, rows - 1)), H[:-1])[0]
+        with panel_reductions() as shapes, pytest.raises(ValueError, match="full row rank"):
+            LinearCode(tower, LengthPartition((2,) * (n // 2)), Matrix(f, H))
+        assert shapes == ([(rows, n)] if rows == 40 else [])
 
     def test_wrong_generator_rejected(self, ref):
         rng = np.random.default_rng(4)
@@ -229,15 +243,38 @@ class TestRandomCode:
             assert random_code(tower, LengthPartition([1, 1]), 1, seed=seed).H == H
         assert redrawn
 
-    def test_set_up_eliminates_h_twice(self, ref_tower):
-        # one rank check and one kernel; the first draw has full rank
+    def test_set_up_eliminates_h_once(self, ref_tower):
+        # the rank check and the generator come from one elimination; the
+        # first draw has full rank
         part = LengthPartition([2, 2, 2])
         first = Matrix.random(ref_tower.ext_field, 4, 6, np.random.default_rng(3))
         assert rank(first) == 4
         with eliminations() as shapes:
             code = random_code(ref_tower, part, 2, seed=3)
             code.generator
-        assert code.H == first and shapes == [(4, 6), (4, 6)]
+        assert code.H == first and shapes == [(4, 6)]
+
+    @pytest.mark.parametrize(
+        "p,m,parts,k,digests",
+        [
+            (5, 2, (2, 2, 2), 2, ("354036e75fe1beaf", "6c2cf5d2a2aca6a8")),
+            # H reversed is 128 x 256 over GF(5^2): the panel route
+            (5, 2, (4,) * 64, 128, ("becce80f00dd2be6", "9ea56e670a3544da")),
+            (2, 12, (1,) * 128, 64, ("1351eccf9151c60f", "fab2a0f81b3a8f56")),
+        ],
+        ids=["reference-tower", "sumrank-large", "hamming-wide"],
+    )
+    def test_draws_and_generator_pinned(self, p, m, parts, k, digests):
+        # the H draws (and with them the RNG stream) and the canonical
+        # generator, pinned as the stepping loop alone computes them
+        tower = FieldTower.standard(p, m)
+        with panel_reductions() as shapes:
+            code = random_code(tower, LengthPartition(parts), k, seed=0)
+        assert shapes == ([(128, 256)] if len(parts) == 64 else [])
+        G = code.generator
+        assert G == generator_from_parity(code.H)
+        got = tuple(hashlib.sha256(M.array.tobytes()).hexdigest()[:16] for M in (code.H, G))
+        assert got == digests
 
     def test_k_bounds(self, ref_tower):
         part = LengthPartition([2, 2, 2])

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sumrankdec
-from conftest import (PROPERTY_TOWERS, eliminations, make_instance, reduced_stacks,
-                      stacked_eliminations, with_basis)
+from conftest import (PROPERTY_TOWERS, eliminations, make_instance, panel_reductions,
+                      reduced_stacks, stacked_eliminations, with_basis)
 from sumrankdec import decoder
 from sumrankdec.code import (InterleavedCode, LinearCode, min_sum_rank_distance, random_code,
                              syndrome)
@@ -331,14 +331,16 @@ def _full_product_outcome(tower, H, B, S):
 
 
 def _solver_errors_as_full_product(tower, H, B, S):
-    """erasure_decode, whose product runs over B's support columns only,
-    against the product over all n columns, on B and on B with a repeated
-    and with a dropped row: the same solution or solver error each time.
-    Returns the solver errors seen."""
+    """erasure_decode on H and B restricted to B's nonzero columns J, as
+    decode calls it, and on all n columns, against the product with B lifted
+    to GF(q^m), on B and on B with a repeated and with a dropped row: the
+    same solution or solver error each time.  Returns the solver errors
+    seen."""
     errors = set()
     for B2 in (B, vstack([B, B[:1]]), B[1:]):
-        outcome = _erasure_outcome(H, B2, S)
-        assert outcome == _full_product_outcome(tower, H, B2, S)
+        J = np.flatnonzero(B2.array.any(axis=0))
+        outcome = _erasure_outcome(H[:, J], B2[:, J], S)
+        assert outcome == _erasure_outcome(H, B2, S) == _full_product_outcome(tower, H, B2, S)
         if isinstance(outcome, type):
             errors.add(outcome)
     return errors
@@ -648,6 +650,35 @@ class TestDecodeRandomised:
             report = decode(inst.icode, inst.Y)
             assert report.C_hat == inst.C
             assert report.E_hat == inst.E
+
+    def test_set_up_on_panels_decode_on_stepping_loop(self):
+        # n = 256, k = 128, s = t = 8 over GF(5^2): the set-up's one
+        # elimination of H takes the panel route, the decode's S^T (8 x 128)
+        # and erasure system (8 x 16) the stepping loop
+        tower = FieldTower.standard(5, 2)
+        rng = np.random.default_rng(23)
+        with panel_reductions() as shapes, eliminations() as eliminated:
+            code = random_code(tower, LengthPartition((4,) * 64), 128, rng=rng)
+        assert shapes == [(128, 256)] and eliminated == [(128, 256)]
+        inst = make_instance(code, s=8, rng=rng, t=8)
+        with panel_reductions() as shapes, eliminations() as eliminated:
+            report = decode(inst.icode, inst.Y)
+        assert report.C_hat == inst.C
+        assert shapes == [] and eliminated == [(8, 128), (8, 16)]
+
+    def test_erasure_system_on_support_columns(self, ref, monkeypatch):
+        # decode hands erasure_decode H and B on B's nonzero columns only,
+        # four of the six here
+        seen = []
+
+        def spy(H, B, S):
+            seen.append((H.cols, B.cols, bool(B.array.any(axis=0).all())))
+            return erasure_decode(H, B, S)
+
+        monkeypatch.setattr(decoder, "erasure_decode", spy)
+        report = decode(ref.icode, ref.Y)
+        assert report.C_hat == ref.C
+        assert seen == [(4, 4, True)]
 
     def test_wrong_shape_rejected(self, ref):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eliminations, reduced_stacks
+from conftest import eliminations, panel_reductions, reduced_stacks
+from sumrankdec import linalg
 from sumrankdec.gf import FieldTower, PrimeField
 from sumrankdec.linalg import (
     _rref_arrays,
@@ -468,3 +469,120 @@ class TestRrefStack:
         batch, r, c = shape
         assert shapes[0] == ((batch, 2 * c, c) if sliced else shape)
         self._check_members(f, arr, R, pivots)
+
+
+# odd p, prime and extension fields, a prime whose products take the int64
+# chunk path, and characteristic 2, where _rref_arrays keeps the stepping
+# loop but the panel route is still exact
+PANEL_FIELDS = [
+    FieldTower.standard(5, 2).ext_field,
+    FieldTower.standard(3, 4).ext_field,
+    FieldTower.standard(2, 12).ext_field,
+    FieldTower.standard(2, 1).ext_field,
+    PrimeField(5),
+    PrimeField(2**31 - 1),
+]
+PANEL_KINDS = ["random", "deficient", "zero_columns", "sparse"]
+
+
+def _panel_matrix(field, kind, r, c, rng):
+    """An r x c test matrix: random, of rank below min(r, c) (a product
+    through a narrower inner dimension), with zero columns, or sparse."""
+    if kind == "deficient":
+        inner = int(rng.integers(0, min(r, c)))
+        return field.matmul(field.random(rng, (r, inner)), field.random(rng, (inner, c)))
+    a = field.random(rng, (r, c))
+    if kind == "zero_columns":
+        a[:, rng.random(c) < 0.4] = 0
+    elif kind == "sparse":
+        a *= rng.random((r, c)) < 0.2
+    return a
+
+
+def _stepping(field, a):
+    """R and pivots of a by the stepping loop alone."""
+    R = np.array(a, dtype=np.int64)
+    pivots, _ = linalg._reduce_steps(field, R)
+    return R.tolist(), pivots
+
+
+class TestPanelRoute:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(PANEL_FIELDS),
+        kind=st.sampled_from(PANEL_KINDS),
+        c=st.integers(1, 13),
+        shape=st.sampled_from(["r < c", "r = c", "r > c"]),
+        width=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stepping_leaf(self, field, kind, c, shape, width, seed):
+        rng = np.random.default_rng(seed)
+        r = {"r < c": max(1, c - 1 - int(rng.integers(0, c))), "r = c": c,
+             "r > c": c + 1 + int(rng.integers(0, 6))}[shape]
+        a = _panel_matrix(field, kind, r, c, rng)
+        with panel_reductions(min_rows=1, min_cols=1, width=width) as shapes:
+            R, _, pivots = _rref_arrays(field, a)
+        assert shapes == ([] if field.char == 2 else [(r, c)])
+        got = R.tolist(), pivots
+        assert got == _stepping(field, a)
+        # the route itself, in characteristic 2 too
+        R = a.copy()
+        with panel_reductions(width=width):
+            pivots = linalg._reduce_panels(field, R)
+        assert (R.tolist(), pivots) == got
+
+    @pytest.mark.parametrize(
+        "field,shape,kind,panels",
+        [
+            (FieldTower.standard(5, 2).ext_field, (15, 160), "random", False),
+            (FieldTower.standard(5, 2).ext_field, (16, 159), "random", False),
+            (FieldTower.standard(5, 2).ext_field, (16, 160), "random", True),
+            (FieldTower.standard(5, 2).ext_field, (8, 128), "random", False),
+            (FieldTower.standard(5, 2).ext_field, (40, 200), "deficient", True),
+            (FieldTower.standard(5, 2).ext_field, (200, 170), "zero_columns", True),
+            (PrimeField(5), (16, 160), "random", True),
+            (FieldTower.standard(2, 12).ext_field, (16, 160), "random", False),
+        ],
+        ids=["rows-below", "cols-below", "at-bound", "decode-S^T", "deficient", "tall",
+             "prime-field", "char-2"],
+    )
+    def test_route_bound(self, field, shape, kind, panels):
+        # both sides of the bound give the stepping loop's R and pivots
+        a = _panel_matrix(field, kind, *shape, np.random.default_rng(22))
+        with panel_reductions() as shapes:
+            R, _, pivots = _rref_arrays(field, a)
+        assert shapes == ([shape] if panels else [])
+        assert (R.tolist(), pivots) == _stepping(field, a)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from([f for f in PANEL_FIELDS if f.char != 2]),
+        kind=st.sampled_from(PANEL_KINDS),
+        r=st.integers(1, 9),
+        c=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_callers_match_stepping_loop(self, field, kind, r, c, seed):
+        # rank, right_kernel and solve_unique (its solution, or the type of
+        # its failure) with every elimination on the panel route and with
+        # none of them there
+        rng = np.random.default_rng(seed)
+        M = Matrix(field, _panel_matrix(field, kind, r, c, rng))
+        rhs = Matrix(field, field.random(rng, (r, 2)))
+        if rng.random() < 0.5:
+            rhs = M @ Matrix(field, field.random(rng, (c, 2)))
+
+        def outcomes():
+            try:
+                solved = solve_unique(M, rhs)
+            except (NonUniqueSolution, Inconsistent) as ex:
+                solved = type(ex)
+            return rank(M), right_kernel(M), solved
+
+        with panel_reductions(min_rows=1, min_cols=1, width=2) as shapes:
+            panels = outcomes()
+        with panel_reductions(min_rows=r + 1) as none:
+            stepped = outcomes()
+        assert len(shapes) == 3 and none == []
+        assert panels == stepped
