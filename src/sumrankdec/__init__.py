@@ -72,8 +72,6 @@ from .code import (
     BudgetExceeded,
     InterleavedCode,
     LinearCode,
-    encode,
-    generator_from_parity,
     min_sum_rank_distance,
     random_code,
     random_instance,

@@ -171,7 +171,7 @@ def cmd_example(args) -> int:
                              f"got {args.perturb!r}")
         r, c = pos
         arr = Y.array.copy()
-        arr[r, c] = ref.tower.add(int(arr[r, c]), 1)
+        arr[r, c] = ref.tower.ext_field.add(int(arr[r, c]), 1)
         Y = Matrix(ref.tower.ext_field, arr)
 
     started = time.perf_counter()
@@ -446,7 +446,7 @@ def cmd_bench(args) -> int:
 def _load_code(path: str) -> LinearCode:
     try:
         return LinearCode.from_dict(_read_json(path))
-    except (KeyError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError) as ex:
         raise UsageError(f"invalid code file {path}: {ex}") from ex
 
 
@@ -455,7 +455,7 @@ def cmd_decode(args) -> int:
     received = _read_json(args.received)
     try:
         Y = matrix_from_dict(received, code.tower)
-    except (KeyError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError) as ex:
         raise UsageError(f"invalid received-matrix file {args.received}: {ex}") from ex
     if Y.field != code.tower.ext_field or Y.rows < 1 or Y.cols != code.n:
         raise UsageError(f"invalid received-matrix file {args.received}: need >= 1 row of {code.n} "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import Matrix, _right_kernel, rank, right_kernel, matrix_from_dict, matrix_to_dict
+from .linalg import Matrix, _right_kernel, rank, matrix_from_dict, matrix_to_dict
 from .sumrank import (ErrorModel, LengthPartition, SamplingFailure, block_ranks, random_profile,
                       sample_error)
 
@@ -23,8 +23,6 @@ __all__ = [
     "LinearCode",
     "InterleavedCode",
     "syndrome",
-    "encode",
-    "generator_from_parity",
     "min_sum_rank_distance",
     "random_code",
     "random_instance",
@@ -51,27 +49,13 @@ def syndrome(H: Matrix, Y: Matrix) -> Matrix:
     return H @ Y.T
 
 
-def encode(G: Matrix, M: Matrix) -> Matrix:
-    """Map message rows through the generator matrix."""
-    if G is None:
-        raise ValueError("no generator matrix available")
-    if M.cols != G.rows:
-        raise ValueError(f"messages have {M.cols} symbols, code dimension is {G.rows}")
-    return M @ G
-
-
-def generator_from_parity(H: Matrix) -> Matrix:
-    """Canonical generator matrix: reduced basis of the right kernel of H."""
-    return right_kernel(H)
-
-
 class LinearCode:
     """A linear sum-rank-metric code over a field tower.
 
     H is eliminated once, in __init__: its rank is the full-row-rank check
     (random_code redraws on its ValueError), and the free-column vectors of
-    the same reduction are the canonical generator, so generator is not
-    computed lazily.  A G passed in is validated against H and kept instead.
+    the same reduction are the canonical generator.  A G passed in is
+    validated against H and kept instead.
     """
 
     def __init__(
@@ -101,12 +85,6 @@ class LinearCode:
             if not (G @ H.T).is_zero:
                 raise ValueError("G is not orthogonal to H")
         self.generator = kernel if G is None else G
-
-    def syndrome(self, Y: Matrix) -> Matrix:
-        return syndrome(self.H, Y)
-
-    def contains_rows(self, M: Matrix) -> bool:
-        return syndrome(self.H, M).is_zero
 
     def to_dict(self) -> dict:
         d = {
@@ -155,12 +133,12 @@ class InterleavedCode:
     def contains(self, C: Matrix) -> bool:
         if C.shape != (self.s, self.constituent.n):
             return False
-        return self.constituent.contains_rows(C)
+        return syndrome(self.constituent.H, C).is_zero
 
     def encode(self, M: Matrix) -> Matrix:
         if M.rows != self.s:
             raise ValueError(f"expected {self.s} message rows, got {M.rows}")
-        return encode(self.constituent.generator, M)
+        return M @ self.constituent.generator
 
     def __repr__(self):
         return f"InterleavedCode(s={self.s}, {self.constituent!r})"

@@ -178,7 +178,7 @@ class DecodingReport:
         }
 
 
-def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
+def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, list[int]]:
     """Annihilator rows: a basis of {v @ H : v @ S = 0}.
 
     S^T is reduced to R.  Its pivot columns I are the first t_hat = rank(S)
@@ -186,9 +186,9 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
     sum_k R[k, f] S[I[k]].  So the vectors e_f - sum_k R[k, f] e_I[k], one
     per non-pivot row f in F, are a basis of the left kernel of S, and
     h_sub = H[F] - R[:t_hat, F]^T @ H[I] annihilates the error.  Returns
-    (h_sub, t_hat, top) with top = [S[I] | H[I]], the rows from which decode
-    builds the erasure system.  Raises SupportSpaceEmpty when
-    rank(S) = n - k (the left kernel of S is zero).
+    (h_sub, t_hat, I); decode builds the erasure system from the rows I of
+    S and H.  Raises SupportSpaceEmpty when rank(S) = n - k (the left
+    kernel of S is zero).
     """
     field = S.field
     # looked up on the module, where a tracer can wrap the elimination engine
@@ -204,8 +204,7 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, Matrix]:
     free = np.delete(np.arange(H.rows), pivots)
     HI = H.array[pivots]
     h_sub = field.sub(H.array[free], field.matmul(R[:t_hat, free].T, HI))
-    top = np.hstack([S.array[pivots], HI])
-    return Matrix(field, h_sub, _checked=True), t_hat, Matrix(field, top, _checked=True)
+    return Matrix(field, h_sub, _checked=True), t_hat, pivots
 
 
 def recover_block_supports(
@@ -291,15 +290,16 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
         raise ValueError(f"received matrix has shape {Y.shape}, expected {(icode.s, code.n)}")
 
     S = syndrome(code.H, Y)
-    h_sub, t_hat, top = compute_hsub(code.H, S)
+    h_sub, t_hat, I = compute_hsub(code.H, S)
     support = recover_block_supports(tower, h_sub, partition, t_hat)
     B = support.B
     # both products of step 4 run over B's support columns J only
     J = np.flatnonzero(B.array.any(axis=0))
     BJ = B.array[:, J]
-    HJ = Matrix(top.field, top.array[:, S.cols + J], _checked=True)
+    HIJ = Matrix(S.field, code.H.array[np.ix_(I, J)], _checked=True)
+    SI = Matrix(S.field, S.array[I], _checked=True)
     try:
-        A = erasure_decode(HJ, Matrix(B.field, BJ, _checked=True), top[:, : S.cols])
+        A = erasure_decode(HIJ, Matrix(B.field, BJ, _checked=True), SI)
     except LinearSystemError as ex:
         ex.stage = "erasure"
         raise

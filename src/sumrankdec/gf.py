@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(q) and GF(q^m) towers, with basis expansion maps.
+"""Exact arithmetic in GF(q) and GF(q^m) towers, with polynomial-basis expansion maps.
 
 Field elements are plain Python integers.  An element of GF(p^e) with
 polynomial coefficients (d_0, ..., d_{e-1}) over GF(p) has code
@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import LinearSystemError, Matrix, solve_unique
+from .linalg import Matrix
 
 __all__ = [
     "PrimeField",
@@ -345,9 +345,6 @@ class PrimeField:
             base = base * base % self.p
             k >>= 1
         return out
-
-    def pow(self, a: int, k: int) -> int:
-        return pow(int(a), int(k), self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
@@ -638,9 +635,6 @@ class ExtField:
     def inv(self, a):
         return self.div(1, a)
 
-    def pow(self, a: int, k: int) -> int:
-        return self._pow_i(int(a), int(k))
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -688,12 +682,17 @@ class ExtField:
 
 
 # ---------------------------------------------------------------------------
-# Field tower with basis expansion
+# Field tower with the polynomial-basis expansion
 # ---------------------------------------------------------------------------
 
 
 class FieldTower:
-    """GF(p) <= GF(q) <= GF(q^m) with a fixed ordered expansion basis.
+    """GF(p) <= GF(q) <= GF(q^m), expanded in the polynomial basis.
+
+    The expansion basis is fixed to (1, x, ..., x^(m-1)), so the GF(q)
+    coordinates of an element are the base-q digits of its code.  Ranks,
+    supports and decodes do not depend on the basis: another GF(q)-basis
+    multiplies every expansion by one invertible matrix.
 
     Parameters
     ----------
@@ -702,9 +701,6 @@ class FieldTower:
     m : degree of GF(q^m) over GF(q).
     ext_modulus : little-endian coefficients (codes over GF(q)) of a monic
         irreducible polynomial of degree m.
-    basis : optional m-tuple of GF(q^m) codes used by the expansion map;
-        defaults to the polynomial basis (1, x, ..., x^(m-1)).  Must be
-        linearly independent over GF(q).
     """
 
     def __init__(
@@ -714,7 +710,6 @@ class FieldTower:
         m: int,
         ext_modulus: Sequence[int],
         base_modulus: Sequence[int] | None = None,
-        basis: Sequence[int] | None = None,
     ):
         if e < 1 or m < 1:
             raise ValueError("extension degrees must be >= 1")
@@ -741,23 +736,6 @@ class FieldTower:
         self.order = self.ext_field.order
         self._qpowers = self.q ** np.arange(m, dtype=np.int64)
 
-        if basis is None:
-            self.basis = tuple(self.q**j for j in range(m))
-            self._bmat = None
-            self._bmat_inv = None
-        else:
-            basis = tuple(int(b) for b in basis)
-            if len(basis) != m:
-                raise ValueError("basis must have m elements")
-            if any(b < 0 or b >= self.order for b in basis):
-                raise ValueError("basis element out of range")
-            self.basis = basis
-            bmat = np.zeros((m, m), dtype=np.int64)
-            for j, b in enumerate(basis):
-                bmat[:, j] = b // self._qpowers % self.q
-            self._bmat = bmat
-            self._bmat_inv = self._invert_base_matrix(bmat)
-
     @classmethod
     def standard(cls, p: int, m: int, e: int = 1) -> "FieldTower":
         """Tower with deterministically chosen default moduli."""
@@ -767,33 +745,6 @@ class FieldTower:
         base = ExtField(PrimeField(p), base_mod)
         return cls(p, e, m, default_modulus(base, m), base_modulus=base_mod)
 
-    # ---- small helpers ---------------------------------------------------
-    def _invert_base_matrix(self, bmat: np.ndarray) -> np.ndarray:
-        K, m = self.base_field, self.m
-        try:
-            return solve_unique(Matrix(K, bmat, _checked=True), Matrix.identity(K, m)).array
-        except LinearSystemError:
-            raise ValueError("basis elements are linearly dependent over GF(q)") from None
-
-    # ---- scalar arithmetic (codes in GF(q^m)) -----------------------------
-    def add(self, a: int, b: int) -> int:
-        return int(self.ext_field.add(a, b))
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.ext_field.sub(a, b))
-
-    def neg(self, a: int) -> int:
-        return int(self.ext_field.neg(a))
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.ext_field.mul(a, b))
-
-    def inv(self, a: int) -> int:
-        return int(self.ext_field.inv(a))
-
-    def pow(self, a: int, k: int) -> int:
-        return self.ext_field.pow(a, k)
-
     @property
     def alpha(self) -> int:
         """Code of the residue class of the indeterminate in GF(q^m)."""
@@ -802,15 +753,12 @@ class FieldTower:
         return self.q
 
     def alpha_power(self, k: int) -> int:
-        return self.pow(self.alpha, k)
+        return self.ext_field._pow_i(self.alpha, k)
 
     # ---- expansion maps ---------------------------------------------------
     def ext(self, a: int) -> np.ndarray:
-        """Coordinates of a in the configured basis (length-m GF(q) codes)."""
-        digits = int(a) // self._qpowers % self.q
-        if self._bmat_inv is None:
-            return digits
-        return self.base_field.matmul(self._bmat_inv, digits[:, None])[:, 0]
+        """Coordinates of a in the polynomial basis (length-m GF(q) codes)."""
+        return int(a) // self._qpowers % self.q
 
     def unext(self, v) -> int:
         v = np.asarray(v, dtype=np.int64)
@@ -818,8 +766,7 @@ class FieldTower:
             raise ValueError(f"expected a length-{self.m} coordinate vector")
         if np.any(v < 0) or np.any(v >= self.q):
             raise ValueError("coordinates out of range for GF(q)")
-        digits = v if self._bmat is None else self.base_field.matmul(self._bmat, v[:, None])[:, 0]
-        return int(digits @ self._qpowers)
+        return int(v @ self._qpowers)
 
     def ext_array(self, arr: np.ndarray) -> np.ndarray:
         """Element-wise expansion of an (r, c) code array into (r*m, c).
@@ -829,10 +776,6 @@ class FieldTower:
         arr = np.asarray(arr, dtype=np.int64)
         r, c = arr.shape
         digits = arr[:, None, :] // self._qpowers[:, None] % self.q
-        if self._bmat_inv is not None:
-            flat = digits.transpose(1, 0, 2).reshape(self.m, r * c)
-            flat = self.base_field.matmul(self._bmat_inv, flat)
-            digits = flat.reshape(self.m, r, c).transpose(1, 0, 2)
         return digits.reshape(r * self.m, c)
 
     def ext_matrix(self, M) -> Matrix:
@@ -852,8 +795,6 @@ class FieldTower:
         d = {"p": self.p, "e": self.e, "m": self.m, "ext_modulus": list(self.ext_modulus)}
         if self.base_modulus is not None:
             d["base_modulus"] = list(self.base_modulus)
-        if self._bmat is not None:
-            d["basis"] = list(self.basis)
         return d
 
     @classmethod
@@ -864,7 +805,6 @@ class FieldTower:
             int(d["m"]),
             d["ext_modulus"],
             base_modulus=d.get("base_modulus"),
-            basis=d.get("basis"),
         )
 
     def __eq__(self, other):
@@ -873,11 +813,10 @@ class FieldTower:
             and (other.p, other.e, other.m) == (self.p, self.e, self.m)
             and other.base_modulus == self.base_modulus
             and other.ext_modulus == self.ext_modulus
-            and other.basis == self.basis
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.m, self.base_modulus, self.ext_modulus, self.basis))
+        return hash((self.p, self.e, self.m, self.base_modulus, self.ext_modulus))
 
     def __repr__(self):
         return f"FieldTower(GF({self.q}^{self.m}), p={self.p}, e={self.e})"

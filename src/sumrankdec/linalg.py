@@ -116,14 +116,8 @@ class Matrix:
         if np.isscalar(out) or out.ndim == 0:
             return int(out)
         if out.ndim != 2:
-            raise TypeError("1-d slices are ambiguous; use row()/col() or 2-d slices")
+            raise TypeError("1-d slices are ambiguous; use 2-d slices")
         return Matrix(self.field, out, _checked=True)
-
-    def row(self, i: int) -> "Matrix":
-        return Matrix(self.field, self._a[i : i + 1, :], _checked=True)
-
-    def col(self, j: int) -> "Matrix":
-        return Matrix(self.field, self._a[:, j : j + 1], _checked=True)
 
     def tolist(self) -> list[list[int]]:
         return self._a.tolist()
@@ -155,9 +149,6 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"inner dimensions differ: {self.shape} @ {other.shape}")
         return Matrix(self.field, self.field.matmul(self._a, other._a), _checked=True)
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.field.mul(int(c), self._a), _checked=True)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -547,5 +538,9 @@ def matrix_from_dict(d: dict, tower) -> Matrix:
     else:
         raise ValueError(f"unknown field label {label!r}")
     rows, cols = int(d["rows"]), int(d["cols"])
-    data = np.asarray(d["data"], dtype=np.int64).reshape(rows, cols)
-    return Matrix(field, data)
+    data = np.asarray(d["data"])
+    # numpy reads a bool among integers as 0 or 1, so bools are sought entry by entry
+    if data.size and (data.dtype.kind not in "iu"
+                      or any(isinstance(x, bool) for x in np.asarray(d["data"], dtype=object).flat)):
+        raise ValueError("matrix entries must be integers")
+    return Matrix(field, data.astype(np.int64).reshape(rows, cols))

@@ -160,8 +160,3 @@ def stacked_eliminations():
     with mock.patch.object(sumrank, "rref_stack", spy):
         yield calls
 
-
-def with_basis(tower: FieldTower, basis) -> FieldTower:
-    """The same tower with a custom expansion basis."""
-    return FieldTower(tower.p, tower.e, tower.m, tower.ext_modulus,
-                      base_modulus=tower.base_modulus, basis=basis)

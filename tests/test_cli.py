@@ -175,6 +175,11 @@ class TestGenDecodeRoundtrip:
         assert rc == 2
 
 
+def _with_first_entry(d: dict, x) -> dict:
+    """A matrix file's dict with entry (0, 0) replaced by x."""
+    return {**d, "data": [[x, *d["data"][0][1:]], *d["data"][1:]]}
+
+
 class TestDecodeFiles:
     def test_failure_reported(self, tmp_path):
         # s < t forces a rank-deficient error, so decoding must fail typed
@@ -217,6 +222,48 @@ class TestDecodeFiles:
         capsys.readouterr()
         assert run(["decode", "--code", f"{prefix}.code.json", "--received", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid received-matrix file")
+
+    @pytest.mark.parametrize("target,edit", [
+        ("received", lambda d: _with_first_entry(d, d["data"][0][0] + 0.5)),
+        ("received", lambda d: _with_first_entry(d, True)),
+        ("received", lambda d: _with_first_entry(d, 2**70)),
+        ("received", lambda d: {**d, "data": None}),
+        ("received", lambda d: [d]),
+        ("code", lambda d: {**d, "H": _with_first_entry(d["H"], d["H"]["data"][0][0] + 0.5)}),
+        ("code", lambda d: {**d, "field": {**d["field"], "p": None}}),
+        ("code", lambda d: [d]),
+    ], ids=["fraction", "bool", "overflow", "null-data", "list", "code-fraction", "code-null-p",
+            "code-list"])
+    def test_malformed_numbers(self, tmp_path, capsys, target, edit):
+        # an entry that is not a JSON integer, or a file that is not an
+        # object, is a usage error, not a truncated entry or a traceback
+        prefix = str(tmp_path / "x")
+        assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
+                    "--out-prefix", prefix]) == 0
+        files = {name: f"{prefix}.{name}.json" for name in ("code", "received")}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(Path(files[target]).read_text()))))
+        files[target] = str(bad)
+        capsys.readouterr()
+        assert run(["decode", "--code", files["code"], "--received", files["received"]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {target}")
+
+    def test_legacy_basis_key_ignored(self, tmp_path):
+        # the expansion basis is fixed; a code file that names another one
+        # decodes to the same report, as no decode depends on the basis
+        prefix = str(tmp_path / "x")
+        assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
+                    "--out-prefix", prefix]) == 0
+        code = json.loads(Path(f"{prefix}.code.json").read_text())
+        code["field"]["basis"] = [15, 7]
+        legacy = tmp_path / "legacy.code.json"
+        legacy.write_text(json.dumps(code))
+        reports = []
+        for code_file in (f"{prefix}.code.json", str(legacy)):
+            reports.append(tmp_path / f"report{len(reports)}.json")
+            assert run(["decode", "--code", code_file, "--received", f"{prefix}.received.json",
+                        "--out", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 class TestMindist:

@@ -11,15 +11,13 @@ from sumrankdec.code import (
     BudgetExceeded,
     InterleavedCode,
     LinearCode,
-    encode,
-    generator_from_parity,
     min_sum_rank_distance,
     random_code,
     random_instance,
     syndrome,
 )
 from sumrankdec.gf import FieldTower
-from sumrankdec.linalg import Matrix, rank, row_spaces_equal
+from sumrankdec.linalg import Matrix, rank, right_kernel, row_spaces_equal
 from sumrankdec.sumrank import LengthPartition, SamplingFailure, random_profile, sample_error
 
 
@@ -48,17 +46,18 @@ class TestSyndrome:
 class TestEncode:
     def test_zero_message(self, ref):
         M = Matrix.zeros(ref.tower.ext_field, 3, 2)
-        assert encode(ref.G, M).is_zero
+        assert ref.icode.encode(M).is_zero
 
     def test_rows_are_codewords(self, ref):
         rng = np.random.default_rng(1)
         M = Matrix.random(ref.tower.ext_field, 4, 2, rng)
-        C = encode(ref.G, M)
+        C = InterleavedCode(ref.code, 4).encode(M)
         assert syndrome(ref.code.H, C).is_zero
 
-    def test_missing_generator(self, ref):
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+    def test_message_shape_checked(self, ref, shape):
         with pytest.raises(ValueError):
-            encode(None, Matrix.zeros(ref.tower.ext_field, 1, 2))
+            ref.icode.encode(Matrix.zeros(ref.tower.ext_field, *shape))
 
 
 class TestGeneratorFromParity:
@@ -67,13 +66,13 @@ class TestGeneratorFromParity:
         rng = np.random.default_rng(2)
         P = Matrix.random(f, 2, 2, rng)
         H = Matrix(f, np.hstack([np.eye(2, dtype=np.int64), P.array]))
-        G = generator_from_parity(H)
+        G = LinearCode(ref_tower, LengthPartition([2, 2]), H).generator
         expected = Matrix(f, np.hstack([(-P.T).array, np.eye(2, dtype=np.int64)]))
         assert row_spaces_equal(G, expected)
         assert (G @ H.T).is_zero
 
     def test_reference_generator_row_space(self, ref):
-        G = generator_from_parity(ref.code.H)
+        G = ref.code.generator
         assert row_spaces_equal(G, ref.G)
         assert rank(G) == 2
 
@@ -141,7 +140,7 @@ class TestMinDistance:
         n = 4
         f = ref_tower.ext_field
         arr = np.hstack(
-            [np.eye(n - 1, dtype=np.int64), np.full((n - 1, 1), ref_tower.neg(1), dtype=np.int64)]
+            [np.eye(n - 1, dtype=np.int64), np.full((n - 1, 1), f.neg(1), dtype=np.int64)]
         )
         code = LinearCode(ref_tower, LengthPartition.hamming(n), Matrix(f, arr))
         assert min_sum_rank_distance(code) == n
@@ -272,7 +271,7 @@ class TestRandomCode:
             code = random_code(tower, LengthPartition(parts), k, seed=0)
         assert shapes == ([(128, 256)] if len(parts) == 64 else [])
         G = code.generator
-        assert G == generator_from_parity(code.H)
+        assert G == right_kernel(code.H)
         got = tuple(hashlib.sha256(M.array.tobytes()).hexdigest()[:16] for M in (code.H, G))
         assert got == digests
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_TOWERS, with_basis
+from conftest import PROPERTY_TOWERS
 from sumrankdec import gf
 from sumrankdec.gf import ExtField, FieldTower, PrimeField, default_modulus, is_irreducible
 from sumrankdec.linalg import Matrix, rank, right_kernel
@@ -47,43 +47,45 @@ class TestReferenceTowerConstants:
 
 class TestScalarOps:
     def test_alpha_doubling(self, ref_tower):
-        a = ref_tower.alpha
-        assert ref_tower.add(a, a) == ref_tower.mul(2, a)
+        F, a = ref_tower.ext_field, ref_tower.alpha
+        assert F.add(a, a) == F.mul(2, a)
 
     def test_additive_identity(self, ref_tower):
         rng = np.random.default_rng(1)
         for x in rng.integers(0, 25, size=20):
-            assert ref_tower.add(0, int(x)) == int(x)
+            assert ref_tower.ext_field.add(0, int(x)) == int(x)
 
     def test_embedded_prime_arithmetic(self, ref_tower):
-        assert ref_tower.add(3, 4) == 2  # mod-5 reduction inside GF(25)
+        assert ref_tower.ext_field.add(3, 4) == 2  # mod-5 reduction inside GF(25)
 
     def test_multiplicative_identity(self, ref_tower):
         rng = np.random.default_rng(2)
         for x in rng.integers(0, 25, size=20):
-            assert ref_tower.mul(1, int(x)) == int(x)
+            assert ref_tower.ext_field.mul(1, int(x)) == int(x)
 
     def test_alpha_squared_reduction(self, ref_tower):
         # x^2 = x + 3 modulo x^2 + 4x + 2 over GF(5)
-        assert ref_tower.mul(ref_tower.alpha, ref_tower.alpha) == 3 + 5 * 1
+        assert ref_tower.ext_field.mul(ref_tower.alpha, ref_tower.alpha) == 3 + 5 * 1
 
     def test_inverse_small(self, ref_tower):
-        assert ref_tower.inv(1) == 1
-        assert ref_tower.inv(2) == 3
+        assert ref_tower.ext_field.inv(1) == 1
+        assert ref_tower.ext_field.inv(2) == 3
 
     def test_inverse_roundtrip(self, ref_tower):
+        F = ref_tower.ext_field
         rng = np.random.default_rng(3)
         for x in rng.integers(1, 25, size=50):
-            assert ref_tower.mul(int(x), ref_tower.inv(int(x))) == 1
+            assert F.mul(int(x), F.inv(int(x))) == 1
 
     def test_zero_inverse_raises(self, ref_tower):
         with pytest.raises(ZeroDivisionError):
-            ref_tower.inv(0)
+            ref_tower.ext_field.inv(0)
 
 
 @pytest.mark.parametrize("tower", towers(), ids=lambda t: repr(t))
 class TestFieldAxioms:
     def test_axioms_randomized(self, tower):
+        F = tower.ext_field
         rng = np.random.default_rng(12345)
         order = tower.order
         n = 1000
@@ -91,14 +93,14 @@ class TestFieldAxioms:
         b = rng.integers(0, order, size=n)
         c = rng.integers(0, order, size=n)
         for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()):
-            assert tower.add(x, y) == tower.add(y, x)
-            assert tower.mul(x, y) == tower.mul(y, x)
-            assert tower.add(tower.add(x, y), z) == tower.add(x, tower.add(y, z))
-            assert tower.mul(tower.mul(x, y), z) == tower.mul(x, tower.mul(y, z))
-            assert tower.mul(x, tower.add(y, z)) == tower.add(tower.mul(x, y), tower.mul(x, z))
-            assert tower.add(x, tower.neg(x)) == 0
+            assert F.add(x, y) == F.add(y, x)
+            assert F.mul(x, y) == F.mul(y, x)
+            assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
+            assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
+            assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+            assert F.add(x, F.neg(x)) == 0
             if x:
-                assert tower.mul(x, tower.inv(x)) == 1
+                assert F.mul(x, F.inv(x)) == 1
 
     def test_ext_linearity(self, tower):
         rng = np.random.default_rng(99)
@@ -107,22 +109,24 @@ class TestFieldAxioms:
             x = int(rng.integers(0, tower.order))
             y = int(rng.integers(0, tower.order))
             c = int(rng.integers(0, tower.q))
-            lhs = tower.ext(tower.add(x, y))
+            lhs = tower.ext(tower.ext_field.add(x, y))
             rhs = base.add(tower.ext(x), tower.ext(y))
             assert np.array_equal(lhs, rhs)
             # GF(q) scalars embed as constant polynomials, codes unchanged
-            lhs2 = tower.ext(tower.mul(c, x))
+            lhs2 = tower.ext(tower.ext_field.mul(c, x))
             rhs2 = base.mul(c, tower.ext(x))
             assert np.array_equal(lhs2, rhs2)
 
     def test_defining_identity(self, tower):
+        # the coordinates are in the polynomial basis 1, alpha, ..., alpha^(m-1)
+        F = tower.ext_field
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = int(rng.integers(0, tower.order))
             coords = tower.ext(x)
             acc = 0
-            for bj, cj in zip(tower.basis, coords.tolist()):
-                acc = tower.add(acc, tower.mul(bj, cj))
+            for j, cj in enumerate(coords.tolist()):
+                acc = F.add(acc, F.mul(tower.alpha_power(j), cj))
             assert acc == x
 
     def test_unext_roundtrip(self, tower):
@@ -171,22 +175,6 @@ class TestConstructionValidation:
     def test_nonprime_characteristic_rejected(self):
         with pytest.raises(ValueError):
             FieldTower(6, 1, 2, [1, 1, 1])
-
-    def test_dependent_basis_rejected(self, ref_tower):
-        with pytest.raises(ValueError, match="dependent"):
-            FieldTower(5, 1, 2, [2, 4, 1], basis=[1, 2])  # both in GF(5)
-
-    def test_custom_basis_expansion(self, ref_tower):
-        t = FieldTower(5, 1, 2, [2, 4, 1], basis=[ref_tower.alpha_power(3), ref_tower.alpha_power(10)])
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = int(rng.integers(0, 25))
-            coords = t.ext(x)
-            acc = 0
-            for bj, cj in zip(t.basis, coords.tolist()):
-                acc = t.add(acc, t.mul(bj, cj))
-            assert acc == x
-            assert t.unext(coords) == x
 
     def test_unext_wrong_length(self, ref_tower):
         with pytest.raises(ValueError):
@@ -318,9 +306,9 @@ class TestTwoLevelTower:
         for _ in range(300):
             x = int(rng.integers(0, 16))
             y = int(rng.integers(0, 16))
-            assert tuple(t.ext(t.add(x, y))) == tuple(t.base_field.add(t.ext(x), t.ext(y)))
+            assert tuple(t.ext(t.ext_field.add(x, y))) == tuple(t.base_field.add(t.ext(x), t.ext(y)))
             if x:
-                assert t.mul(x, t.inv(x)) == 1
+                assert t.ext_field.mul(x, t.ext_field.inv(x)) == 1
             assert t.unext(t.ext(x)) == x
 
 
@@ -330,9 +318,9 @@ class TestSerialization:
         assert d == {"p": 5, "e": 1, "m": 2, "ext_modulus": [2, 4, 1]}
         assert FieldTower.from_dict(d) == ref_tower
 
-    def test_tower_roundtrip_with_basis(self, ref_tower):
-        t = FieldTower(5, 1, 2, [2, 4, 1], basis=[ref_tower.alpha_power(3), 2])
-        assert FieldTower.from_dict(t.to_dict()) == t
+    def test_legacy_basis_key_ignored(self, ref_tower):
+        d = {**ref_tower.to_dict(), "basis": [15, 7]}
+        assert FieldTower.from_dict(d) == ref_tower
 
     def test_integer_encoding_is_basis_coordinates(self, ref_tower):
         # code = sum_j c_j q^j where (c_j) = ext coordinates, default basis
@@ -377,15 +365,6 @@ KERNEL_FIELDS = [
 ]
 
 
-# towers whose expansion maps go through base_field.matmul (custom bases),
-# over GF(p) and over char-2 and odd extension subfields
-CUSTOM_BASIS_TOWERS = [
-    with_basis(FieldTower(5, 1, 2, [2, 4, 1]), [15, 7]),
-    with_basis(FieldTower.standard(2, 2, e=2), [6, 9]),
-    with_basis(FieldTower.standard(3, 2, e=2), [11, 28]),
-]
-
-
 class TestVectorisedKernels:
     """add/sub/neg/mul/inv/matmul on arrays against the scalar _*_i oracles."""
 
@@ -426,21 +405,6 @@ class TestVectorisedKernels:
             (field.mul(x, 0), 0),
         ]:
             assert type(got) is int and got == want
-
-    @pytest.mark.parametrize("tower", CUSTOM_BASIS_TOWERS, ids=repr)
-    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_custom_basis_expansion(self, tower, seed):
-        rng = np.random.default_rng(seed)
-        arr = tower.ext_field.random(rng, (3, 2))
-        coords = tower.ext_array(arr)
-        F = tower.ext_field
-        for i, j in np.ndindex(arr.shape):
-            col = coords[i * tower.m : (i + 1) * tower.m, j].tolist()
-            assert all(0 <= x < tower.q for x in col)
-            acc = reduce(F._add_i, (F._mul_i(bj, x) for bj, x in zip(tower.basis, col)), 0)
-            assert acc == arr[i, j]
-            assert tower.unext(col) == arr[i, j]
 
 
 # Every field an elimination can run over: the kernel fields (GF(2) as a

@@ -120,8 +120,8 @@ class TestMatrixBasics:
         a = Matrix.random(ref_tower.ext_field, 3, 4, rng)
         assert isinstance(a[1, 2], int)
         assert a[0:2, 1:3].shape == (2, 2)
-        assert a.row(1).shape == (1, 4)
-        assert a.col(2).shape == (3, 1)
+        assert a[1:2, :].shape == (1, 4)
+        assert a[:, 2:3].shape == (3, 1)
         assert a.T.shape == (4, 3)
         with pytest.raises(TypeError):
             a[1]
@@ -328,7 +328,7 @@ class TestRowSpaces:
             X = row_space_intersection(U, W)
             assert row_space_basis(X) == X
             for i in range(X.rows):
-                r = X.row(i)
+                r = X[i : i + 1, :]
                 assert rank(vstack([U, r])) == rank(U)
                 assert rank(vstack([W, r])) == rank(W)
 
