@@ -78,6 +78,7 @@ from .code import (
     syndrome,
 )
 from .decoder import (
+    Annihilator,
     DecodingFailure,
     DecodingReport,
     ResidualCheckFailed,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import Matrix, _right_kernel, rank, matrix_from_dict, matrix_to_dict
+from .linalg import Matrix, _right_kernel, int_from_dict, rank, matrix_from_dict, matrix_to_dict
 from .sumrank import (ErrorModel, LengthPartition, SamplingFailure, block_ranks, random_profile,
                       sample_error)
 
@@ -104,8 +104,9 @@ class LinearCode:
         partition = LengthPartition.from_dict(d["partition"])
         H = matrix_from_dict(d["H"], tower)
         G = matrix_from_dict(d["G"], tower) if "G" in d else None
-        code = cls(tower, partition, H, G=G, d=d.get("d"))
-        if "k" in d and int(d["k"]) != code.k:
+        dist = d.get("d")
+        code = cls(tower, partition, H, G=G, d=None if dist is None else int_from_dict(dist, "d"))
+        if "k" in d and int_from_dict(d["k"], "k") != code.k:
             raise ValueError(f"declared dimension {d['k']} does not match H (k = {code.k})")
         return code
 

@@ -8,8 +8,11 @@ linear system for the error values (column-erasure decoding):
 2. The annihilator h_sub, a basis of {v @ H : v @ S = 0}, vanishes on the
    error (the paper's rows of P @ H beside the zero rows of P @ S span it).
    Only the narrow S^T is eliminated: its pivot columns I are the first
-   rank(S) independent rows of S, and each other row of S, written in
-   terms of them, gives one left-kernel vector and one row of h_sub.
+   rank(S) independent rows of S, and each other row f of S, written in
+   terms of them, gives one left-kernel vector and one row of h_sub,
+   H[f] - X[f] @ H[I].  The stage keeps h_sub in this factored form
+   (Annihilator) and forms none of its entries; step 3 forms the ones it
+   reads.
 3. Per block, the right kernel of the expanded annihilator equals the GF(q)
    row space of the error block, yielding a block-diagonal support basis B.
    All blocks are reduced at once over GF(q^m), in one stacked elimination,
@@ -23,13 +26,19 @@ linear system for the error values (column-erasure decoding):
    leave GF(q) are expanded over GF(q) and reduced in a second stacked
    elimination.  Zero blocks and nonzero blocks of length 1 (every block in
    the Hamming metric) need no elimination at all.
-   When the annihilator is tall (n - k - t > 4w with w = max n_i, for a
-   large enough stack; see linalg.rref_stack), the first elimination
-   reduces only the leading 2w rows of every block.  An error-free block
-   typically shows full rank there, and only the others, the at most t
-   error blocks, check their rows below against that slice.  The stage
-   then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m) instead of
-   O(l (n - k) w^2).
+   When the annihilator is tall (n - k - t > 4w with w = max n_i, and
+   l (n - k - t - 2w) w, its entries below the leading 2w rows, at least
+   linalg._SOURCE_MIN_ENTRIES), only its leading 2w rows are formed, on
+   all columns, one (2w x t)(t x n) product, and the first elimination
+   reduces them.  An error-free block typically shows full rank there.
+   The rows below are formed only on the columns of the other blocks: the
+   at most t error blocks, which check those rows against the slice, and
+   blocks zero on the slice, blocks of length 1 among them (one nonzero
+   test per column).  The stage then costs O(l w^3 + t (n - k) w^2)
+   operations in GF(q^m) instead of O(l (n - k) w^2), and forming h_sub
+   O(t w n + t^2 w (n - k)) instead of O(t n (n - k)).  A shorter
+   annihilator is formed whole, and its blocks take linalg.rref_stack's
+   own route.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  A left-kernel
    vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
    because B spans the kernels of h_sub's expanded blocks.  So every
@@ -56,6 +65,7 @@ condition), so callers never supply it.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +77,7 @@ from .linalg import LinearSystemError, Matrix, matrix_to_dict, solve_unique
 from .sumrank import LengthPartition, block_kernels, sum_rank_weight
 
 __all__ = [
+    "Annihilator",
     "SupportRecovery",
     "DecodingReport",
     "compute_hsub",
@@ -122,17 +133,50 @@ class ResidualCheckFailed(DecodingFailure):
     stage = "verify"
 
 
+@dataclass(frozen=True, eq=False)
+class Annihilator:
+    """The annihilator h_sub = H[F] - X @ H[I] in factored form.
+
+    compute_hsub gives the parity-check array H, the non-pivot rows F of S,
+    X = R[:t_hat, F]^T and HI = H[I].  Entries are formed only when read:
+    take forms a slice, and matrix() the whole (len(F) x n) matrix.
+    block_kernels reads it as a row source (see sumrank._reduce_blocks).
+    """
+
+    field: object
+    H: np.ndarray
+    F: np.ndarray
+    X: np.ndarray
+    HI: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return len(self.F)
+
+    def take(self, rows: slice, cols: np.ndarray) -> np.ndarray:
+        """h_sub[rows][:, cols] as an int64 array, for a slice of rows and
+        an index array of columns."""
+        f = self.field
+        return f.sub(self.H[self.F[rows, None], cols], f.matmul(self.X[rows], self.HI[:, cols]))
+
+    def matrix(self) -> Matrix:
+        """The whole annihilator as a Matrix."""
+        f = self.field
+        return Matrix(f, f.sub(self.H[self.F], f.matmul(self.X, self.HI)), _checked=True)
+
+
 @dataclass(frozen=True)
 class SupportRecovery:
     """Result of the support-recovery stage.
 
-    h_sub rows annihilate the error; B is the block-diagonal GF(q) support
-    basis whose i-th diagonal block, per_block_kernels[i], is the canonical
-    kernel basis of the i-th expanded block of h_sub (the recovered support
-    of error block i), with per_block_t[i] rows.
+    h_sub, the factored annihilator, has rows that annihilate the error; B
+    is the block-diagonal GF(q) support basis whose i-th diagonal block,
+    per_block_kernels[i], is the canonical kernel basis of the i-th
+    expanded block of h_sub (the recovered support of error block i), with
+    per_block_t[i] rows.
     """
 
-    h_sub: Matrix
+    h_sub: Annihilator
     t_hat: int
     partition: LengthPartition
     B: Matrix
@@ -153,8 +197,10 @@ class DecodingReport:
 
     Besides the outcome (C_hat, E_hat = A_hat @ B_hat) it keeps the two
     intermediates of support recovery: S, the (n-k) x s syndrome matrix
-    H @ Y^T, and h_sub, the S.rows - t_hat annihilator rows, a basis of
-    {v @ H : v @ S = 0}.  to_dict leaves both out.
+    H @ Y^T, and the annihilator in factored form.  h_sub, the S.rows -
+    t_hat annihilator rows, a basis of {v @ H : v @ S = 0}, is formed from
+    it only when read; decode itself never forms it.  to_dict leaves S and
+    h_sub out, and reports compare by their other fields.
     """
 
     C_hat: Matrix
@@ -164,7 +210,11 @@ class DecodingReport:
     t_hat: int
     per_block_t: tuple[int, ...]
     S: Matrix
-    h_sub: Matrix
+    annihilator: Annihilator = dataclasses.field(compare=False)
+
+    @property
+    def h_sub(self) -> Matrix:
+        return self.annihilator.matrix()
 
     def to_dict(self, tower: FieldTower) -> dict:
         return {
@@ -178,7 +228,7 @@ class DecodingReport:
         }
 
 
-def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, list[int]]:
+def compute_hsub(H: Matrix, S: Matrix) -> tuple[Annihilator, int, list[int]]:
     """Annihilator rows: a basis of {v @ H : v @ S = 0}.
 
     S^T is reduced to R.  Its pivot columns I are the first t_hat = rank(S)
@@ -186,9 +236,10 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, list[int]]:
     sum_k R[k, f] S[I[k]].  So the vectors e_f - sum_k R[k, f] e_I[k], one
     per non-pivot row f in F, are a basis of the left kernel of S, and
     h_sub = H[F] - R[:t_hat, F]^T @ H[I] annihilates the error.  Returns
-    (h_sub, t_hat, I); decode builds the erasure system from the rows I of
-    S and H.  Raises SupportSpaceEmpty when rank(S) = n - k (the left
-    kernel of S is zero).
+    (h_sub, t_hat, I), with h_sub in factored form: an Annihilator of
+    H.rows - t_hat rows that forms its entries only when read.  decode
+    builds the erasure system from the rows I of S and H.  Raises
+    SupportSpaceEmpty when rank(S) = n - k (the left kernel of S is zero).
     """
     field = S.field
     # looked up on the module, where a tracer can wrap the elimination engine
@@ -202,21 +253,23 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Matrix, int, list[int]]:
             redundancy=H.rows,
         )
     free = np.delete(np.arange(H.rows), pivots)
-    HI = H.array[pivots]
-    h_sub = field.sub(H.array[free], field.matmul(R[:t_hat, free].T, HI))
-    return Matrix(field, h_sub, _checked=True), t_hat, pivots
+    h_sub = Annihilator(field, H.array, free, R[:t_hat, free].T, H.array[pivots])
+    return h_sub, t_hat, pivots
 
 
 def recover_block_supports(
-    tower: FieldTower, h_sub: Matrix, partition: LengthPartition, t_hat: int
+    tower: FieldTower, h_sub: Annihilator, partition: LengthPartition, t_hat: int
 ) -> SupportRecovery:
     """Per-block kernels of the expanded annihilator matrix.
 
     Under the decoding hypotheses the i-th kernel spans the GF(q) row space
-    of error block i.  Raises SupportMismatch when the recovered per-block
-    weights do not sum to t_hat.
+    of error block i.  block_kernels reads h_sub as a row source: on a tall
+    annihilator it forms the leading 2w rows of every block, and the rows
+    below only on the blocks that are zero or short of full rank there (see
+    the module docstring, step 3).  Raises SupportMismatch when the
+    recovered per-block weights do not sum to t_hat.
     """
-    K, lead = block_kernels(tower, h_sub.array[None], partition)
+    K, lead = block_kernels(tower, h_sub, partition)
     per_block_t = tuple(lead[0].sum(axis=1).tolist())
     if sum(per_block_t) != t_hat:
         raise SupportMismatch(
@@ -315,5 +368,5 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
         t_hat=t_hat,
         per_block_t=support.per_block_t,
         S=S,
-        h_sub=h_sub,
+        annihilator=h_sub,
     )

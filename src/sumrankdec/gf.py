@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, int_from_dict
 
 __all__ = [
     "PrimeField",
@@ -799,12 +799,14 @@ class FieldTower:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldTower":
+        base = d.get("base_modulus")
         return cls(
-            int(d["p"]),
-            int(d.get("e", 1)),
-            int(d["m"]),
-            d["ext_modulus"],
-            base_modulus=d.get("base_modulus"),
+            int_from_dict(d["p"], "p"),
+            int_from_dict(d.get("e", 1), "e"),
+            int_from_dict(d["m"], "m"),
+            [int_from_dict(c, "ext_modulus coefficient") for c in d["ext_modulus"]],
+            base_modulus=None if base is None else [
+                int_from_dict(c, "base_modulus coefficient") for c in base],
         )
 
     def __eq__(self, other):

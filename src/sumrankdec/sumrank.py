@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import (Matrix, block_diag, hstack, matrix_from_dict, matrix_to_dict, rank,
-                     row_space_basis, rref_stack, solve_unique)
+from .linalg import (Matrix, _slice_height, block_diag, hstack, int_from_dict, matrix_from_dict,
+                     matrix_to_dict, rank, row_space_basis, rref_stack, solve_unique)
 
 __all__ = [
     "LengthPartition",
@@ -86,7 +86,7 @@ class LengthPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LengthPartition":
-        return cls(d["parts"])
+        return cls([int_from_dict(x, "block length") for x in d["parts"]])
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -136,6 +136,17 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     pivot, and reversing the columns makes the free-column kernel vectors,
     reversed back, a reduced echelon basis (see block_kernels).
 
+    arr may also be a row source of one r x n matrix (batch 1), an object
+    with rows, take(rows, cols) and matrix(), such as decoder.Annihilator:
+    its entries are formed only when read.  Off the slice path (see
+    linalg._slice_height) every row is read, and the whole matrix is formed
+    at once.  On it, only the leading slice of 2w rows of the l members is
+    formed, on all columns.  A member zero there is zero unless its rows
+    below are not, so those members, blocks of length 1 included (a nonzero
+    test per column), take their rows below too.  The rows below of the
+    other members are read by rref_stack's residual check, and only for the
+    members short of full rank on the slice.
+
     Returns (ranks, deficient, R, piv, rev, real): the GF(q)-ranks of all
     batch * l expanded blocks, the members of length >= 2 short of full
     rank, their GF(q)-reduced rows and pivot masks (reversed columns; None
@@ -144,21 +155,44 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     """
     parts, real, rev, cols = partition._grid
     ell, w = real.shape
-    if arr.shape[1] == 0:  # a zero row leaves every kernel as it is
-        arr = np.zeros((arr.shape[0], 1, arr.shape[2]), dtype=np.int64)
-    batch, r, _ = arr.shape
-    X = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
+    source = None if isinstance(arr, np.ndarray) else arr
+    if source is not None:
+        h = _slice_height(ell, source.rows, w, formed=False)
+        if h == source.rows:  # off the slice path, every row is read: form them all
+            arr, source = source.matrix().array[None], None
+    if source is None:
+        if arr.shape[1] == 0:  # a zero row leaves every kernel as it is
+            arr = np.zeros((arr.shape[0], 1, arr.shape[2]), dtype=np.int64)
+        batch, r, _ = arr.shape
+        h = r
+        top = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
+    else:
+        batch, r = 1, source.rows
+
+        def rows(members, lo, hi):
+            c = cols[members]
+            out = source.take(slice(lo, hi), c.ravel()).reshape(hi - lo, len(c), w)
+            # C order: the eliminations step through every member's rows
+            return np.ascontiguousarray((out * real[members]).transpose(1, 0, 2))
+
+        top = rows(slice(None), 0, h)
 
     if r < parts.min():
         # no block can reach full GF(q^m)-rank: expand every member as it is
         ranks = np.tile(parts, batch)
-        deficient, R, piv, expand = np.arange(batch * ell), X, None, slice(None)
+        deficient, R, piv, expand = np.arange(batch * ell), top, None, slice(None)
     else:
-        ranks = (X.any(axis=(1, 2)).reshape(batch, ell) * parts).ravel()
+        nonzero = top.any(axis=(1, 2))
+        if h < r and not nonzero.all():
+            # a member zero on the leading slice may be nonzero below it
+            zero = np.flatnonzero(~nonzero)
+            nonzero[zero] = rows(zero, h, r).any(axis=(1, 2))
+        ranks = nonzero * np.tile(parts, batch)
         live = np.flatnonzero(ranks > 1)
         if not live.size:
             return ranks, live, None, None, rev, real
-        R, piv = rref_stack(tower.ext_field, X[live] if live.size < ranks.size else X)
+        below = None if h == r else (lambda m: rows(live[m], h, r))
+        R, piv = rref_stack(tower.ext_field, top[live] if live.size < ranks.size else top, below)
         short = piv.sum(axis=1) < ranks[live]
         deficient = live[short]
         R, piv = R[short, : min(r, w)], piv[short]  # rows below the rank are zero
@@ -189,7 +223,8 @@ def block_kernels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GF(q)-kernels of the expanded column blocks of a stack of GF(q^m) matrices.
 
-    arr is a (batch, r, n) array of GF(q^m) codes.  Returns (K, lead) with K
+    arr is a (batch, r, n) array of GF(q^m) codes, or a row source of one
+    r x n matrix (batch 1; see _reduce_blocks).  Returns (K, lead) with K
     of shape (batch, l, w, w) and lead of shape (batch, l, w), w the largest
     block length: K[b, i][lead[b, i]] is the canonical (reduced echelon)
     basis of {v in GF(q)^{n_i} : block_i(arr[b]) @ v = 0}, in the first n_i
@@ -204,8 +239,8 @@ def block_kernels(
     """
     ranks, deficient, R, piv, rev, real = _reduce_blocks(tower, arr, partition)
     ell, w = real.shape
-    K = np.zeros((arr.shape[0] * ell, w, w), dtype=np.int64)
-    lead = np.zeros((arr.shape[0] * ell, w), dtype=bool)
+    K = np.zeros((ranks.size, w, w), dtype=np.int64)
+    lead = np.zeros((ranks.size, w), dtype=bool)
     j = np.arange(w)
     if not ranks.all():
         zero = np.flatnonzero(ranks == 0)

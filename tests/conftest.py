@@ -92,8 +92,9 @@ def reduced_stacks(min_work: int | None = None):
 
     The slice path of a (batch, r, c) stack reduces a (batch, 2c, c) slice
     first, then the full height of the members whose rank grows below it.
-    With min_work set, the slice path's work bound is lowered to it, so that
-    tall stacks of test size (min_work = 0) take the path too.
+    With min_work set, the slice path's bounds, for formed stacks and for
+    stacks read from a row source, are lowered to it, so that tall stacks
+    and annihilators of test size (min_work = 0) take the path too.
     """
     shapes: list[tuple[int, ...]] = []
     inner = linalg._reduce_stack
@@ -102,9 +103,9 @@ def reduced_stacks(min_work: int | None = None):
         shapes.append(a.shape)
         return inner(field, a)
 
-    bound = linalg._SLICE_MIN_WORK if min_work is None else min_work
-    with mock.patch.object(linalg, "_reduce_stack", spy), mock.patch.object(
-        linalg, "_SLICE_MIN_WORK", bound
+    bounds = ("_SLICE_MIN_WORK", "_SOURCE_MIN_ENTRIES")
+    with mock.patch.object(linalg, "_reduce_stack", spy), mock.patch.multiple(
+        linalg, **{b: getattr(linalg, b) if min_work is None else min_work for b in bounds}
     ):
         yield shapes
 
@@ -153,9 +154,9 @@ def stacked_eliminations():
     calls: list = []
     inner = sumrank.rref_stack
 
-    def spy(field, a):
+    def spy(field, a, below=None):
         calls.append((field, a.shape[0]))
-        return inner(field, a)
+        return inner(field, a, below)
 
     with mock.patch.object(sumrank, "rref_stack", spy):
         yield calls

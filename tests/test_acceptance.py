@@ -71,7 +71,7 @@ def test_criterion_1_worked_example_reproduction():
     h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
     if t_hat != 3:
         problems.append(f"inferred weight {t_hat} != 3")
-    if not row_spaces_equal(h_sub, ref.h_sub):
+    if not row_spaces_equal(h_sub.matrix(), ref.h_sub):
         problems.append("annihilator row space differs")
     support = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
     if support.per_block_kernels[0].tolist() != [[1, 2]]:
@@ -170,7 +170,7 @@ def test_criterion_4_support_recovery_invariants():
         S = syndrome(code.H, inst.Y)
         h_sub, t_hat, _ = compute_hsub(code.H, S)
         kerE = right_kernel(inst.E)
-        if row_space_basis(h_sub) != row_space_intersection(kerE, code.H):
+        if row_space_basis(h_sub.matrix()) != row_space_intersection(kerE, code.H):
             problems.append("annihilator row-space equality violated")
             break
         B = inst.tower.lift(inst.em.B)

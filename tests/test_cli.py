@@ -232,8 +232,10 @@ class TestDecodeFiles:
         ("code", lambda d: {**d, "H": _with_first_entry(d["H"], d["H"]["data"][0][0] + 0.5)}),
         ("code", lambda d: {**d, "field": {**d["field"], "p": None}}),
         ("code", lambda d: [d]),
+        ("received", lambda d: {**d, "rows": d["rows"] + 0.5}),
+        ("code", lambda d: {**d, "H": {**d["H"], "cols": d["H"]["cols"] + 0.5}}),
     ], ids=["fraction", "bool", "overflow", "null-data", "list", "code-fraction", "code-null-p",
-            "code-list"])
+            "code-list", "fractional-rows", "code-fractional-cols"])
     def test_malformed_numbers(self, tmp_path, capsys, target, edit):
         # an entry that is not a JSON integer, or a file that is not an
         # object, is a usage error, not a truncated entry or a traceback
@@ -247,6 +249,28 @@ class TestDecodeFiles:
         capsys.readouterr()
         assert run(["decode", "--code", files["code"], "--received", files["received"]]) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid {target}")
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: {**d, "k": 2.5},
+        lambda d: {**d, "d": 2.5},
+        lambda d: {**d, "field": {**d["field"], "p": 5.9}},
+        lambda d: {**d, "field": {**d["field"], "e": True}},
+        lambda d: {**d, "field": {**d["field"], "ext_modulus": [2.5, *d["field"]["ext_modulus"][1:]]}},
+        lambda d: {**d, "partition": {"parts": [2.0, 2, 2.7]}},
+    ], ids=["k", "d", "p", "e", "ext_modulus", "parts"])
+    def test_fractional_code_scalars(self, tmp_path, capsys, edit):
+        # a code-file scalar that is not a JSON integer is a usage error for
+        # decode and mindist, not a truncated or coerced value
+        prefix = str(tmp_path / "x")
+        assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
+                    "--out-prefix", prefix]) == 0
+        bad = tmp_path / "bad.code.json"
+        bad.write_text(json.dumps(edit(json.loads(Path(f"{prefix}.code.json").read_text()))))
+        for command in (["decode", "--code", str(bad), "--received", f"{prefix}.received.json"],
+                        ["mindist", "--code", str(bad)]):
+            capsys.readouterr()
+            assert run(command) == 2
+            assert capsys.readouterr().err.startswith("error: invalid code file")
 
     def test_legacy_basis_key_ignored(self, tmp_path):
         # the expansion basis is fixed; a code file that names another one

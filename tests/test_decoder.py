@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sumrankdec.decoder import (
     erasure_decode,
     recover_block_supports,
 )
-from sumrankdec.gf import FieldTower
+from sumrankdec.gf import ExtField, FieldTower
 from sumrankdec.linalg import (
     Inconsistent,
     LinearSystemError,
@@ -41,6 +42,7 @@ from sumrankdec.linalg import (
 )
 from sumrankdec.sumrank import (
     LengthPartition,
+    block_kernels,
     hamming_support,
     random_profile,
     rank_support,
@@ -105,7 +107,7 @@ class TestReferenceInstance:
         assert S == ref.S
         h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
         assert t_hat == 3
-        assert row_spaces_equal(h_sub, ref.h_sub)
+        assert row_spaces_equal(h_sub.matrix(), ref.h_sub)
         support = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
         assert support.per_block_t == (1, 2, 0)
         assert support.per_block_kernels[0] == ref.B_blocks[0]
@@ -129,6 +131,8 @@ class TestReferenceInstance:
 
     def test_decode_deterministic(self, ref):
         assert decode(ref.icode, ref.Y).C_hat == decode(ref.icode, ref.Y).C_hat
+        # reports compare by value, without forming the annihilator
+        assert decode(ref.icode, ref.Y) == decode(ref.icode, ref.Y)
 
     def test_error_free_received(self, ref):
         report = decode(ref.icode, ref.C)
@@ -144,7 +148,7 @@ class TestComputeHsub:
         S = syndrome(ref.code.H, ref.C)
         h_sub, t_hat, pivots = compute_hsub(ref.code.H, S)
         assert t_hat == 0 and len(pivots) == 0
-        assert row_spaces_equal(h_sub, ref.code.H)
+        assert row_spaces_equal(h_sub.matrix(), ref.code.H)
 
     def test_annihilates_error(self, ref_tower):
         rng = np.random.default_rng(0)
@@ -155,7 +159,7 @@ class TestComputeHsub:
             S = syndrome(code.H, inst.Y)
             h_sub, t_hat, _ = compute_hsub(code.H, S)
             assert t_hat == 2
-            assert (h_sub @ inst.E.T).is_zero
+            assert (h_sub.matrix() @ inst.E.T).is_zero
 
     def test_support_space_empty(self, ref_tower):
         # rank(S) = n - k leaves no annihilator rows
@@ -186,6 +190,7 @@ class TestComputeHsub:
             assert info.value.t_hat == info.value.redundancy == H.rows
             return
         h_sub, t_hat, _ = compute_hsub(H, S)
+        h_sub = h_sub.matrix()
         assert t_hat == rank(S)
         assert h_sub.rows == H.rows - t_hat
         assert (h_sub @ E.T).is_zero
@@ -213,7 +218,7 @@ class TestComputeHsub:
             return
         X = solve_unique(S[I, :].T, S[F, :].T).T
         assert t_hat == len(I) and list(pivots) == I
-        assert h_sub == H[F, :] - X @ H[I, :]
+        assert h_sub.matrix() == H[F, :] - X @ H[I, :]
 
     def test_dependent_leading_rows(self, ref_tower):
         # row 1 of S repeats row 0, so the first non-pivot row is H_1 - H_0
@@ -222,7 +227,7 @@ class TestComputeHsub:
         S = Matrix(f, [[0, 1], [0, 1], [1, 0], [0, 0]])
         h_sub, t_hat, _ = compute_hsub(H, S)
         assert t_hat == 2
-        assert h_sub.tolist() == [f.sub(H.array[1], H.array[0]).tolist(), H.array[3].tolist()]
+        assert h_sub.matrix().tolist() == [f.sub(H.array[1], H.array[0]).tolist(), H.array[3].tolist()]
 
 
 class TestLemmaInvariants:
@@ -248,7 +253,7 @@ class TestLemmaInvariants:
             h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
             kerE = right_kernel(inst.E)
             expected = row_space_intersection(kerE, ref.code.H)
-            assert row_space_basis(h_sub) == expected
+            assert row_space_basis(h_sub.matrix()) == expected
 
     def test_error_kernel_equals_b_kernel(self, ref):
         # full-rank errors: kernel of E equals kernel of its support basis B
@@ -363,7 +368,7 @@ class TestErasureOnPivotRows:
             B = recover_block_supports(tower, h_sub, part, t_hat).B
         except (SupportSpaceEmpty, SupportMismatch):
             return
-        assert (h_sub @ tower.lift(B).T).is_zero
+        assert (h_sub.matrix() @ tower.lift(B).T).is_zero
         H_top, S_top = H[I, :], S[I, :]
         full = _erasure_outcome(H, B, S)
         assert _erasure_outcome(H_top, B, S_top) == full
@@ -471,7 +476,7 @@ class TestDecoderPromise:
             B = recover_block_supports(code.tower, h_sub, code.partition, t_hat).B
             H_top, S_top = code.H[I, :], S[I, :]
             assert _erasure_outcome(H_top, B, S_top) == _full_product_outcome(code.tower, H_top, B, S_top)
-        long = sum(blk.cols > 1 and blk.array.any() for blk in code.partition.blocks(h_sub))
+        long = sum(blk.cols > 1 and blk.array.any() for blk in code.partition.blocks(h_sub.matrix()))
         assert shapes[0] == (long, 2 * w, w)
         if kind == "inside":
             assert failure is None and report.C_hat == inst.C
@@ -540,6 +545,162 @@ class TestHighOrderPromise:
 
 
 # GF(2) as a degree-1 extension is the binary Hamming and rank metric.
+# The on-demand annihilator over odd p with two and with four digits, and
+# characteristic 2 with a narrow and a wide field.
+ON_DEMAND_TOWERS = [FieldTower.standard(5, 2), FieldTower.standard(3, 4),
+                    FieldTower.standard(2, 3), FieldTower.standard(2, 12)]
+BLOCK_KINDS = ["full", "zero", "zero_on_slice", "in_span", "irrational", "grows_below"]
+
+
+def _annihilator_block(tower, kind, r, ni, h, rng):
+    """An r x ni annihilator block over GF(q^m) whose leading slice has h
+    rows: random, zero, zero on the slice only, of rank ni - 1 with its
+    kernel's row space in GF(q) ("in_span") or not ("irrational"), or of
+    rank at most 1 on the slice and random below it."""
+    f = tower.ext_field
+    M = np.zeros((r, ni), dtype=np.int64)
+    if kind == "full":
+        M = f.random(rng, (r, ni))
+    elif kind == "zero_on_slice":
+        M[h:] = f.random(rng, (max(r - h, 0), ni))
+    elif kind in ("in_span", "irrational") and ni > 1:
+        rows = (tower.base_field if kind == "in_span" else f).random(rng, (ni - 1, ni))
+        M = f.matmul(f.random(rng, (r, ni - 1)), rows)
+    elif kind == "grows_below":
+        M[:h] = f.matmul(f.random(rng, (min(h, r), 1)), f.random(rng, (1, ni)))
+        M[h:] = f.random(rng, (max(r - h, 0), ni))
+    return M
+
+
+@st.composite
+def factored_annihilators(draw):
+    """(tower, partition, M, annihilator, on_route): an annihilator of
+    chosen column blocks M, in factored form H[F] - X @ H[I] with a random
+    inner dimension; on_route lowers the route bound to 0, so that every
+    tall annihilator (r > 4w) is read on demand."""
+    tower = draw(st.sampled_from(ON_DEMAND_TOWERS))
+    shape = draw(st.sampled_from(["blocks_of_4", "blocks_of_1", "mixed"]))
+    count = draw(st.integers(1, 3))
+    parts = {"blocks_of_4": [4] * 3 * count, "blocks_of_1": [1] * 8 * count,
+             "mixed": [3, 1, 4, 2] * count}[shape]
+    part = LengthPartition(parts)
+    w = max(parts)
+    r = draw(st.one_of(st.integers(2, 4 * w), st.integers(4 * w + 1, 6 * w + 6)))
+    kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=len(parts), max_size=len(parts)))
+    t = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = tower.ext_field
+    M = np.hstack([_annihilator_block(tower, kind, r, ni, 2 * w, rng)
+                   for kind, ni in zip(kinds, parts)])
+    X, HI = f.random(rng, (r, t)), f.random(rng, (t, part.n))
+    H = np.vstack([f.add(M, f.matmul(X, HI)), HI])
+    ann = decoder.Annihilator(f, H, np.arange(r), X, HI)
+    return tower, part, M, ann, draw(st.booleans())
+
+
+class TestAnnihilatorOnDemand:
+    """block_kernels reading the factored annihilator on demand against
+    block_kernels on the whole annihilator array, the reference."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(factored_annihilators())
+    def test_matches_full_array(self, case):
+        tower, part, M, ann, on_route = case
+        assert ann.matrix().tolist() == M.tolist()
+        K_ref, lead_ref = block_kernels(tower, M[None], part)
+        with reduced_stacks(min_work=0 if on_route else None) as shapes:
+            K, lead = block_kernels(tower, ann, part)
+        assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
+        w, r = max(part.parts), ann.rows
+        live = sum(ni > 1 and blk.any() for ni, blk in zip(part.parts, np.split(
+            M, np.cumsum(part.parts)[:-1], axis=1)))
+        if on_route and r > 4 * w and live:
+            # the first elimination sees the leading slice only
+            assert shapes[0] == (live, 2 * w, w)
+        per_block_t = tuple(lead_ref[0].sum(axis=1).tolist())
+        support = recover_block_supports(tower, ann, part, sum(per_block_t))
+        assert support.per_block_t == per_block_t
+        kernels = [Matrix(tower.base_field, K_ref[0, i][lead_ref[0, i]][:, :ni])
+                   for i, ni in enumerate(part.parts)]
+        assert support.B == block_diag(kernels)
+
+    def test_decode_never_forms_hsub(self):
+        # at sumrank-large's shape (GF(5^2), 64 blocks of 4, k = 128,
+        # s = t = 8) no product has the (n - k - t) x n shape of h_sub
+        tower = FieldTower.standard(5, 2)
+        code = random_code(tower, LengthPartition((4,) * 64), 128, rng=np.random.default_rng(23))
+        inst = make_instance(code, s=8, rng=np.random.default_rng(24), t=8)
+        shapes = []
+        inner = ExtField.matmul
+
+        def spy(self, a, b):
+            out = inner(self, a, b)
+            shapes.append(out.shape)
+            return out
+
+        with mock.patch.object(ExtField, "matmul", spy):
+            report = decode(inst.icode, inst.Y)
+            assert report.C_hat == inst.C and report.annihilator.rows == 120
+            assert shapes and (120, 256) not in shapes
+            # the report forms it when asked
+            assert report.h_sub.shape == (120, 256) and shapes[-1] == (120, 256)
+
+
+@st.composite
+def rank_law_cases(draw):
+    """(code, inst, tall): a code with certified distance d >= t + 2 and an
+    error of weight t <= s drawn without the full-rank condition, redrawn
+    until it has GF(q^m)-rank t or, for the other half, below t (s = t >=
+    2 there).  "tall" is GF(4) with 8 blocks of 2 and k = 3, so
+    n - k - t > 4w and the annihilator is read on demand once the route
+    bound is lowered."""
+    full = draw(st.booleans())
+    tall = draw(st.booleans())
+    t = draw(st.integers(1 if full else 2, 3 if tall else 2))
+    s = t + (draw(st.integers(0, 1)) if full else 0)
+    if tall:
+        tower, part, k = FieldTower.standard(2, 2), LengthPartition([2] * 8), 3
+    else:
+        tower = draw(st.sampled_from([FieldTower.standard(2, 2), FieldTower.standard(2, 3),
+                                      FieldTower.standard(3, 2)]))
+        k = draw(st.integers(1, 2))
+        part = LengthPartition(draw(st.lists(st.integers(1, 3), min_size=t + k + 2,
+                                             max_size=t + k + 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = random_code(tower, part, k, rng=rng, d_min=t + 2)
+    for _ in range(50):
+        inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=False)
+        if (rank(inst.E) == t) == full:
+            return code, inst, tall
+    assume(False)
+
+
+class TestExactRankLaw:
+    """Inside t <= d - 2 and s >= t, decode returns C exactly when
+    rank(E) = t.  "If" is the decoding theorem; "only if" because t < d
+    gives t_hat = rank(S) = rank(E) < t, and verify rejects E_hat = E,
+    whose weight t is not t_hat."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(rank_law_cases())
+    def test_success_exactly_when_full_rank(self, case):
+        code, inst, tall = case
+        with reduced_stacks(min_work=0) as shapes:
+            try:
+                report, failure = decode(inst.icode, inst.Y), None
+            except FAILURES as ex:
+                report, failure = None, ex
+        assert inst.em.full_rank == (rank(inst.E) == inst.t)
+        if tall and shapes:
+            # the annihilator's leading slice of 2w = 4 rows
+            assert shapes[0][1:] == (4, 2)
+        if inst.em.full_rank:
+            assert failure is None and report.C_hat == inst.C
+        else:
+            assert failure is not None or (inst.icode.contains(report.C_hat)
+                                           and report.C_hat != inst.C)
+
+
 VERDICT_TOWERS = PROPERTY_TOWERS + [FieldTower.standard(2, 1)]
 
 
