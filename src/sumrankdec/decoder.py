@@ -46,13 +46,19 @@ linear system for the error values (column-erasure decoding):
    decoder solves only those t = rank(S) rows, a t x (t + s) elimination
    instead of (n-k) rows; row-equivalent systems share one reduced echelon
    form, so the solution and every failure are the same.  B is zero
-   outside its support columns J, |J| <= t w, so both products run over J
+   outside its support columns J, |J| <= t w, so the product runs over J
    only: H[I] @ B^T is a (t x |J|)(|J| x t) product instead of
-   (t x n)(n x t), and E = A @ B is computed on J and is zero elsewhere.
-5. Verify C = Y - E without recomputing H @ C^T: E is zero outside its
-   nonzero columns J, so H @ C^T = S - H[:, J] @ E[:, J]^T vanishes exactly
+   (t x n)(n x t).
+5. Form E = A @ B on J (zero elsewhere) and verify C = Y - E without
+   recomputing H @ C^T: H @ C^T = S - H[:, J] @ E[:, J]^T vanishes exactly
    when H[:, J] @ E[:, J]^T = S, a product over |J| <= t w columns instead
-   of n.  The weight check skips E's zero blocks, at least l - t of the l.
+   of n.  The weight of E is not recomputed: the factorisation certifies
+   it.  If B has t rows, all in GF(q), and each row of B is nonzero in at
+   most one block, then block i of E is A[:, R_i] @ B[R_i, block i], R_i
+   the rows of B in block i, whose expansion over GF(q) has rank at most
+   |R_i|; so wt(E) <= t.  And once the residual holds, wt(E) >= rank(E) >=
+   rank(H @ E^T) = rank(S) = t.  So wt(E) = t, checked in O(t n) instead
+   of an elimination of E's blocks.
 
 Recovery is guaranteed when the error weight t is at most d - 2, the
 interleaving order satisfies s >= t, and the error matrix has full
@@ -74,7 +80,9 @@ from . import linalg
 from .code import InterleavedCode, LinearCode, syndrome
 from .gf import FieldTower
 from .linalg import LinearSystemError, Matrix, matrix_to_dict, solve_unique
-from .sumrank import LengthPartition, block_kernels, sum_rank_weight
+from .sumrank import LengthPartition, block_kernels
+# unused here; decodebench/spans.py patches decoder.sum_rank_weight by name
+from .sumrank import sum_rank_weight  # noqa: F401
 
 __all__ = [
     "Annihilator",
@@ -127,7 +135,8 @@ class ResidualCheckFailed(DecodingFailure):
     """The decoded candidate failed post-decoding verification.
 
     Fields: stage ("verify"), t_hat, check ("residual": the candidate has a
-    nonzero syndrome; "weight": the recovered error weight differs from t_hat).
+    nonzero syndrome; "weight": the support basis B does not certify that
+    the recovered error has weight t_hat, see _verify).
     """
 
     stage = "verify"
@@ -195,12 +204,17 @@ class SupportRecovery:
 class DecodingReport:
     """Successful decoding outcome with diagnostics.
 
-    Besides the outcome (C_hat, E_hat = A_hat @ B_hat) it keeps the two
-    intermediates of support recovery: S, the (n-k) x s syndrome matrix
-    H @ Y^T, and the annihilator in factored form.  h_sub, the S.rows -
-    t_hat annihilator rows, a basis of {v @ H : v @ S = 0}, is formed from
-    it only when read; decode itself never forms it.  to_dict leaves S and
-    h_sub out, and reports compare by their other fields.
+    The outcome is C_hat and E_hat = A_hat @ B_hat, with H @ C_hat^T = 0.
+    B_hat, t_hat rows over GF(q) each nonzero in one block, certifies that
+    E_hat has sum-rank weight t_hat = rank(S) (see _verify); per_block_t[i],
+    the number of rows of B_hat in block i, is then the weight of block i
+    of E_hat, as each block's weight is at most its count of rows.  Besides
+    the outcome it keeps the two intermediates of support recovery: S, the
+    (n-k) x s syndrome matrix H @ Y^T, and the annihilator in factored form.
+    h_sub, the S.rows - t_hat annihilator rows, a basis of
+    {v @ H : v @ S = 0}, is formed from it only when read; decode itself
+    never forms it.  to_dict leaves S and h_sub out, and reports compare by
+    their other fields.
     """
 
     C_hat: Matrix
@@ -309,31 +323,63 @@ def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
     return At.T
 
 
-def _verify(code: LinearCode, S: Matrix, E_hat: Matrix, t_hat: int) -> None:
-    """Raise ResidualCheckFailed unless Y - E_hat is a codeword stack of
-    weight t_hat, given S = H @ Y^T (step 5 above).  J is read off E_hat, not
-    off B, so the check does not rely on the stages it verifies.
+def _verify(code: LinearCode, S: Matrix, A: Matrix, B: Matrix, t_hat: int) -> Matrix:
+    """E_hat = A @ B, once it is certified that Y - E_hat is a codeword stack
+    of weight t_hat, given S = H @ Y^T and t_hat = rank(S) (step 5 above).
+
+    E_hat is formed on B's nonzero columns J and is zero elsewhere.  Its
+    weight is certified by B, the witness, instead of being recomputed:
+    B has t_hat rows, its entries are codes below q, and every row of B is
+    nonzero in at most one block.  Then the two bounds meet:
+
+    - Upper: block i of E_hat is A[:, R_i] @ B[R_i, block i], R_i the rows
+      of B nonzero in block i.  That block of B lies in GF(q), so each row
+      of the block's GF(q) expansion is a GF(q)-combination of the rows
+      B[R_i, block i], and wt(E_hat) <= sum |R_i| <= t_hat.
+    - Lower: once the residual H[:, J] @ E_hat[:, J]^T = S holds,
+      wt(E_hat) >= sum_i rank_{q^m}(E_i) >= rank(E_hat)
+      >= rank(H @ E_hat^T) = rank(S) = t_hat.
+
+    So the residual and the witness give wt(E_hat) = t_hat: given the
+    residual, a candidate whose weight differs from t_hat has a malformed
+    witness.  Nothing is assumed of the stages that built A and B; any pair
+    that passes both checks gives a codeword stack Y - E_hat of weight
+    t_hat.  The witness is checked first, in O(t n), and raises
+    ResidualCheckFailed with check "weight"; the residual, one product over
+    |J| <= t w columns, raises it with check "residual".
     """
+    b = B.array
+    J = np.flatnonzero(b.any(axis=0))
+    BJ = b[:, J]
+    nz = BJ != 0
+    blk = code.partition._column_blocks[J]
+    # a row of B nonzero in two blocks is nonzero outside the last of them
+    last = np.where(nz, blk, -1).max(axis=1, initial=-1)
+    if B.rows != t_hat or BJ.max(initial=0) >= code.tower.q or (nz & (blk != last[:, None])).any():
+        raise ResidualCheckFailed(
+            "support basis does not certify the syndrome rank as the error weight",
+            t_hat=t_hat,
+            check="weight",
+        )
+    field = S.field
+    E = np.zeros((S.cols, code.n), dtype=np.int64)
+    E[:, J] = field.matmul(A.array, BJ)
     # raw arrays: on small codes the Matrix wrappers cost more than the product
-    J = np.flatnonzero(E_hat.array.any(axis=0))
-    HJ = code.H.array[:, J]
-    if not np.array_equal(S.field.matmul(HJ, E_hat.array[:, J].T), S.array):
+    if not np.array_equal(field.matmul(code.H.array[:, J], E[:, J].T), S.array):
         raise ResidualCheckFailed(
             "decoded candidate is not a codeword stack", t_hat=t_hat, check="residual"
         )
-    if sum_rank_weight(code.tower, E_hat, code.partition) != t_hat:
-        raise ResidualCheckFailed(
-            "recovered error weight differs from the syndrome rank", t_hat=t_hat, check="weight"
-        )
+    return Matrix(field, E, _checked=True)
 
 
 def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     """Recover the transmitted codeword matrix from Y = C + E.
 
     Succeeds whenever wt(E) = t <= d - 2, s >= t and E has GF(q^m)-rank t.
-    Every returned report has verified residual and weight; all failure
-    modes raise a DecodingFailure subclass or a solver error, whose stage
-    attribute names the stage that failed ("erasure" for a solver error).
+    Every returned report has a verified residual and a certified weight;
+    all failure modes raise a DecodingFailure subclass or a solver error,
+    whose stage attribute names the stage that failed ("erasure" for a
+    solver error).
     """
     code = icode.constituent
     tower, partition = code.tower, code.partition
@@ -346,7 +392,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     h_sub, t_hat, I = compute_hsub(code.H, S)
     support = recover_block_supports(tower, h_sub, partition, t_hat)
     B = support.B
-    # both products of step 4 run over B's support columns J only
+    # step 4 solves over B's support columns J only
     J = np.flatnonzero(B.array.any(axis=0))
     BJ = B.array[:, J]
     HIJ = Matrix(S.field, code.H.array[np.ix_(I, J)], _checked=True)
@@ -356,10 +402,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     except LinearSystemError as ex:
         ex.stage = "erasure"
         raise
-    E = np.zeros((icode.s, code.n), dtype=np.int64)
-    E[:, J] = tower.ext_field.matmul(A.array, BJ)
-    E_hat = Matrix(tower.ext_field, E, _checked=True)
-    _verify(code, S, E_hat, t_hat)
+    E_hat = _verify(code, S, A, B, t_hat)
     return DecodingReport(
         C_hat=Y - E_hat,
         E_hat=E_hat,

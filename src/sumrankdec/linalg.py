@@ -62,7 +62,14 @@ class Matrix:
     __slots__ = ("field", "_a")
 
     def __init__(self, field, data, _checked: bool = False):
-        arr = np.asarray(data, dtype=np.int64)
+        if _checked:
+            arr = np.asarray(data, dtype=np.int64)
+        else:
+            arr = np.asarray(data)
+            # a float or bool would otherwise be truncated to a code silently
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
+            arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         if not _checked and arr.size:
@@ -571,9 +578,11 @@ def row_space_intersection(M1: Matrix, M2: Matrix) -> Matrix:
 
 
 def int_from_dict(x, what: str) -> int:
-    """x, a number read from a file, as an int.  A bool or any other
-    non-integer (2.5, and 2.0 too) raises ValueError instead of being
-    truncated or coerced."""
+    """x, a number read from a file or given to a constructor, as an int.
+    A bool or any other non-integer (2.5, and 2.0 too) raises ValueError
+    instead of being truncated or coerced."""
+    if type(x) is int:  # the common case, without the slower ABC check
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
@@ -598,9 +607,8 @@ def matrix_from_dict(d: dict, tower) -> Matrix:
     else:
         raise ValueError(f"unknown field label {label!r}")
     rows, cols = int_from_dict(d["rows"], "rows"), int_from_dict(d["cols"], "cols")
-    data = np.asarray(d["data"])
-    # numpy reads a bool among integers as 0 or 1, so bools are sought entry by entry
-    if data.size and (data.dtype.kind not in "iu"
-                      or any(isinstance(x, bool) for x in np.asarray(d["data"], dtype=object).flat)):
+    # numpy reads a bool among integers as 0 or 1, so bools are sought entry
+    # by entry; Matrix rejects any other non-integer
+    if any(isinstance(x, bool) for x in np.asarray(d["data"], dtype=object).flat):
         raise ValueError("matrix entries must be integers")
-    return Matrix(field, data.astype(np.int64).reshape(rows, cols))
+    return Matrix(field, np.asarray(d["data"]).reshape(rows, cols))

@@ -48,12 +48,13 @@ _SAMPLE_ATTEMPTS = 1000
 
 @dataclass(frozen=True)
 class LengthPartition:
-    """The vector (n_1, ..., n_l) of positive block lengths."""
+    """The vector (n_1, ..., n_l) of positive block lengths, each an
+    integer (see linalg.int_from_dict)."""
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(int_from_dict(x, "block length") for x in parts)
         if not parts or any(x < 1 for x in parts):
             raise ValueError("all block lengths must be >= 1")
         object.__setattr__(self, "parts", parts)
@@ -86,7 +87,7 @@ class LengthPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LengthPartition":
-        return cls([int_from_dict(x, "block length") for x in d["parts"]])
+        return cls(d["parts"])
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -100,6 +101,13 @@ class LengthPartition:
         for a in (parts, real, rev, cols):
             a.setflags(write=False)
         return parts, real, rev, cols
+
+    @cached_property
+    def _column_blocks(self) -> np.ndarray:
+        """Read-only: the index of the block that holds each of the n columns."""
+        out = np.repeat(np.arange(self.ell), self.parts)
+        out.setflags(write=False)
+        return out
 
     @classmethod
     def hamming(cls, n: int) -> "LengthPartition":

@@ -1,5 +1,6 @@
 """Support recovery, erasure decoding and the end-to-end decoder."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -32,7 +33,9 @@ from sumrankdec.linalg import (
     Matrix,
     NonUniqueSolution,
     block_diag,
+    hstack,
     rank,
+    rref,
     right_kernel,
     row_space_basis,
     row_space_intersection,
@@ -480,13 +483,12 @@ class TestDecoderPromise:
         assert shapes[0] == (long, 2 * w, w)
         if kind == "inside":
             assert failure is None and report.C_hat == inst.C
-            # with d > t + w the GF(q^m)-kernel of every block of h_sub, and of
-            # E_hat, is spanned by the error's GF(q) support, so no reduced row
-            # leaves GF(q) and nothing is expanded; only an E_hat of s < min n_i
-            # rows takes the distance oracle's branch, which expands every block
+            # with d > t + w the GF(q^m)-kernel of every block of h_sub is
+            # spanned by the error's GF(q) support, so no reduced row leaves
+            # GF(q) and nothing is expanded; verify reduces no block of E_hat,
+            # so nothing is expanded at s < min n_i either
             assert code.d > t + w
-            expanded = [batch for field, batch in calls if field == code.tower.base_field]
-            assert expanded == ([] if s >= min(code.partition.parts) else [code.partition.ell])
+            assert [batch for field, batch in calls if field == code.tower.base_field] == []
         elif failure is not None:
             assert failure.stage in {"annihilator", "supports", "erasure", "verify"}
         else:
@@ -678,8 +680,9 @@ def rank_law_cases(draw):
 class TestExactRankLaw:
     """Inside t <= d - 2 and s >= t, decode returns C exactly when
     rank(E) = t.  "If" is the decoding theorem; "only if" because t < d
-    gives t_hat = rank(S) = rank(E) < t, and verify rejects E_hat = E,
-    whose weight t is not t_hat."""
+    gives t_hat = rank(S) = rank(E) < t, and verify certifies the weight of
+    every returned E_hat as t_hat, so E_hat = E, of weight t, is never
+    returned."""
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(rank_law_cases())
@@ -709,67 +712,143 @@ def full_verdict(code, Y, E, t_hat):
     return syndrome(code.H, Y - E).is_zero and sum_rank_weight(code.tower, E, code.partition) == t_hat
 
 
-def support_verdict(code, S, E, t_hat):
+def product(tower, A, B):
+    """A @ B over GF(q^m), B's codes read as GF(q^m) codes."""
+    return A @ (tower.lift(B) if B.field == tower.base_field else B)
+
+
+def well_formed(tower, B, partition, t_hat):
+    """B is a witness: t_hat rows of GF(q) codes, each nonzero in at most one block."""
+    blocks = np.stack([blk.array.any(axis=1) for blk in partition.blocks(B)], axis=1)
+    return B.rows == t_hat and int(B.array.max(initial=0)) < tower.q and (blocks.sum(axis=1) <= 1).all()
+
+
+def support_verdict(code, S, A, B, t_hat):
     try:
-        decoder._verify(code, S, E, t_hat)
+        E_hat = decoder._verify(code, S, A, B, t_hat)
     except ResidualCheckFailed:
         return False
+    assert E_hat == product(code.tower, A, B)
     return True
 
 
-def planted_candidates(E, partition, rng):
-    """E with one entry changed inside its nonzero columns J, one set outside
-    J, and one set in a zero block, where E has such places."""
-    field, a = E.field, E.array
-    used = a.any(axis=0)
-    zero_blocks = [sl for sl in partition.slices if not used[sl].any()]
-    places = [np.flatnonzero(used), np.flatnonzero(~used)]
-    if zero_blocks:
-        sl = zero_blocks[rng.integers(len(zero_blocks))]
-        places.append(np.arange(sl.start, sl.stop))
+def planted_candidates(tower, A, B, partition, rng):
+    """(A, B) with one entry of A changed, one entry of B changed inside the
+    block of its row, one nonzero of B added in another block, and, when
+    m > 1, one entry of B set outside GF(q), where A and B have such
+    places.  The last two are malformed witnesses."""
+    field = tower.ext_field
     out = []
-    for cols in places:
-        if cols.size:
-            b = a.copy()
-            i, j = rng.integers(a.shape[0]), rng.choice(cols)
-            b[i, j] = field.add(b[i, j], 1 + int(rng.integers(field.order - 1)))
-            out.append(Matrix(field, b))
+    if A.array.size:
+        a = A.array.copy()
+        i, j = rng.integers(a.shape[0]), rng.integers(a.shape[1])
+        a[i, j] = field.add(a[i, j], 1 + int(rng.integers(field.order - 1)))
+        out.append((Matrix(field, a), B))
+    rows = np.flatnonzero(B.array.any(axis=1))
+    if rows.size:
+        r = rng.choice(rows)
+        own = next(sl for sl in partition.slices if B.array[r, sl].any())
+        others = [sl for sl in partition.slices if sl != own]
+        b = B.array.copy()
+        c = rng.integers(own.start, own.stop)
+        b[r, c] = tower.base_field.add(b[r, c], 1 + int(rng.integers(tower.q - 1)))
+        out.append((A, Matrix(B.field, b)))
+        if others:
+            b = B.array.copy()
+            sl = others[rng.integers(len(others))]
+            b[r, rng.integers(sl.start, sl.stop)] = 1 + rng.integers(tower.q - 1)
+            out.append((A, Matrix(B.field, b)))
+        if tower.m > 1:
+            b = B.array.copy()
+            b[r, c] = tower.q + rng.integers(field.order - tower.q)
+            out.append((A, Matrix(field, b)))
     return out
+
+
+def block_row_bases(E, partition):
+    """(A, B) with E = A @ B and B block-diagonal over GF(q^m): block i of B
+    is the reduced row basis of block i of E, and A's columns for it are
+    that block's pivot columns.  B has one row per unit of GF(q^m)-rank of
+    each block, which may be fewer than the block's weight."""
+    coeffs, bases = [], []
+    for blk in partition.blocks(E):
+        R, piv = rref(blk)
+        coeffs.append(blk[:, list(piv)])
+        bases.append(R[: len(piv)])
+    return hstack(coeffs), block_diag(bases)
+
+
+VERDICT_SHAPES = ["random", "blocks_of_1", "mixed", "s_below_min", "high_s"]
 
 
 @st.composite
 def verdict_cases(draw):
     """(code, s, t, full_rank, rng) over VERDICT_TOWERS: t from 0 up to n - k,
-    inside the guarantee or not."""
+    inside the guarantee or not, on random block lengths, blocks of 1, the
+    mixed lengths [3, 1, 4, 2], s below the shortest block, or s >= 4t."""
     tower = draw(st.sampled_from(VERDICT_TOWERS))
-    parts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    shape = draw(st.sampled_from(VERDICT_SHAPES))
+    if shape == "blocks_of_1":
+        parts = [1] * draw(st.integers(2, 8))
+    elif shape == "mixed":
+        parts = [3, 1, 4, 2]
+    else:
+        lo = 2 if shape == "s_below_min" else 1
+        parts = draw(st.lists(st.integers(lo, lo + 2), min_size=2, max_size=5 if lo == 2 else 6))
     part = LengthPartition(parts)
     k = draw(st.integers(1, part.n - 1))
-    s = draw(st.integers(1, 3))
+    if shape == "s_below_min":
+        s = draw(st.integers(1, min(parts) - 1))
+    elif shape == "high_s":
+        s = draw(st.integers(8, 12))
+    else:
+        s = draw(st.integers(1, 3))
     full_rank = draw(st.booleans())
     cap = sum(min(ni, tower.m * s) for ni in parts)
-    t = draw(st.integers(0, min(part.n - k, s if full_rank else cap)))
+    top = min(part.n - k, s if full_rank else cap)
+    t = draw(st.integers(0, min(top, s // 4) if shape == "high_s" else top))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_code(tower, part, k, rng=rng), s, t, full_rank, rng
 
 
 class TestVerifyOnSupport:
-    """decode's check over E_hat's nonzero columns gives the whole residual's verdict."""
+    """decode's check, the residual over B's nonzero columns and the witness
+    B, against the whole residual and the recomputed weight of E = A @ B."""
 
-    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(verdict_cases())
     def test_same_verdict_as_full_residual(self, case):
         code, s, t, full_rank, rng = case
+        tower = code.tower
         inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=full_rank)
         S = syndrome(code.H, inst.Y)
         t_hat = rank(S)
         try:
-            E = decode(inst.icode, inst.Y).E_hat
-            assert full_verdict(code, inst.Y, E, t_hat)
+            report = decode(inst.icode, inst.Y)
         except FAILURES:
-            E = inst.E
-        for cand in [E] + planted_candidates(E, code.partition, rng):
-            assert support_verdict(code, S, cand, t_hat) == full_verdict(code, inst.Y, cand, t_hat)
+            A, B = inst.em.A, inst.em.B
+        else:
+            A, B = report.A_hat, report.B_hat
+            assert full_verdict(code, inst.Y, report.E_hat, t_hat)
+            assert sum_rank_weight(tower, report.E_hat, code.partition) == report.t_hat == t_hat
+            assert syndrome(code.H, report.C_hat).is_zero
+        # E plus a nonzero codeword stack keeps the residual, and the unit
+        # vectors are a witness of n rows for it
+        Z = inst.icode.encode(Matrix.random(tower.ext_field, s, code.k, rng))
+        shifted = (product(tower, A, B) + Z, Matrix.identity(tower.base_field, code.n))
+        # the true error over GF(q^m) row bases keeps the residual; where an
+        # error block's rank over GF(q^m) is below its weight, only the
+        # GF(q) test of the witness tells its weight from t_hat
+        over_ext = block_row_bases(inst.E, code.partition)
+        candidates = [(A, B), shifted, over_ext] + planted_candidates(tower, A, B, code.partition, rng)
+        for A2, B2 in candidates:
+            verdict = support_verdict(code, S, A2, B2, t_hat)
+            full = full_verdict(code, inst.Y, product(tower, A2, B2), t_hat)
+            # never accepts what the whole check rejects, and agrees with it
+            # on every well-formed witness
+            assert full or not verdict
+            if well_formed(tower, B2, code.partition, t_hat):
+                assert verdict == full
 
     @pytest.mark.parametrize(
         "tower", [FieldTower.standard(2, 1), FieldTower.standard(2, 3), FieldTower.standard(5, 2)], ids=repr
@@ -781,12 +860,17 @@ class TestVerifyOnSupport:
         inst = make_instance(code, s=2, rng=rng, t=0)
         report = decode(inst.icode, inst.Y)
         assert report.t_hat == 0 and report.E_hat.shape == (2, code.n) and report.E_hat.is_zero
+        assert report.B_hat.shape == (0, code.n) and report.A_hat.shape == (2, 0)
         assert report.C_hat == inst.C
         S = syndrome(code.H, inst.Y)
-        planted = planted_candidates(report.E_hat, code.partition, rng)
-        assert len(planted) == 2
-        for cand in planted:
-            assert not support_verdict(code, S, cand, 0) and not full_verdict(code, inst.Y, cand, 0)
+        assert support_verdict(code, S, report.A_hat, report.B_hat, 0)
+        # a nonzero error of weight 1 in the first or the last block: a
+        # witness of one row where t_hat = 0 asks for none
+        for col in (0, code.n - 1):
+            A = Matrix(tower.ext_field, [[1], [int(rng.integers(tower.ext_field.order))]])
+            B = Matrix(tower.base_field, np.eye(1, code.n, col, dtype=np.int64))
+            assert not support_verdict(code, S, A, B, 0)
+            assert not full_verdict(code, inst.Y, product(tower, A, B), 0)
 
 
 class TestDecodeRandomised:
@@ -915,7 +999,20 @@ class TestRobustness:
                 decoder, "erasure_decode", lambda H, B, S: Matrix.zeros(H.field, S.cols, B.rows)
             )
         else:
-            monkeypatch.setattr(decoder, "sum_rank_weight", lambda tower, E, part: 0)
+            # a malformed witness: one nonzero of B moves to the same place
+            # in the next block, so its row is nonzero in two blocks
+            recover = decoder.recover_block_supports
+
+            def moved(tower, h_sub, partition, t_hat):
+                support = recover(tower, h_sub, partition, t_hat)
+                b = support.B.array.copy()
+                r = int(np.argmax((b != 0).sum(axis=1)))
+                c = int(np.flatnonzero(b[r])[-1])
+                assert (b[r] != 0).sum() >= 2 and partition.parts == (2, 2, 2)
+                b[r, (c + 2) % partition.n], b[r, c] = b[r, c], 0
+                return dataclasses.replace(support, B=Matrix(support.B.field, b))
+
+            monkeypatch.setattr(decoder, "recover_block_supports", moved)
         with pytest.raises(ResidualCheckFailed) as info:
             decode(ref.icode, ref.Y)
         assert (info.value.t_hat, info.value.check) == (3, check)

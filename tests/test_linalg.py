@@ -89,6 +89,13 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match="out of range"):
             Matrix(ref_tower.ext_field, [[25]])
 
+    @pytest.mark.parametrize("data", [[[1.7, 2.2]], [[True, False]], np.array([[3.9]]),
+                                      [[2.0, 1.0]], np.array([[1]], dtype=bool)], ids=repr)
+    def test_non_integer_entries(self, ref_tower, data):
+        # none is truncated or coerced to a code
+        with pytest.raises(ValueError, match="must be integers"):
+            Matrix(ref_tower.ext_field, data)
+
     def test_field_mismatch(self, ref_tower):
         a = Matrix.zeros(ref_tower.ext_field, 2, 2)
         b = Matrix.zeros(ref_tower.base_field, 2, 2)

@@ -46,6 +46,11 @@ class TestLengthPartition:
         with pytest.raises(ValueError):
             LengthPartition([])
 
+    @pytest.mark.parametrize("parts", [[2.7, True], [2.0, 2], [True], [2, np.float64(3)]], ids=repr)
+    def test_non_integer_lengths(self, parts):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LengthPartition(parts)
+
     def test_json_roundtrip(self):
         p = LengthPartition([3, 1, 2])
         assert LengthPartition.from_dict(p.to_dict()) == p
