@@ -28,7 +28,7 @@ linear system for the error values (column-erasure decoding):
    the Hamming metric) need no elimination at all.
    When the annihilator is tall (n - k - t > 4w with w = max n_i, and
    l (n - k - t - 2w) w, its entries below the leading 2w rows, at least
-   linalg._SOURCE_MIN_ENTRIES), only its leading 2w rows are formed, on
+   sumrank._SOURCE_MIN_ENTRIES), only its leading 2w rows are formed, on
    all columns, one (2w x t)(t x n) product, and the first elimination
    reduces them.  An error-free block typically shows full rank there.
    The rows below are formed only on the columns of the other blocks: the
@@ -37,8 +37,7 @@ linear system for the error values (column-erasure decoding):
    test per column).  The stage then costs O(l w^3 + t (n - k) w^2)
    operations in GF(q^m) instead of O(l (n - k) w^2), and forming h_sub
    O(t w n + t^2 w (n - k)) instead of O(t n (n - k)).  A shorter
-   annihilator is formed whole, and its blocks take linalg.rref_stack's
-   own route.
+   annihilator is formed whole, and its blocks are reduced in full.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  A left-kernel
    vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
    because B spans the kernels of h_sub's expanded blocks.  So every

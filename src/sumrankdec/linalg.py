@@ -17,6 +17,12 @@ takes a third to a half of the stepping time, and a 512 x 1024 one a
 seventh (0.15 s instead of 1.08 s).  Characteristic 2 stays on the stepping
 loop: its products gather an (inner, rows, cols) table tensor, and panels
 gained at most a quarter there (GF(2^12), 256 x 512) and tied at 64 x 128.
+
+A stack of small matrices is reduced by rref_stack, all members at once.
+Given a row source for the rows below a leading slice, it reduces the slice
+first and reads the rows below only for the members short of full rank
+there; when a source is worth slicing is its caller's rule (see
+sumrank._reduce_blocks).
 """
 
 from __future__ import annotations
@@ -334,33 +340,6 @@ _PANEL_MIN_ROWS = 16
 _PANEL_MIN_COLS = 160
 
 
-# Smallest batch (r - 2c) c^2 for which rref_stack takes the slice path.
-# Timed (2-core x86-64 VM) against the full elimination on GF(5), GF(5^2)
-# and GF(2^12) stacks with c = 2..6, r = 4.5c..30c and batch 4..2048, a
-# tenth or a third of the members rank-deficient: below 2^15 the path lost
-# up to about 50 % on some shapes
-# (e.g. (1024, 9, 2) +10 %, (32, 30, 6) +24 %, (256, 10, 2) over GF(5)
-# +51 %); from 2^15 on it won, by up to 80 %, or tied within 4 %.  A stack
-# whose members are all deficient gains nothing from the slice and lost
-# 10-60 % to it at any size; in decoding those are the error blocks, at
-# most t of the l blocks.
-_SLICE_MIN_WORK = 2**15
-
-
-# Smallest batch (r - 2c) c for which a stack whose rows below the slice
-# come from a row source takes the slice path: the entries of the stack
-# below the slice that the source then need not form.  Timed (2-core
-# x86-64 VM, one BLAS thread, best of 60 decodes per instance, the two
-# routes interleaved per decode, median over 10 instances) with decode()
-# on random codes over GF(4), GF(8), GF(25), GF(81) and GF(2^12), blocks
-# of 1, 2, 3, 4 and mixed (3, 1, 4, 2), n = 16..256: against forming the
-# whole annihilator, the path lost 2-21 % up to 2460 entries (e.g. GF(4),
-# 16 blocks of 2, r = 23: +21 %; GF(25), 16 blocks of 4, r = 44: +6 %),
-# tied within 3 % at 2664-3840, and won from 4160 on (0.88-0.94x at 4160-
-# 6912, 0.78x on GF(25) with 64 blocks of 4 and r = 120).
-_SOURCE_MIN_ENTRIES = 2**12
-
-
 def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
     """Reduce the (batch, r, c) stack a in place; return its pivot mask.
 
@@ -401,29 +380,6 @@ def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _slice_height(batch: int, r: int, c: int, formed: bool = True) -> int:
-    """Rows of the leading slice that the slice path of rref_stack reduces
-    first in a (batch, r, c) stack: 2c when the stack takes the path, r
-    when it is reduced in full.
-
-    A formed stack, whose rows all exist as one array, takes the path when
-    c >= 2, r > 4c and batch (r - 2c) c^2, the row updates it spares, is at
-    least _SLICE_MIN_WORK.  A one-column stack is reduced in one step at any
-    height, and below the bound the residual pass and its bookkeeping cost
-    more than they spare on some shapes (see _SLICE_MIN_WORK).  A stack
-    whose rows below the slice come from a row source (formed=False, see
-    rref_stack) takes the path when r > 4c, c = 1 included, and batch
-    (r - 2c) c, the entries below the slice, is at least
-    _SOURCE_MIN_ENTRIES: the rows the path does not ask for are never formed.
-    """
-    h = 2 * c
-    if formed:
-        taken = c >= 2 and batch * (r - h) * c * c >= _SLICE_MIN_WORK
-    else:
-        taken = batch * (r - h) * c >= _SOURCE_MIN_ENTRIES
-    return h if r > 2 * h and taken else r
-
-
 def rref_stack(field, arr: np.ndarray, below=None) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row-echelon forms of a (batch, r, c) stack, all members at once.
 
@@ -431,41 +387,30 @@ def rref_stack(field, arr: np.ndarray, below=None) -> tuple[np.ndarray, np.ndarr
     columns; R[b] equals _rref_arrays(field, arr[b])[0] (same pivot choice).
     Single matrices stay on _rref_arrays, which is faster at batch 1.
 
-    A tall stack is reduced on its leading slice of 2c rows first (see
-    _slice_height for when).  A member with c pivots there is done: its
-    RREF is the reduced slice followed by zero rows.  For each other member,
-    every row below the slice minus its entries in the pivot columns times
-    the slice's pivot rows (one submul pass per pivot column, exact because
-    the slice is in RREF) vanishes exactly when the row lies in the slice's
-    row space.  When all of them vanish, the member's row space is the
-    slice's, and so is its RREF, which is canonical for the row space.  Only
-    members whose rank grows below the slice are reduced again in full.  For
-    d members short of full column rank this costs O(batch c^3 + d r c^2)
-    instead of O(batch r c^2).
-
-    The rows below the slice come from a row source.  For a plain stack
-    that is arr itself.  With below given, arr is only the leading slice of
-    every member, h >= c rows, and below(members) returns the rows under
-    it of the members indexed by the integer array members, as a
-    (len(members), r - h, c) array: the path reads them only for the
-    members short of full rank on the slice, so a caller that forms rows on
-    demand (decoder.Annihilator) forms no others.  R then has h rows per
-    member; the RREF of a member has at most c nonzero rows, so R is still
-    the member's RREF, without its zero rows past h.
+    With below given, arr is only the leading slice of every member, h >= c
+    rows, and below(members) returns the rows under it of the members
+    indexed by the integer array members, as a (len(members), r - h, c)
+    array.  The slice is reduced first.  A member with c pivots there is
+    done: its RREF is the reduced slice followed by zero rows.  For each
+    other member, every row below the slice minus its entries in the pivot
+    columns times the slice's pivot rows (one submul pass per pivot column,
+    exact because the slice is in RREF) vanishes exactly when the row lies
+    in the slice's row space.  When all of them vanish, the member's row
+    space is the slice's, and so is its RREF, which is canonical for the row
+    space.  Only members whose rank grows below the slice are reduced again
+    in full.  below is called only for the members short of full rank on the
+    slice, so a caller that forms rows on demand (decoder.Annihilator, read
+    by sumrank._reduce_blocks, which also decides when to slice) forms no
+    others.  R then has h rows per member; the RREF of a member has at most
+    c nonzero rows, so R is still the member's RREF, without its zero rows
+    past h.
     """
-    top = np.array(arr, dtype=np.int64)
-    batch, h, c = top.shape
-    whole = None
-    if below is None:
-        h = _slice_height(batch, h, c)
-        if h == top.shape[1]:
-            return top, _reduce_stack(field, top)
-        whole, top = top, top[:, :h]
-
-        def below(members):
-            return whole[members, h:]
+    top = np.asarray(arr, dtype=np.int64)
     a = top.copy()
     pivots = _reduce_stack(field, a)
+    if below is None:
+        return a, pivots
+    _, h, c = a.shape
     short = np.flatnonzero(pivots.sum(axis=1) < c)
     if short.size:
         p = pivots[short]
@@ -481,11 +426,7 @@ def rref_stack(field, arr: np.ndarray, below=None) -> tuple[np.ndarray, np.ndarr
             full = np.concatenate([top[short[grew]], rest[grew]], axis=1)
             pivots[short[grew]] = _reduce_stack(field, full)
             a[short[grew]] = full[:, :h]
-    if whole is None:
-        return a, pivots
-    whole[:, :h] = a
-    whole[:, h:] = 0
-    return whole, pivots
+    return a, pivots
 
 
 def rref(M: Matrix) -> tuple[Matrix, tuple[int, ...]]:

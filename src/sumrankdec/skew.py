@@ -17,7 +17,7 @@ import numpy as np
 from .code import InterleavedCode
 from .decoder import DecodingReport, decode
 from .gf import FieldTower
-from .linalg import Matrix
+from .linalg import Matrix, int_from_dict
 from .sumrank import LengthPartition, sum_rank_weight
 
 __all__ = ["SkewIsometry", "skew_weight", "skew_decode"]
@@ -32,6 +32,9 @@ class SkewIsometry:
     diagonal: tuple[int, ...]
 
     def __post_init__(self):
+        # a fraction or a bool raises ValueError; numpy integers are stored as int
+        diagonal = tuple(int_from_dict(d, "diagonal entry") for d in self.diagonal)
+        object.__setattr__(self, "diagonal", diagonal)
         if len(self.diagonal) != self.partition.n:
             raise ValueError(f"diagonal has {len(self.diagonal)} entries, expected {self.partition.n}")
         if any(not 0 < d < self.tower.order for d in self.diagonal):
@@ -70,7 +73,7 @@ class SkewIsometry:
 
     @classmethod
     def from_dict(cls, d: dict, tower: FieldTower, partition: LengthPartition) -> "SkewIsometry":
-        return cls(tower, partition, tuple(int(x) for x in d["D_diag"]))
+        return cls(tower, partition, tuple(d["D_diag"]))
 
 
 def skew_weight(tower: FieldTower, iso: SkewIsometry, X: Matrix) -> int:

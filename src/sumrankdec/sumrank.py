@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .gf import FieldTower
-from .linalg import (Matrix, _slice_height, block_diag, hstack, int_from_dict, matrix_from_dict,
-                     matrix_to_dict, rank, row_space_basis, rref_stack, solve_unique)
+from .linalg import (Matrix, block_diag, hstack, int_from_dict, matrix_from_dict, matrix_to_dict,
+                     rank, row_space_basis, rref_stack, solve_unique)
 
 __all__ = [
     "LengthPartition",
@@ -118,6 +118,20 @@ class LengthPartition:
         return cls((n,))
 
 
+# Smallest l (r - 2w) w, the entries below the leading 2w rows, for which
+# _reduce_blocks reads a row source of r > 4w rows on demand (rref_stack's
+# slice path) instead of forming it whole.  Timed (2-core x86-64 VM, one
+# BLAS thread, best of 60 decodes per instance, the two routes interleaved
+# per decode, median over 10 instances) with decode() on random codes over
+# GF(4), GF(8), GF(25), GF(81) and GF(2^12), blocks of 1, 2, 3, 4 and mixed
+# (3, 1, 4, 2), n = 16..256: against forming the whole annihilator, the path
+# lost 2-21 % up to 2460 entries (e.g. GF(4), 16 blocks of 2, r = 23: +21 %;
+# GF(25), 16 blocks of 4, r = 44: +6 %), tied within 3 % at 2664-3840, and
+# won from 4160 on (0.88-0.94x at 4160-6912, 0.78x on GF(25) with 64 blocks
+# of 4 and r = 120).
+_SOURCE_MIN_ENTRIES = 2**12
+
+
 def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition):
     """The stacked eliminations behind block_ranks and block_kernels.
 
@@ -146,14 +160,16 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
 
     arr may also be a row source of one r x n matrix (batch 1), an object
     with rows, take(rows, cols) and matrix(), such as decoder.Annihilator:
-    its entries are formed only when read.  Off the slice path (see
-    linalg._slice_height) every row is read, and the whole matrix is formed
-    at once.  On it, only the leading slice of 2w rows of the l members is
-    formed, on all columns.  A member zero there is zero unless its rows
-    below are not, so those members, blocks of length 1 included (a nonzero
-    test per column), take their rows below too.  The rows below of the
-    other members are read by rref_stack's residual check, and only for the
-    members short of full rank on the slice.
+    its entries are formed only when read.  It takes rref_stack's slice path
+    when r > 4w and l (r - 2w) w, its entries below the leading 2w rows, is
+    at least _SOURCE_MIN_ENTRIES; a shorter or smaller source is formed
+    whole at once, as every row would be read.  On the path, only the
+    leading slice of 2w rows of the l members is formed, on all columns.  A
+    member zero there is zero unless its rows below are not, so those
+    members, blocks of length 1 included (a nonzero test per column), take
+    their rows below too.  The rows below of the other members are read by
+    rref_stack's residual check, and only for the members short of full
+    rank on the slice.  A formed stack is always reduced in full.
 
     Returns (ranks, deficient, R, piv, rev, real): the GF(q)-ranks of all
     batch * l expanded blocks, the members of length >= 2 short of full
@@ -165,8 +181,9 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     ell, w = real.shape
     source = None if isinstance(arr, np.ndarray) else arr
     if source is not None:
-        h = _slice_height(ell, source.rows, w, formed=False)
-        if h == source.rows:  # off the slice path, every row is read: form them all
+        h = 2 * w
+        if source.rows <= 2 * h or ell * (source.rows - h) * w < _SOURCE_MIN_ENTRIES:
+            # off the slice path every row is read: form them all
             arr, source = source.matrix().array[None], None
     if source is None:
         if arr.shape[1] == 0:  # a zero row leaves every kernel as it is
@@ -354,7 +371,7 @@ def check_profile(
     s: int,
     require_full_rank: bool,
 ) -> tuple[int, ...]:
-    profile = tuple(int(x) for x in profile)
+    profile = tuple(int_from_dict(x, "block weight") for x in profile)
     if len(profile) != partition.ell:
         raise Infeasible(f"profile has {len(profile)} entries, partition has {partition.ell} blocks")
     if s < 1:

@@ -87,14 +87,14 @@ def make_instance(
 
 
 @contextmanager
-def reduced_stacks(min_work: int | None = None):
+def reduced_stacks(min_entries: int | None = None):
     """Record the shape of every stack that rref_stack's stepping code reduces.
 
     The slice path of a (batch, r, c) stack reduces a (batch, 2c, c) slice
     first, then the full height of the members whose rank grows below it.
-    With min_work set, the slice path's bounds, for formed stacks and for
-    stacks read from a row source, are lowered to it, so that tall stacks
-    and annihilators of test size (min_work = 0) take the path too.
+    With min_entries set, sumrank's bound for reading a row source on that
+    path is lowered to it, so that annihilators of test size (min_entries =
+    0) take the path too.
     """
     shapes: list[tuple[int, ...]] = []
     inner = linalg._reduce_stack
@@ -103,9 +103,9 @@ def reduced_stacks(min_work: int | None = None):
         shapes.append(a.shape)
         return inner(field, a)
 
-    bounds = ("_SLICE_MIN_WORK", "_SOURCE_MIN_ENTRIES")
-    with mock.patch.object(linalg, "_reduce_stack", spy), mock.patch.multiple(
-        linalg, **{b: getattr(linalg, b) if min_work is None else min_work for b in bounds}
+    bound = sumrank._SOURCE_MIN_ENTRIES if min_entries is None else min_entries
+    with mock.patch.object(linalg, "_reduce_stack", spy), mock.patch.object(
+        sumrank, "_SOURCE_MIN_ENTRIES", bound
     ):
         yield shapes
 

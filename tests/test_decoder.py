@@ -464,7 +464,7 @@ class TestDecoderPromise:
     def test_exact_inside_typed_or_verified_outside(self, case):
         code, s, t, kind, rng = case
         inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=kind != "deficient")
-        with reduced_stacks(min_work=0) as shapes, stacked_eliminations() as calls:
+        with reduced_stacks(min_entries=0) as shapes, stacked_eliminations() as calls:
             try:
                 report, failure = decode(inst.icode, inst.Y), None
             except FAILURES as ex:
@@ -610,7 +610,7 @@ class TestAnnihilatorOnDemand:
         tower, part, M, ann, on_route = case
         assert ann.matrix().tolist() == M.tolist()
         K_ref, lead_ref = block_kernels(tower, M[None], part)
-        with reduced_stacks(min_work=0 if on_route else None) as shapes:
+        with reduced_stacks(min_entries=0 if on_route else None) as shapes:
             K, lead = block_kernels(tower, ann, part)
         assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
         w, r = max(part.parts), ann.rows
@@ -688,7 +688,7 @@ class TestExactRankLaw:
     @given(rank_law_cases())
     def test_success_exactly_when_full_rank(self, case):
         code, inst, tall = case
-        with reduced_stacks(min_work=0) as shapes:
+        with reduced_stacks(min_entries=0) as shapes:
             try:
                 report, failure = decode(inst.icode, inst.Y), None
             except FAILURES as ex:

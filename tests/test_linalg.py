@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import eliminations, panel_reductions, reduced_stacks
 from sumrankdec import linalg
 from sumrankdec.gf import FieldTower, PrimeField
+from sumrankdec.sumrank import LengthPartition, block_kernels
 from sumrankdec.linalg import (
     _rref_arrays,
     Inconsistent,
@@ -421,9 +422,11 @@ class TestRrefStack:
         assert pivots[2].tolist() == [False, True]
 
     def _check_members(self, field, arr, R, pivots):
+        # R may stop after its leading rows: the rows past them are zero
+        h = R.shape[1]
         for b in range(arr.shape[0]):
             want, _, piv = _rref_arrays(field, arr[b])
-            assert R[b].tolist() == want.tolist()
+            assert R[b].tolist() == want[:h].tolist() and not want[h:].any()
             assert np.flatnonzero(pivots[b]).tolist() == piv
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -436,46 +439,68 @@ class TestRrefStack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_tall_stacks_match_single_matrix_engine(self, field, c, extra, kinds, pad, seed):
-        # the slice path, lowered to test sizes: only members whose rank
-        # grows below the slice are reduced again in full
+        # the slice path with the rows below the slice from a row source:
+        # only members whose rank grows below the slice are reduced again
+        # in full
         rng = np.random.default_rng(seed)
         r = 4 * c + extra
         arr = np.stack([_tall_member(field, kind, r, c, pad, rng) for kind in kinds])
-        with reduced_stacks(min_work=0) as shapes:
-            R, pivots = rref_stack(field, arr)
+        with reduced_stacks() as shapes:
+            R, pivots = rref_stack(field, arr[:, :2 * c], below=lambda m: arr[m, 2 * c:])
         grew = kinds.count("grows_below")
         assert shapes == [(len(kinds), 2 * c, c)] + ([(grew, r, c)] if grew else [])
         self._check_members(field, arr, R, pivots)
 
     def test_fallback_at_annihilator_size(self):
         # GF(5^2) blocks of 4 with 120 annihilator rows, as in a decode at
-        # n = 256, take the slice path under the default work bound
+        # n = 256: only the member that grows below the slice is reduced in full
         f = FieldTower.standard(5, 2).ext_field
         rng = np.random.default_rng(16)
         kinds = ["full"] * 60 + ["in_span", "zero", "grows_below", "in_span"]
         arr = np.stack([_tall_member(f, kind, 120, 4, 0, rng) for kind in kinds])
         with reduced_stacks() as shapes:
-            R, pivots = rref_stack(f, arr)
+            R, pivots = rref_stack(f, arr[:, :8], below=lambda m: arr[m, 8:])
         assert shapes == [(64, 8, 4), (1, 120, 4)]
         self._check_members(f, arr, R, pivots)
 
     @pytest.mark.parametrize(
         "shape,sliced",
         [
-            ((128, 56, 1), False),  # one column: one step at any height
-            ((6, 5, 2), False),  # r <= 4c
-            ((8, 32, 4), False),  # batch (r - 2c) c^2 below 2^15
-            ((64, 120, 4), True),
+            ((128, 56, 1), True),  # hamming-wide: l (r - 2w) w = 6912
+            ((6, 5, 2), False),  # mc-small: r <= 4w
+            ((8, 32, 4), False),  # l (r - 2w) w = 768, below 2^12
+            ((64, 120, 4), True),  # sumrank-large: 14336
         ],
     )
     def test_slice_path_rule(self, shape, sliced):
-        f = FieldTower.standard(5, 2).ext_field
-        arr = f.random(np.random.default_rng(17), shape)
-        with reduced_stacks() as shapes:
-            R, pivots = rref_stack(f, arr)
-        batch, r, c = shape
-        assert shapes[0] == ((batch, 2 * c, c) if sliced else shape)
-        self._check_members(f, arr, R, pivots)
+        # sumrank._reduce_blocks's rule for a row source of r rows and l
+        # blocks of w, on the annihilator shapes (l, r, w) of the workloads:
+        # a sliced source is read on its leading 2w rows first, any other is
+        # formed whole
+        ell, r, w = shape
+        tower = FieldTower.standard(5, 2)
+        part = LengthPartition([w] * ell)
+        source = _RowSource(tower.ext_field, tower.ext_field.random(np.random.default_rng(17), (r, ell * w)))
+        K, lead = block_kernels(tower, source, part)
+        assert source.reads[0] == ((0, 2 * w) if sliced else "whole")
+        K_ref, lead_ref = block_kernels(tower, source.a[None], part)
+        assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
+
+
+class _RowSource:
+    """A row source (see sumrank._reduce_blocks) over a formed array that
+    records what it is asked for: a range of rows, or the whole matrix."""
+
+    def __init__(self, field, a):
+        self.field, self.a, self.rows, self.reads = field, a, a.shape[0], []
+
+    def take(self, rows, cols):
+        self.reads.append((rows.start, rows.stop))
+        return self.a[rows][:, cols]
+
+    def matrix(self):
+        self.reads.append("whole")
+        return Matrix(self.field, self.a)
 
 
 # odd p, prime and extension fields, a prime whose products take the int64

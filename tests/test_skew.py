@@ -21,6 +21,19 @@ class TestIsometry:
         with pytest.raises(ValueError):
             SkewIsometry(ref.tower, ref.partition, (1, 1, 1))
 
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_non_integer_entry_rejected(self, ref, entry):
+        # kept as given by the constructor, or truncated to 1 by from_dict
+        diagonal = (entry, 2, 3, 4, 1, 2)
+        with pytest.raises(ValueError, match="integer"):
+            SkewIsometry(ref.tower, ref.partition, diagonal)
+        with pytest.raises(ValueError, match="integer"):
+            SkewIsometry.from_dict({"D_diag": list(diagonal)}, ref.tower, ref.partition)
+
+    def test_numpy_entries_stored_as_int(self, ref):
+        iso = SkewIsometry(ref.tower, ref.partition, np.arange(1, 7))
+        assert iso.diagonal == (1, 2, 3, 4, 5, 6) and type(iso.diagonal[0]) is int
+
     def test_inverse(self, ref):
         rng = np.random.default_rng(0)
         iso = SkewIsometry.random(ref.tower, ref.partition, rng)

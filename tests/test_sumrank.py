@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_stacks, stacked_eliminations
 from sumrankdec import sumrank
+from sumrankdec.code import random_code
 from sumrankdec.gf import FieldTower
 from sumrankdec.linalg import Matrix, block_diag, rank, right_kernel, row_space_basis, rref
 from sumrankdec.sumrank import (
@@ -229,6 +230,16 @@ class TestSampleError:
         with pytest.raises(Infeasible):
             sample_error(ref_tower, part, (1, 1), s=3, seed=0)
 
+    @pytest.mark.parametrize("profile", [(1.9, 0, 0), (1.7, True, 0), (1, True, 0), (1.0, 0, 0)],
+                             ids=["fraction", "fraction-and-bool", "bool", "float"])
+    def test_non_integer_weights_rejected(self, ref_tower, profile):
+        # int() drew a weight-1 error for 1.9 and read True as 1
+        part = LengthPartition([2, 2, 2])
+        with pytest.raises(ValueError, match="integer"):
+            sumrank.check_profile(ref_tower, part, profile, 3, True)
+        with pytest.raises(ValueError, match="integer"):
+            sample_error(ref_tower, part, profile, 3, seed=0)
+
     def test_rank_deficient_when_s_below_t(self, ref_tower):
         part = LengthPartition([2, 2, 2])
         em = sample_error(ref_tower, part, (1, 2, 1), s=3, require_full_rank=False, seed=9)
@@ -383,9 +394,30 @@ def check_against_per_block_loop(tower, part, arr):
         assert sum_rank_weight(tower, M, part) == sum(rank(ext) for ext in expanded)
 
 
+def _distance_oracle_stack():
+    """256 codewords of a GF(2^9) code with 8 blocks of 2 and k = 2, one row
+    per member as min_sum_rank_distance stacks them: every member expands
+    to 9 x 2 over GF(2), taller than 4w."""
+    tower, part = FieldTower.standard(2, 9), LengthPartition([2] * 8)
+    rng = np.random.default_rng(31)
+    G = random_code(tower, part, 2, rng=rng).generator
+    return tower, part, tower.ext_field.matmul(tower.ext_field.random(rng, (256, 2)), G.array)[:, None]
+
+
+def _tall_error_stack():
+    """A 512 x 256 error of weight 8 over GF(5^2) with blocks of 4, rank 1 in
+    every eighth block: 8 tall members, all rank-deficient."""
+    tower, part = FieldTower.standard(5, 2), LengthPartition([4] * 64)
+    profile = [1 if i % 8 == 0 else 0 for i in range(64)]
+    em = sample_error(tower, part, profile, 512, rng=np.random.default_rng(32))
+    return tower, part, em.E.array[None]
+
+
 class TestBlockKernels:
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(block_stacks())
+    @example(_distance_oracle_stack())
+    @example(_tall_error_stack())
     def test_matches_per_block_kernels(self, case):
         check_against_per_block_loop(*case)
 
