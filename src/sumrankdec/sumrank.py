@@ -343,15 +343,31 @@ class ErrorModel:
 
     @classmethod
     def from_dict(cls, d: dict, tower: FieldTower, partition: LengthPartition) -> "ErrorModel":
+        """Raises ValueError for a non-integer weight or seed, a non-bool
+        full_rank, or a profile other than B's rows per block (each row
+        counted in the block of its first nonzero column)."""
+        profile = tuple(int_from_dict(x, "block weight") for x in d["profile"])
+        full_rank = d["full_rank"]
+        if not isinstance(full_rank, bool):
+            raise ValueError(f"full_rank must be true or false, got {full_rank!r}")
+        seed = d.get("seed")
+        B = matrix_from_dict(d["B"], tower)
+        if B.cols != partition.n:
+            raise ValueError(f"B has {B.cols} columns, partition length is {partition.n}")
+        nz = B.array != 0
+        # a zero row is counted in no block: the extra last bin
+        block = np.where(nz.any(axis=1), partition._column_blocks[nz.argmax(axis=1)], partition.ell)
+        if tuple(np.bincount(block, minlength=partition.ell + 1)) != profile + (0,):
+            raise ValueError(f"profile {profile} does not match B's rows per block")
         return cls(
             tower=tower,
             partition=partition,
             E=matrix_from_dict(d["E"], tower),
             A=matrix_from_dict(d["A"], tower),
-            B=matrix_from_dict(d["B"], tower),
-            profile=tuple(d["profile"]),
-            full_rank=bool(d["full_rank"]),
-            seed=d.get("seed"),
+            B=B,
+            profile=profile,
+            full_rank=full_rank,
+            seed=None if seed is None else int_from_dict(seed, "seed"),
         )
 
 

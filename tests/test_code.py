@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import eliminations, panel_reductions
 from sumrankdec.code import (
@@ -200,6 +202,67 @@ class TestMinDistance:
                 cw = Matrix(F, F.matmul(np.array([msg]), code.generator.array))
                 weights.append(sum(rank(tower.ext_matrix(blk)) for blk in part.blocks(cw)))
         assert min_sum_rank_distance(code) == min(weights)
+
+
+# GF(2) has one codeword per line, so the oracle saves nothing there
+MINDIST_TOWERS = [FieldTower.standard(p, m) for p, m in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2))]
+
+
+def distance_by_full_enumeration(code):
+    """Minimum sum-rank weight over all Q^k - 1 nonzero codewords, each block
+    weighed by the rank of its expansion over GF(q)."""
+    tower, part, F = code.tower, code.partition, code.tower.ext_field
+    ranks = {}  # block rank by the block's codes, so repeated blocks are ranked once
+    best = code.n
+    for msg in itertools.product(range(tower.order), repeat=code.k):
+        if any(msg):
+            cw = Matrix(F, F.matmul(np.array([msg]), code.generator.array))
+            weight = 0
+            for blk in part.blocks(cw):
+                key = tuple(blk.array[0].tolist())
+                if key not in ranks:
+                    ranks[key] = rank(tower.ext_matrix(blk))
+                weight += ranks[key]
+            best = min(best, weight)
+    return best
+
+
+class TestMinDistanceProperty:
+    """min_sum_rank_distance weighs one codeword per line; the reference here
+    weighs every codeword and shares no code with block_ranks."""
+
+    @pytest.mark.parametrize("tower", MINDIST_TOWERS, ids=repr)
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_enumeration(self, tower, data):
+        Q = tower.order
+        k = data.draw(st.integers(1, max(j for j in (1, 2, 3) if Q**j < 1000)))
+        kind = data.draw(st.sampled_from(["hamming", "one block", "mixed"]))
+        if kind == "mixed":
+            parts = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5)
+                              .filter(lambda p: sum(p) > k))
+        else:
+            n = data.draw(st.integers(k + 1, k + 4))
+            parts = (1,) * n if kind == "hamming" else (n,)
+        part = LengthPartition(parts)
+        # a zero column of H puts a weight-1 codeword in the code
+        zero_col = data.draw(st.none() | st.integers(0, part.n - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        F = tower.ext_field
+        while True:
+            H = F.random(rng, (part.n - k, part.n))
+            if zero_col is not None:
+                H[:, zero_col] = 0
+            try:
+                code = LinearCode(tower, part, Matrix(F, H))
+                break
+            except ValueError:
+                continue
+        d = distance_by_full_enumeration(code)
+        assert d == 1 or zero_col is None
+        assert min_sum_rank_distance(code, budget=Q**k) == d
+        with pytest.raises(BudgetExceeded):
+            min_sum_rank_distance(code, budget=Q**k - 1)
 
 
 class TestParityColumnIndependence:

@@ -494,6 +494,19 @@ class TestDecoderPromise:
         else:
             assert inst.icode.contains(report.C_hat)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_at_the_edge_on_certified_k4_codes(self, seed):
+        # 25^4 = 390 624 codewords, certified by min_sum_rank_distance (d = 7 to 9
+        # at these seeds); decoding at s = t = d - 2, the edge of the guarantee
+        tower, part = FieldTower.standard(5, 2), LengthPartition([2] * 8)
+        rng = np.random.default_rng(seed)
+        code = random_code(tower, part, 4, rng=rng)
+        code.d = min_sum_rank_distance(code)
+        t = code.d - 2
+        for _ in range(5):
+            inst = make_instance(code, s=t, rng=rng, t=t)
+            assert decode(inst.icode, inst.Y).C_hat == inst.C
+
 
 @st.composite
 def high_order_cases(draw):

@@ -261,6 +261,28 @@ class TestSampleError:
         em2 = ErrorModel.from_dict(em.to_dict(), ref_tower, part)
         assert em2.E == em.E and em2.profile == em.profile
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("profile", [1.0, True, 0]),
+            ("profile", [1, 1.5, 0]),
+            ("full_rank", "no"),
+            ("full_rank", 1),
+            ("seed", 2.5),
+            ("seed", True),
+            ("profile", [2, 0, 0]),  # B has one row in each of the first two blocks
+            ("profile", [1, 1, 0, 0]),
+        ],
+    )
+    def test_from_dict_rejects_malformed_fields(self, ref_tower, key, value):
+        from sumrankdec.sumrank import ErrorModel
+
+        part = LengthPartition([2, 2, 2])
+        d = sample_error(ref_tower, part, (1, 1, 0), s=3, seed=11).to_dict()
+        assert ErrorModel.from_dict(d, ref_tower, part).profile == (1, 1, 0)
+        with pytest.raises(ValueError):
+            ErrorModel.from_dict({**d, key: value}, ref_tower, part)
+
 
 class TestDecompose:
     def test_reference_error(self, ref):
