@@ -83,7 +83,6 @@ from .decoder import (
     DecodingReport,
     ResidualCheckFailed,
     SupportMismatch,
-    SupportRecovery,
     SupportSpaceEmpty,
     compute_hsub,
     decode,

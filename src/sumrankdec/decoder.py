@@ -32,12 +32,15 @@ linear system for the error values (column-erasure decoding):
    all columns, one (2w x t)(t x n) product, and the first elimination
    reduces them.  An error-free block typically shows full rank there.
    The rows below are formed only on the columns of the other blocks: the
-   at most t error blocks, which check those rows against the slice, and
-   blocks zero on the slice, blocks of length 1 among them (one nonzero
-   test per column).  The stage then costs O(l w^3 + t (n - k) w^2)
-   operations in GF(q^m) instead of O(l (n - k) w^2), and forming h_sub
-   O(t w n + t^2 w (n - k)) instead of O(t n (n - k)).  A shorter
-   annihilator is formed whole, and its blocks are reduced in full.
+   at most t error blocks, which check those rows against the slice's
+   pivot rows and are reduced again in full only if their rank grows
+   there, and blocks zero on the slice, blocks of length 1 among them (one
+   nonzero test per column).  The whole slice path is one function,
+   sumrank._reduce_blocks, over a plain stacked elimination.  The stage
+   then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m) instead of
+   O(l (n - k) w^2), and forming h_sub O(t w n + t^2 w (n - k)) instead of
+   O(t n (n - k)).  A shorter annihilator is formed whole, and its blocks
+   are reduced in full.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  A left-kernel
    vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
    because B spans the kernels of h_sub's expanded blocks.  So every
@@ -85,7 +88,6 @@ from .sumrank import sum_rank_weight  # noqa: F401
 
 __all__ = [
     "Annihilator",
-    "SupportRecovery",
     "DecodingReport",
     "compute_hsub",
     "recover_block_supports",
@@ -174,32 +176,6 @@ class Annihilator:
 
 
 @dataclass(frozen=True)
-class SupportRecovery:
-    """Result of the support-recovery stage.
-
-    h_sub, the factored annihilator, has rows that annihilate the error; B
-    is the block-diagonal GF(q) support basis whose i-th diagonal block,
-    per_block_kernels[i], is the canonical kernel basis of the i-th
-    expanded block of h_sub (the recovered support of error block i), with
-    per_block_t[i] rows.
-    """
-
-    h_sub: Annihilator
-    t_hat: int
-    partition: LengthPartition
-    B: Matrix
-    per_block_t: tuple[int, ...]
-
-    @property
-    def per_block_kernels(self) -> tuple[Matrix, ...]:
-        ends = np.cumsum(self.per_block_t)
-        return tuple(
-            self.B[end - ti : end, sl]
-            for ti, end, sl in zip(self.per_block_t, ends, self.partition.slices)
-        )
-
-
-@dataclass(frozen=True)
 class DecodingReport:
     """Successful decoding outcome with diagnostics.
 
@@ -272,15 +248,18 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Annihilator, int, list[int]]:
 
 def recover_block_supports(
     tower: FieldTower, h_sub: Annihilator, partition: LengthPartition, t_hat: int
-) -> SupportRecovery:
+) -> tuple[Matrix, tuple[int, ...]]:
     """Per-block kernels of the expanded annihilator matrix.
 
-    Under the decoding hypotheses the i-th kernel spans the GF(q) row space
-    of error block i.  block_kernels reads h_sub as a row source: on a tall
-    annihilator it forms the leading 2w rows of every block, and the rows
-    below only on the blocks that are zero or short of full rank there (see
-    the module docstring, step 3).  Raises SupportMismatch when the
-    recovered per-block weights do not sum to t_hat.
+    Returns (B, per_block_t): B is the block-diagonal GF(q) support basis
+    whose i-th diagonal block is the canonical kernel basis of the i-th
+    expanded block of h_sub, with per_block_t[i] rows.  Under the decoding
+    hypotheses it spans the GF(q) row space of error block i.
+    block_kernels reads h_sub as a row source: on a tall annihilator it
+    forms the leading 2w rows of every block, and the rows below only on
+    the blocks that are zero or short of full rank there (see the module
+    docstring, step 3).  Raises SupportMismatch when the recovered
+    per-block weights do not sum to t_hat.
     """
     K, lead = block_kernels(tower, h_sub, partition)
     per_block_t = tuple(lead[0].sum(axis=1).tolist())
@@ -298,8 +277,7 @@ def recover_block_supports(
     starts = np.cumsum(partition.parts) - partition.parts
     B = np.zeros((t_hat, partition.n + w), dtype=np.int64)
     B[np.arange(t_hat)[:, None], starts[blk][:, None] + np.arange(w)] = K[0, blk, o]
-    B = Matrix(tower.base_field, B[:, : partition.n], _checked=True)
-    return SupportRecovery(h_sub, t_hat, partition, B, per_block_t)
+    return Matrix(tower.base_field, B[:, : partition.n], _checked=True), per_block_t
 
 
 def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
@@ -389,8 +367,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
 
     S = syndrome(code.H, Y)
     h_sub, t_hat, I = compute_hsub(code.H, S)
-    support = recover_block_supports(tower, h_sub, partition, t_hat)
-    B = support.B
+    B, per_block_t = recover_block_supports(tower, h_sub, partition, t_hat)
     # step 4 solves over B's support columns J only
     J = np.flatnonzero(B.array.any(axis=0))
     BJ = B.array[:, J]
@@ -408,7 +385,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
         A_hat=A,
         B_hat=B,
         t_hat=t_hat,
-        per_block_t=support.per_block_t,
+        per_block_t=per_block_t,
         S=S,
         annihilator=h_sub,
     )

@@ -18,11 +18,10 @@ seventh (0.15 s instead of 1.08 s).  Characteristic 2 stays on the stepping
 loop: its products gather an (inner, rows, cols) table tensor, and panels
 gained at most a quarter there (GF(2^12), 256 x 512) and tied at 64 x 128.
 
-A stack of small matrices is reduced by rref_stack, all members at once.
-Given a row source for the rows below a leading slice, it reduces the slice
-first and reads the rows below only for the members short of full rank
-there; when a source is worth slicing is its caller's rule (see
-sumrank._reduce_blocks).
+A stack of small matrices is reduced by rref_stack, all members at once,
+one pivot column a step across the whole stack.  Reducing a leading slice
+of a tall stack first, and the rows below only where needed, is the
+support stage's business (sumrank._reduce_blocks).
 """
 
 from __future__ import annotations
@@ -340,18 +339,23 @@ _PANEL_MIN_ROWS = 16
 _PANEL_MIN_COLS = 160
 
 
-def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
-    """Reduce the (batch, r, c) stack a in place; return its pivot mask.
+def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms of a (batch, r, c) stack, all members at once.
+
+    Returns (R, pivots) with pivots a (batch, c) boolean mask of pivot
+    columns; R[b] equals _rref_arrays(field, arr[b])[0] (same pivot choice).
+    Single matrices stay on _rref_arrays, which is faster at batch 1.
 
     Every step updates the whole stack: a member without a pivot in the
     column swaps a row with itself and gets zero elimination factors.  As in
     _reduce_steps, a step is one field.div of the pivot rows and one
     field.submul over the stack.
     """
+    a = np.array(arr, dtype=np.int64)
     batch, r, c = a.shape
     pivots = np.zeros((batch, c), dtype=bool)
     if batch == 0 or r == 0:
-        return pivots
+        return a, pivots
     members = np.arange(batch)
     below = np.arange(r)
     row = np.zeros(batch, dtype=np.int64)  # next pivot row of each member
@@ -377,55 +381,6 @@ def _reduce_stack(field, a: np.ndarray) -> np.ndarray:
         a[:, :, col:] = field.submul(a[:, :, col:], fac[:, :, None], prow[:, None, :])
         pivots[:, col] = has
         row += has
-    return pivots
-
-
-def rref_stack(field, arr: np.ndarray, below=None) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row-echelon forms of a (batch, r, c) stack, all members at once.
-
-    Returns (R, pivots) with pivots a (batch, c) boolean mask of pivot
-    columns; R[b] equals _rref_arrays(field, arr[b])[0] (same pivot choice).
-    Single matrices stay on _rref_arrays, which is faster at batch 1.
-
-    With below given, arr is only the leading slice of every member, h >= c
-    rows, and below(members) returns the rows under it of the members
-    indexed by the integer array members, as a (len(members), r - h, c)
-    array.  The slice is reduced first.  A member with c pivots there is
-    done: its RREF is the reduced slice followed by zero rows.  For each
-    other member, every row below the slice minus its entries in the pivot
-    columns times the slice's pivot rows (one submul pass per pivot column,
-    exact because the slice is in RREF) vanishes exactly when the row lies
-    in the slice's row space.  When all of them vanish, the member's row
-    space is the slice's, and so is its RREF, which is canonical for the row
-    space.  Only members whose rank grows below the slice are reduced again
-    in full.  below is called only for the members short of full rank on the
-    slice, so a caller that forms rows on demand (decoder.Annihilator, read
-    by sumrank._reduce_blocks, which also decides when to slice) forms no
-    others.  R then has h rows per member; the RREF of a member has at most
-    c nonzero rows, so R is still the member's RREF, without its zero rows
-    past h.
-    """
-    top = np.asarray(arr, dtype=np.int64)
-    a = top.copy()
-    pivots = _reduce_stack(field, a)
-    if below is None:
-        return a, pivots
-    _, h, c = a.shape
-    short = np.flatnonzero(pivots.sum(axis=1) < c)
-    if short.size:
-        p = pivots[short]
-        # prows[:, j] is the slice row with its pivot in column j, zero if j
-        # is free; pivot rows are zero in every other pivot column
-        prows = a[short[:, None], np.cumsum(p, axis=1) - 1] * p[:, :, None]
-        rest = below(short)
-        res = rest
-        for col in np.flatnonzero(p.any(axis=0)):
-            res = field.submul(res, rest[:, :, col, None], prows[:, None, col, :])
-        grew = res.any(axis=(1, 2))
-        if grew.any():
-            full = np.concatenate([top[short[grew]], rest[grew]], axis=1)
-            pivots[short[grew]] = _reduce_stack(field, full)
-            a[short[grew]] = full[:, :h]
     return a, pivots
 
 
@@ -548,8 +503,17 @@ def matrix_from_dict(d: dict, tower) -> Matrix:
     else:
         raise ValueError(f"unknown field label {label!r}")
     rows, cols = int_from_dict(d["rows"], "rows"), int_from_dict(d["cols"], "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix shape {rows} x {cols} is negative")
+    data = d["data"]
+    # [] is the 0 x cols matrix (the B of a weight-0 error); any other data
+    # must be rows lists of cols entries, not data that merely reshapes so
+    empty = isinstance(data, list) and not data
+    cells = np.empty((0, cols), dtype=object) if empty else np.asarray(data, dtype=object)
+    if cells.shape != (rows, cols):
+        raise ValueError(f"matrix data has shape {cells.shape}, declared {rows} x {cols}")
     # numpy reads a bool among integers as 0 or 1, so bools are sought entry
     # by entry; Matrix rejects any other non-integer
-    if any(isinstance(x, bool) for x in np.asarray(d["data"], dtype=object).flat):
+    if any(isinstance(x, bool) for x in cells.flat):
         raise ValueError("matrix entries must be integers")
-    return Matrix(field, np.asarray(d["data"]).reshape(rows, cols))
+    return Matrix(field, np.asarray(data).reshape(rows, cols))

@@ -44,20 +44,23 @@ class SkewIsometry:
     def D(self) -> Matrix:
         return Matrix(self.tower.ext_field, np.diag(np.asarray(self.diagonal, dtype=np.int64)), _checked=True)
 
+    def _scale(self, M: Matrix, op) -> Matrix:
+        f = self.tower.ext_field
+        if M.field != f:
+            raise ValueError("matrix is not over the isometry's field")
+        # a single column would otherwise broadcast across all n
+        if M.cols != self.partition.n:
+            raise ValueError(f"matrix has {M.cols} columns, the isometry acts on {self.partition.n}")
+        diag = np.asarray(self.diagonal, dtype=np.int64)
+        return Matrix(f, op(M.array, diag[None, :]), _checked=True)
+
     def apply(self, M: Matrix) -> Matrix:
         """M @ D as a column scaling."""
-        f = self.tower.ext_field
-        if M.field != f:
-            raise ValueError("matrix is not over the isometry's field")
-        diag = np.asarray(self.diagonal, dtype=np.int64)
-        return Matrix(f, f.mul(M.array, diag[None, :]), _checked=True)
+        return self._scale(M, self.tower.ext_field.mul)
 
     def apply_inv(self, M: Matrix) -> Matrix:
-        f = self.tower.ext_field
-        if M.field != f:
-            raise ValueError("matrix is not over the isometry's field")
-        diag = np.asarray(self.diagonal, dtype=np.int64)
-        return Matrix(f, f.div(M.array, diag[None, :]), _checked=True)
+        """M @ D^-1 as a column scaling."""
+        return self._scale(M, self.tower.ext_field.div)
 
     @classmethod
     def random(cls, tower: FieldTower, partition: LengthPartition, rng: np.random.Generator) -> "SkewIsometry":

@@ -119,10 +119,10 @@ class LengthPartition:
 
 
 # Smallest l (r - 2w) w, the entries below the leading 2w rows, for which
-# _reduce_blocks reads a row source of r > 4w rows on demand (rref_stack's
-# slice path) instead of forming it whole.  Timed (2-core x86-64 VM, one
-# BLAS thread, best of 60 decodes per instance, the two routes interleaved
-# per decode, median over 10 instances) with decode() on random codes over
+# _reduce_blocks reads a row source of r > 4w rows on demand (its slice
+# path) instead of forming it whole.  Timed (2-core x86-64 VM, one BLAS
+# thread, best of 60 decodes per instance, the two routes interleaved per
+# decode, median over 10 instances) with decode() on random codes over
 # GF(4), GF(8), GF(25), GF(81) and GF(2^12), blocks of 1, 2, 3, 4 and mixed
 # (3, 1, 4, 2), n = 16..256: against forming the whole annihilator, the path
 # lost 2-21 % up to 2460 entries (e.g. GF(4), 16 blocks of 2, r = 23: +21 %;
@@ -160,16 +160,23 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
 
     arr may also be a row source of one r x n matrix (batch 1), an object
     with rows, take(rows, cols) and matrix(), such as decoder.Annihilator:
-    its entries are formed only when read.  It takes rref_stack's slice path
-    when r > 4w and l (r - 2w) w, its entries below the leading 2w rows, is
-    at least _SOURCE_MIN_ENTRIES; a shorter or smaller source is formed
-    whole at once, as every row would be read.  On the path, only the
-    leading slice of 2w rows of the l members is formed, on all columns.  A
-    member zero there is zero unless its rows below are not, so those
-    members, blocks of length 1 included (a nonzero test per column), take
-    their rows below too.  The rows below of the other members are read by
-    rref_stack's residual check, and only for the members short of full
-    rank on the slice.  A formed stack is always reduced in full.
+    its entries are formed only when read.  It takes the slice path when
+    r > 4w and l (r - 2w) w, its entries below the leading 2w rows, is at
+    least _SOURCE_MIN_ENTRIES; a shorter or smaller source is formed whole
+    at once, as every row would be read.  On the path, only the leading
+    slice of 2w rows of the l members is formed, on all columns, and
+    reduced.  A member zero there is zero unless its rows below are not, so
+    those members, blocks of length 1 included (a nonzero test per column),
+    take their rows below too.  A member of full rank n_i on the slice is
+    done.  Each other member's rows below are formed and checked against
+    the slice: a row below minus its entries in the pivot columns times the
+    slice's pivot rows (one submul pass per pivot column, exact because the
+    slice is in RREF) vanishes exactly when the row lies in the slice's row
+    space.  When all of them vanish, the member's row space is the slice's,
+    and so is its RREF, which is canonical for the row space.  Only members
+    whose rank grows below the slice are reduced again in full; their R
+    keeps its leading 2w rows, as a member's RREF has at most w nonzero
+    rows.  A formed stack is always reduced in full.
 
     Returns (ranks, deficient, R, piv, rev, real): the GF(q)-ranks of all
     batch * l expanded blocks, the members of length >= 2 short of full
@@ -216,9 +223,27 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
         live = np.flatnonzero(ranks > 1)
         if not live.size:
             return ranks, live, None, None, rev, real
-        below = None if h == r else (lambda m: rows(live[m], h, r))
-        R, piv = rref_stack(tower.ext_field, top[live] if live.size < ranks.size else top, below)
+        f = tower.ext_field
+        R, piv = rref_stack(f, top[live] if live.size < ranks.size else top)
         short = piv.sum(axis=1) < ranks[live]
+        if h < r and short.any():
+            # the residual check: each row below less its pivot-column
+            # entries times the slice's pivot rows; prows[:, j] is the pivot
+            # row of column j, zero if j is free
+            check = np.flatnonzero(short)
+            p = piv[check]
+            prows = R[check[:, None], np.cumsum(p, axis=1) - 1] * p[:, :, None]
+            rest = rows(live[check], h, r)
+            res = rest
+            for col in np.flatnonzero(p.any(axis=0)):
+                res = f.submul(res, rest[:, :, col, None], prows[:, None, col, :])
+            grew = res.any(axis=(1, 2))
+            if grew.any():
+                # rank grows below the slice: reduce those members in full
+                g = check[grew]
+                full, piv[g] = rref_stack(f, np.concatenate([top[live[g]], rest[grew]], axis=1))
+                R[g] = full[:, :h]
+                short[g] = piv[g].sum(axis=1) < ranks[live[g]]
         deficient = live[short]
         R, piv = R[short, : min(r, w)], piv[short]  # rows below the rank are zero
         if R.max(initial=0) < tower.q:  # every reduced row lies in GF(q)
@@ -344,8 +369,10 @@ class ErrorModel:
     @classmethod
     def from_dict(cls, d: dict, tower: FieldTower, partition: LengthPartition) -> "ErrorModel":
         """Raises ValueError for a non-integer weight or seed, a non-bool
-        full_rank, or a profile other than B's rows per block (each row
-        counted in the block of its first nonzero column)."""
+        full_rank, a profile other than B's rows per block (each row
+        counted in the block of its first nonzero column), an E of other
+        than n columns or an A of other than E's rows and B's rows as
+        columns, or E != A @ lift(B)."""
         profile = tuple(int_from_dict(x, "block weight") for x in d["profile"])
         full_rank = d["full_rank"]
         if not isinstance(full_rank, bool):
@@ -359,11 +386,17 @@ class ErrorModel:
         block = np.where(nz.any(axis=1), partition._column_blocks[nz.argmax(axis=1)], partition.ell)
         if tuple(np.bincount(block, minlength=partition.ell + 1)) != profile + (0,):
             raise ValueError(f"profile {profile} does not match B's rows per block")
+        E, A = matrix_from_dict(d["E"], tower), matrix_from_dict(d["A"], tower)
+        if E.cols != partition.n or A.shape != (E.rows, B.rows):
+            raise ValueError(f"E is {E.rows} x {E.cols} and A {A.rows} x {A.cols}, expected "
+                             f"s x {partition.n} and s x {B.rows}")
+        if A @ tower.lift(B) != E:
+            raise ValueError("E is not A @ lift(B)")
         return cls(
             tower=tower,
             partition=partition,
-            E=matrix_from_dict(d["E"], tower),
-            A=matrix_from_dict(d["A"], tower),
+            E=E,
+            A=A,
             B=B,
             profile=profile,
             full_rank=full_rank,

@@ -88,23 +88,24 @@ def make_instance(
 
 @contextmanager
 def reduced_stacks(min_entries: int | None = None):
-    """Record the shape of every stack that rref_stack's stepping code reduces.
+    """Record the shape of every stack that block_ranks and block_kernels
+    pass to rref_stack.
 
-    The slice path of a (batch, r, c) stack reduces a (batch, 2c, c) slice
-    first, then the full height of the members whose rank grows below it.
-    With min_entries set, sumrank's bound for reading a row source on that
-    path is lowered to it, so that annihilators of test size (min_entries =
-    0) take the path too.
+    The slice path of a row source of r rows and blocks of at most w
+    columns reduces a (batch, 2w, w) slice first, then the full height of
+    the members whose rank grows below it.  With min_entries set, sumrank's
+    bound for reading a row source on that path is lowered to it, so that
+    annihilators of test size (min_entries = 0) take the path too.
     """
     shapes: list[tuple[int, ...]] = []
-    inner = linalg._reduce_stack
+    inner = sumrank.rref_stack
 
     def spy(field, a):
         shapes.append(a.shape)
         return inner(field, a)
 
     bound = sumrank._SOURCE_MIN_ENTRIES if min_entries is None else min_entries
-    with mock.patch.object(linalg, "_reduce_stack", spy), mock.patch.object(
+    with mock.patch.object(sumrank, "rref_stack", spy), mock.patch.object(
         sumrank, "_SOURCE_MIN_ENTRIES", bound
     ):
         yield shapes
@@ -150,13 +151,14 @@ def panel_reductions(min_rows: int | None = None, min_cols: int | None = None,
 @contextmanager
 def stacked_eliminations():
     """Record (field, batch) of every stacked elimination that block_ranks
-    and block_kernels run: the GF(q^m) reduction and the GF(q) fallback."""
+    and block_kernels run: the GF(q^m) reductions (the slice, and the
+    members whose rank grows below it) and the GF(q) fallback."""
     calls: list = []
     inner = sumrank.rref_stack
 
-    def spy(field, a, below=None):
+    def spy(field, a):
         calls.append((field, a.shape[0]))
-        return inner(field, a, below)
+        return inner(field, a)
 
     with mock.patch.object(sumrank, "rref_stack", spy):
         yield calls

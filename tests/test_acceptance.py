@@ -73,14 +73,12 @@ def test_criterion_1_worked_example_reproduction():
         problems.append(f"inferred weight {t_hat} != 3")
     if not row_spaces_equal(h_sub.matrix(), ref.h_sub):
         problems.append("annihilator row space differs")
-    support = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
-    if support.per_block_kernels[0].tolist() != [[1, 2]]:
-        problems.append("block-1 support basis differs")
-    if support.per_block_kernels[1] != Matrix.identity(ref.tower.base_field, 2):
-        problems.append("block-2 support basis differs")
-    if support.per_block_kernels[2].shape != (0, 2):
-        problems.append("block-3 support basis not empty")
-    B = block_diag(support.per_block_kernels)
+    B, per_block_t = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
+    Fq = ref.tower.base_field
+    # block 1 spanned by (1, 2), block 2 by the unit vectors, block 3 empty
+    expected = block_diag([Matrix(Fq, [[1, 2]]), Matrix.identity(Fq, 2), Matrix.zeros(Fq, 0, 2)])
+    if per_block_t != (1, 2, 0) or B != expected:
+        problems.append("support basis differs")
     A = erasure_decode(ref.code.H, B, S)
     if A != ref.A:
         problems.append("coefficient matrix differs")
@@ -181,11 +179,10 @@ def test_criterion_4_support_recovery_invariants():
             if right_kernel(eb) != right_kernel(bb):
                 problems.append("per-block kernel equality violated")
                 break
-        support = recover_block_supports(inst.tower, h_sub, inst.partition, t_hat)
-        for kern, blk in zip(support.per_block_kernels, inst.partition.blocks(inst.E)):
-            if kern != rank_support(inst.tower, blk):
-                problems.append("recovered support differs from error row space")
-                break
+        B, _ = recover_block_supports(inst.tower, h_sub, inst.partition, t_hat)
+        blocks = inst.partition.blocks(inst.E)
+        if B != block_diag([rank_support(inst.tower, blk) for blk in blocks]):
+            problems.append("recovered support differs from error row space")
         checked += 1
     _finish(4, "support-recovery invariants", problems, f"{checked} instances exact")
 
@@ -217,8 +214,8 @@ def test_criterion_5_metric_reductions():
         inst = make_instance(code_r, s=max(t, 1), rng=rng, t=t)
         S = syndrome(code_r.H, inst.Y)
         h_sub, t_hat, _ = compute_hsub(code_r.H, S)
-        support = recover_block_supports(tower_r, h_sub, part_r, t_hat)
-        if support.per_block_kernels[0] != rank_support(tower_r, inst.E):
+        B, _ = recover_block_supports(tower_r, h_sub, part_r, t_hat)
+        if B != rank_support(tower_r, inst.E):
             problems.append(f"rank support mismatch at instance {i}")
             break
         if decode(inst.icode, inst.Y).C_hat != inst.C:

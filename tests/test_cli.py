@@ -211,9 +211,13 @@ class TestDecodeFiles:
         lambda d: {**d, "cols": 5, "data": [row[:5] for row in d["data"]]},
         lambda d: {**d, "rows": 0, "data": []},
         lambda d: {**d, "field": "base", "data": [[x % 5 for x in row] for row in d["data"]]},
-    ], ids=["wrong-width", "no-rows", "base-field"])
+        lambda d: {**d, "data": [x for row in d["data"] for x in row]},
+        lambda d: {**d, "rows": -1},
+        lambda d: {**d, "data": [sum(d["data"], [])[:9], sum(d["data"], [])[9:]]},
+    ], ids=["wrong-width", "no-rows", "base-field", "flat-data", "negative-rows", "rows-of-9"])
     def test_malformed_received_matrix(self, tmp_path, capsys, edit):
-        # each parses as a matrix, but not as an s x n stack over GF(q^m)
+        # not an s x n stack over GF(q^m), or data of another shape than
+        # the declared 3 x 6
         prefix = str(tmp_path / "x")
         assert run(["gen", *BASE, "--k", "2", "--s", "3", "--t", "2", "--seed", "17",
                     "--out-prefix", prefix]) == 0

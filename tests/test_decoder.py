@@ -1,6 +1,5 @@
 """Support recovery, erasure decoding and the end-to-end decoder."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -111,12 +110,9 @@ class TestReferenceInstance:
         h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
         assert t_hat == 3
         assert row_spaces_equal(h_sub.matrix(), ref.h_sub)
-        support = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
-        assert support.per_block_t == (1, 2, 0)
-        assert support.per_block_kernels[0] == ref.B_blocks[0]
-        assert support.per_block_kernels[1] == ref.B_blocks[1]
-        assert support.per_block_kernels[2] == ref.B_blocks[2]
-        B = block_diag(support.per_block_kernels)
+        B, per_block_t = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
+        assert per_block_t == (1, 2, 0)
+        assert B == block_diag(ref.B_blocks)
         A = erasure_decode(ref.code.H, B, S)
         assert A == ref.A
         assert A @ ref.tower.lift(B) == ref.E
@@ -271,12 +267,10 @@ class TestLemmaInvariants:
         for inst in self._instances(ref, 18):
             S = syndrome(ref.code.H, inst.Y)
             h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
-            support = recover_block_supports(ref.tower, h_sub, inst.partition, t_hat)
-            for kern, blk, ti in zip(
-                support.per_block_kernels, inst.partition.blocks(inst.E), inst.em.profile
-            ):
-                assert kern == rank_support(ref.tower, blk)
-                assert kern.rows == ti
+            B, per_block_t = recover_block_supports(ref.tower, h_sub, inst.partition, t_hat)
+            blocks = inst.partition.blocks(inst.E)
+            assert B == block_diag([rank_support(ref.tower, blk) for blk in blocks])
+            assert per_block_t == inst.em.profile
 
 
 class TestErasureDecode:
@@ -368,7 +362,7 @@ class TestErasureOnPivotRows:
         S = H @ E.T
         try:
             h_sub, t_hat, I = compute_hsub(H, S)
-            B = recover_block_supports(tower, h_sub, part, t_hat).B
+            B = recover_block_supports(tower, h_sub, part, t_hat)[0]
         except (SupportSpaceEmpty, SupportMismatch):
             return
         assert (h_sub.matrix() @ tower.lift(B).T).is_zero
@@ -401,7 +395,7 @@ class TestErasureOnPivotRows:
             inst = make_instance(code, s=2, rng=rng, t=2)
             S = syndrome(code.H, inst.Y)
             h_sub, t_hat, I = compute_hsub(code.H, S)
-            B = recover_block_supports(tower, h_sub, part, t_hat).B
+            B = recover_block_supports(tower, h_sub, part, t_hat)[0]
             H_top, S_top = code.H[I, :], S[I, :]
             assert erasure_decode(H_top, B, S_top) == erasure_decode(code.H, B, S)
             for B2, error in ((vstack([B, B[:1]]), NonUniqueSolution), (B[1:], Inconsistent)):
@@ -476,7 +470,7 @@ class TestDecoderPromise:
         h_sub, t_hat, I = compute_hsub(code.H, S)
         if failure is None or failure.stage != "supports":
             # decode's erasure system on the pivot rows I
-            B = recover_block_supports(code.tower, h_sub, code.partition, t_hat).B
+            B = recover_block_supports(code.tower, h_sub, code.partition, t_hat)[0]
             H_top, S_top = code.H[I, :], S[I, :]
             assert _erasure_outcome(H_top, B, S_top) == _full_product_outcome(code.tower, H_top, B, S_top)
         long = sum(blk.cols > 1 and blk.array.any() for blk in code.partition.blocks(h_sub.matrix()))
@@ -633,11 +627,11 @@ class TestAnnihilatorOnDemand:
             # the first elimination sees the leading slice only
             assert shapes[0] == (live, 2 * w, w)
         per_block_t = tuple(lead_ref[0].sum(axis=1).tolist())
-        support = recover_block_supports(tower, ann, part, sum(per_block_t))
-        assert support.per_block_t == per_block_t
+        B, got_t = recover_block_supports(tower, ann, part, sum(per_block_t))
+        assert got_t == per_block_t
         kernels = [Matrix(tower.base_field, K_ref[0, i][lead_ref[0, i]][:, :ni])
                    for i, ni in enumerate(part.parts)]
-        assert support.B == block_diag(kernels)
+        assert B == block_diag(kernels)
 
     def test_decode_never_forms_hsub(self):
         # at sumrank-large's shape (GF(5^2), 64 blocks of 4, k = 128,
@@ -1017,13 +1011,13 @@ class TestRobustness:
             recover = decoder.recover_block_supports
 
             def moved(tower, h_sub, partition, t_hat):
-                support = recover(tower, h_sub, partition, t_hat)
-                b = support.B.array.copy()
+                B, per_block_t = recover(tower, h_sub, partition, t_hat)
+                b = B.array.copy()
                 r = int(np.argmax((b != 0).sum(axis=1)))
                 c = int(np.flatnonzero(b[r])[-1])
                 assert (b[r] != 0).sum() >= 2 and partition.parts == (2, 2, 2)
                 b[r, (c + 2) % partition.n], b[r, c] = b[r, c], 0
-                return dataclasses.replace(support, B=Matrix(support.B.field, b))
+                return Matrix(B.field, b), per_block_t
 
             monkeypatch.setattr(decoder, "recover_block_supports", moved)
         with pytest.raises(ResidualCheckFailed) as info:
@@ -1065,8 +1059,8 @@ class TestSpecialCaseReductions:
             report = decode(inst.icode, inst.Y)
             S = syndrome(code.H, inst.Y)
             h_sub, t_hat, _ = compute_hsub(code.H, S)
-            support = recover_block_supports(tower, h_sub, part, t_hat)
-            assert support.per_block_kernels[0] == rank_support(tower, inst.E)
+            B, _ = recover_block_supports(tower, h_sub, part, t_hat)
+            assert B == rank_support(tower, inst.E)
             assert report.C_hat == inst.C
 
 

@@ -419,8 +419,8 @@ FUSED_FIELDS = (
 )
 
 # The operand shapes of the pivot steps, (a, f, b) for submul(a, f, b):
-# _rref_arrays, _reduce_stack and rref_stack's residual pass.  div divides
-# an a-shaped array by divisors of f's shape.
+# _rref_arrays, rref_stack and sumrank._reduce_blocks's residual check.
+# div divides an a-shaped array by divisors of f's shape.
 ENGINE_SHAPES = [
     ((4, 5), (4, 1), (1, 5)),
     ((3, 4, 5), (3, 4, 1), (3, 1, 5)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eliminations, panel_reductions, reduced_stacks
+from conftest import eliminations, panel_reductions, reduced_stacks, stacked_eliminations
 from sumrankdec import linalg
 from sumrankdec.gf import FieldTower, PrimeField
 from sumrankdec.sumrank import LengthPartition, block_kernels
@@ -52,37 +52,45 @@ RIGHT_KERNEL_FIELDS = [
 ]
 RIGHT_KERNEL_SHAPES = ["zero", "empty", "full", "dependent"]
 
-# how the leading 2c rows of a tall member relate to the rows below
-TALL_KINDS = ["zero", "full", "in_span", "grows_below"]
+# how the leading slice of a tall block relates to the rows below
+TALL_KINDS = ["zero", "full", "in_span", "grows_below", "zero_on_slice"]
+
+# the degree-1 tower GF(2), characteristic 2 and odd p, and the two-level
+# GF(4) <= GF(16)
+SLICE_TOWERS = [
+    FieldTower.standard(2, 1),
+    FieldTower.standard(2, 3),
+    FieldTower.standard(5, 2),
+    FieldTower.standard(2, 2, e=2),
+]
 
 
-def _tall_member(field, kind, r, c, pad, rng):
-    """An r x c member for rref_stack's slice path, its last pad columns zero.
+def _tall_member(field, kind, r, ni, h, rng):
+    """An r x ni block for sumrank._reduce_blocks's slice path, whose slice
+    is its leading h >= ni rows.
 
-    Its leading 2c rows (the slice) are zero ("zero"), of full rank in the
-    real columns ("full"), or span a proper subspace that the rows below
-    stay in ("in_span") or leave ("grows_below").
+    The slice is zero ("zero", and "zero_on_slice", whose rows below are
+    not), of full rank ("full"), or spans a proper subspace that the rows
+    below stay in ("in_span") or leave ("grows_below").
     """
-    real = c - pad
-    out = np.zeros((r, c), dtype=np.int64)
+    out = np.zeros((r, ni), dtype=np.int64)
     if kind == "zero":
         return out
     # unit upper triangular: every leading set of rows is independent
-    B = np.triu(field.random(rng, (real, real)), 1) + np.eye(real, dtype=np.int64)
-    j = real if kind == "full" else real - 1
+    B = np.triu(field.random(rng, (ni, ni)), 1) + np.eye(ni, dtype=np.int64)
+    j = {"full": ni, "zero_on_slice": 0}.get(kind, ni - 1)
 
     def combos(n, rows):
         if not rows.shape[0]:
-            return np.zeros((n, real), dtype=np.int64)
+            return np.zeros((n, ni), dtype=np.int64)
         return field.matmul(field.random(rng, (n, rows.shape[0])), rows)
 
-    top = np.vstack([B[:j], combos(2 * c - j, B[:j])])
-    if kind == "grows_below":
-        below = np.vstack([B[j:], combos(r - 2 * c - 1, B)])
+    top = np.vstack([B[:j], combos(h - j, B[:j])])
+    if kind in ("grows_below", "zero_on_slice"):
+        below = np.vstack([B[j:], combos(r - h - ni + j, B)])
     else:
-        below = combos(r - 2 * c, B[:j])
-    out[:, :real] = np.vstack([rng.permutation(top), rng.permutation(below)])
-    return out
+        below = combos(r - h, B[:j])
+    return np.vstack([rng.permutation(top), rng.permutation(below)])
 
 
 class TestMatrixBasics:
@@ -391,6 +399,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_from_dict({"rows": 1, "cols": 1, "field": "huh", "data": [[0]]}, ref_tower)
 
+    @pytest.mark.parametrize("rows,cols,data", [
+        (3, 6, list(range(18))),
+        (-1, 6, [[0] * 6] * 3),
+        (3, 6, [[0] * 9] * 2),
+        (3, -6, []),
+        (0, 6, [[]]),
+        (2, 2, [[1, 2], [3]]),
+        (1, 2, [[[1], [2]]]),
+    ], ids=["flat", "negative-rows", "reshaped", "negative-cols", "one-empty-row", "ragged",
+            "nested-entries"])
+    def test_data_must_match_declared_shape(self, ref_tower, rows, cols, data):
+        # data that only reshapes to the declared shape is not that matrix
+        with pytest.raises(ValueError):
+            matrix_from_dict({"rows": rows, "cols": cols, "field": "ext", "data": data}, ref_tower)
+
+    @pytest.mark.parametrize("rows,cols,data", [(0, 6, []), (2, 0, [[], []])])
+    def test_empty_matrices(self, ref_tower, rows, cols, data):
+        # [] is the 0 x n B of a weight-0 error
+        M = matrix_from_dict({"rows": rows, "cols": cols, "field": "base", "data": data}, ref_tower)
+        assert M.shape == (rows, cols)
+
 
 class TestRrefStack:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -421,47 +450,60 @@ class TestRrefStack:
         assert R[2].tolist() == rref(Matrix(f, arr[2]))[0].tolist()
         assert pivots[2].tolist() == [False, True]
 
-    def _check_members(self, field, arr, R, pivots):
-        # R may stop after its leading rows: the rows past them are zero
-        h = R.shape[1]
-        for b in range(arr.shape[0]):
-            want, _, piv = _rref_arrays(field, arr[b])
-            assert R[b].tolist() == want[:h].tolist() and not want[h:].any()
-            assert np.flatnonzero(pivots[b]).tolist() == piv
+    @staticmethod
+    def _check_kernels(tower, blocks, K, lead):
+        # every block's kernel against the single-matrix engine's
+        for i, blk in enumerate(blocks):
+            want = right_kernel(tower.ext_matrix(Matrix(tower.ext_field, blk)))
+            assert np.array_equal(K[0, i][lead[0, i]][:, : blk.shape[1]], want.array)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
-        field=st.sampled_from(STACK_FIELDS),
+        tower=st.sampled_from(SLICE_TOWERS),
         c=st.integers(2, 4),
         extra=st.integers(1, 5),
-        kinds=st.lists(st.sampled_from(TALL_KINDS), min_size=1, max_size=5),
-        pad=st.integers(0, 1),
+        members=st.lists(st.tuples(st.sampled_from(TALL_KINDS), st.integers(0, 1)),
+                         min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_tall_stacks_match_single_matrix_engine(self, field, c, extra, kinds, pad, seed):
-        # the slice path with the rows below the slice from a row source:
-        # only members whose rank grows below the slice are reduced again
-        # in full
+    def test_tall_stacks_match_single_matrix_engine(self, tower, c, extra, members, seed):
+        # block_kernels on a row source on the slice path: the leading 2w
+        # rows of the nonzero blocks of length >= 2 are reduced first, and
+        # only the blocks whose rank grows below the slice again in full
+        f = tower.ext_field
         rng = np.random.default_rng(seed)
-        r = 4 * c + extra
-        arr = np.stack([_tall_member(field, kind, r, c, pad, rng) for kind in kinds])
-        with reduced_stacks() as shapes:
-            R, pivots = rref_stack(field, arr[:, :2 * c], below=lambda m: arr[m, 2 * c:])
-        grew = kinds.count("grows_below")
-        assert shapes == [(len(kinds), 2 * c, c)] + ([(grew, r, c)] if grew else [])
-        self._check_members(field, arr, R, pivots)
+        kinds = [kind for kind, _ in members]
+        parts = [c - pad for _, pad in members]
+        w = max(parts)
+        r = 4 * w + extra
+        blocks = [_tall_member(f, kind, r, ni, 2 * w, rng) for kind, ni in zip(kinds, parts)]
+        source = _RowSource(f, np.hstack(blocks))
+        with reduced_stacks(min_entries=0) as shapes, stacked_eliminations() as calls:
+            K, lead = block_kernels(tower, source, LengthPartition(parts))
+        assert source.reads[0] == (0, 2 * w)
+        live = sum(ni > 1 and kind != "zero" for kind, ni in zip(kinds, parts))
+        grew = sum(ni > 1 and kind in ("grows_below", "zero_on_slice")
+                   for kind, ni in zip(kinds, parts))
+        ext = [shape for shape, (field, _) in zip(shapes, calls) if field == f]
+        assert ext[:1] == ([(live, 2 * w, w)] if live else [])
+        assert ext[1:] == ([(grew, r, w)] if grew else [])
+        self._check_kernels(tower, blocks, K, lead)
 
     def test_fallback_at_annihilator_size(self):
-        # GF(5^2) blocks of 4 with 120 annihilator rows, as in a decode at
-        # n = 256: only the member that grows below the slice is reduced in full
-        f = FieldTower.standard(5, 2).ext_field
+        # GF(5^2), 64 blocks of 4 with 120 annihilator rows, as in a decode
+        # at n = 256, under the default route bound: the zero block reaches
+        # no elimination, and only the two blocks whose rank grows below the
+        # slice are reduced in full
+        tower = FieldTower.standard(5, 2)
+        f = tower.ext_field
         rng = np.random.default_rng(16)
-        kinds = ["full"] * 60 + ["in_span", "zero", "grows_below", "in_span"]
-        arr = np.stack([_tall_member(f, kind, 120, 4, 0, rng) for kind in kinds])
-        with reduced_stacks() as shapes:
-            R, pivots = rref_stack(f, arr[:, :8], below=lambda m: arr[m, 8:])
-        assert shapes == [(64, 8, 4), (1, 120, 4)]
-        self._check_members(f, arr, R, pivots)
+        kinds = ["full"] * 59 + ["in_span", "zero", "grows_below", "zero_on_slice", "in_span"]
+        blocks = [_tall_member(f, kind, 120, 4, 8, rng) for kind in kinds]
+        with reduced_stacks() as shapes, stacked_eliminations() as calls:
+            K, lead = block_kernels(tower, _RowSource(f, np.hstack(blocks)), LengthPartition([4] * 64))
+        assert [shape for shape, (field, _) in zip(shapes, calls) if field == f] == [
+            (63, 8, 4), (2, 120, 4)]
+        self._check_kernels(tower, blocks, K, lead)
 
     @pytest.mark.parametrize(
         "shape,sliced",

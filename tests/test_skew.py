@@ -46,6 +46,16 @@ class TestIsometry:
         assert iso.apply(X) == X @ iso.D
         assert iso.apply_inv(iso.apply(X)) == X
 
+    @pytest.mark.parametrize("cols", [1, 5, 7])
+    def test_wrong_width_rejected(self, ref, cols):
+        # numpy would broadcast a single column across all n
+        rng = np.random.default_rng(3)
+        iso = SkewIsometry.random(ref.tower, ref.partition, rng)
+        X = Matrix.random(ref.tower.ext_field, 2, cols, rng)
+        for op in (iso.apply, iso.apply_inv):
+            with pytest.raises(ValueError, match="columns"):
+                op(X)
+
     def test_json_roundtrip(self, ref):
         rng = np.random.default_rng(2)
         iso = SkewIsometry.random(ref.tower, ref.partition, rng)
@@ -151,6 +161,13 @@ class TestSkewDecode:
         inst = make_instance(ref.code, s=3, rng=rng, profile=(2, 1, 1), require_full_rank=False)
         with pytest.raises((DecodingFailure, NonUniqueSolution, Inconsistent)):
             skew_decode(ref.icode, iso, iso.apply_inv(inst.Y))
+
+    def test_single_column_not_decoded(self, ref):
+        # a 2 x 1 received matrix is not the 2 x 6 one that D would spread it to
+        iso = SkewIsometry.random(ref.tower, ref.partition, np.random.default_rng(5))
+        Y = Matrix.random(ref.tower.ext_field, 2, 1, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="columns"):
+            skew_decode(InterleavedCode(ref.code, 2), iso, Y)
 
     def test_mismatched_partition_rejected(self, ref):
         iso = SkewIsometry.identity(ref.tower, LengthPartition([3, 3]))

@@ -11,7 +11,8 @@ from conftest import reduced_stacks, stacked_eliminations
 from sumrankdec import sumrank
 from sumrankdec.code import random_code
 from sumrankdec.gf import FieldTower
-from sumrankdec.linalg import Matrix, block_diag, rank, right_kernel, row_space_basis, rref
+from sumrankdec.linalg import (Matrix, block_diag, hstack, matrix_to_dict, rank, right_kernel,
+                               row_space_basis, rref, vstack)
 from sumrankdec.sumrank import (
     Infeasible,
     LengthPartition,
@@ -282,6 +283,36 @@ class TestSampleError:
         assert ErrorModel.from_dict(d, ref_tower, part).profile == (1, 1, 0)
         with pytest.raises(ValueError):
             ErrorModel.from_dict({**d, key: value}, ref_tower, part)
+
+
+    @pytest.mark.parametrize("edit", ["E_doubled", "A_extra_column", "E_extra_row"])
+    def test_from_dict_rejects_inconsistent_factors(self, ref_tower, edit):
+        # E must be A @ lift(B), with A of shape s x t and E of shape s x n
+        from sumrankdec.sumrank import ErrorModel
+
+        part = LengthPartition([2, 2, 2])
+        em = sample_error(ref_tower, part, (1, 1, 0), s=3, seed=11)
+        f = ref_tower.ext_field
+        E, A = em.E, em.A
+        if edit == "E_doubled":
+            E = E + E
+        elif edit == "A_extra_column":
+            A = hstack([A, Matrix.zeros(f, A.rows, 1)])
+        else:
+            E = vstack([E, Matrix.zeros(f, 1, E.cols)])
+        d = {**em.to_dict(), "E": matrix_to_dict(E, ref_tower), "A": matrix_to_dict(A, ref_tower)}
+        with pytest.raises(ValueError):
+            ErrorModel.from_dict(d, ref_tower, part)
+
+    def test_json_roundtrip_weight_zero(self, ref_tower):
+        # t = 0: A is s x 0 and B the 0 x n matrix, stored as []
+        from sumrankdec.sumrank import ErrorModel
+
+        part = LengthPartition([2, 2, 2])
+        em = sample_error(ref_tower, part, (0, 0, 0), s=3, seed=11)
+        assert em.to_dict()["B"]["data"] == []
+        em2 = ErrorModel.from_dict(em.to_dict(), ref_tower, part)
+        assert (em2.E, em2.A, em2.B) == (em.E, em.A, em.B)
 
 
 class TestDecompose:
