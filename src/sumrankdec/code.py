@@ -136,7 +136,9 @@ class InterleavedCode:
         return self.constituent.partition
 
     def contains(self, C: Matrix) -> bool:
-        if C.shape != (self.s, self.constituent.n):
+        """Whether C is a stack of s codewords; False for a matrix of another
+        shape or over another field."""
+        if C.shape != (self.s, self.constituent.n) or C.field != self.tower.ext_field:
             return False
         return syndrome(self.constituent.H, C).is_zero
 

@@ -31,16 +31,32 @@ linear system for the error values (column-erasure decoding):
    sumrank._SOURCE_MIN_ENTRIES), only its leading 2w rows are formed, on
    all columns, one (2w x t)(t x n) product, and the first elimination
    reduces them.  An error-free block typically shows full rank there.
-   The rows below are formed only on the columns of the other blocks: the
-   at most t error blocks, which check those rows against the slice's
-   pivot rows and are reduced again in full only if their rank grows
-   there, and blocks zero on the slice, blocks of length 1 among them (one
-   nonzero test per column).  The whole slice path is one function,
-   sumrank._reduce_blocks, over a plain stacked elimination.  The stage
-   then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m) instead of
-   O(l (n - k) w^2), and forming h_sub O(t w n + t^2 w (n - k)) instead of
-   O(t n (n - k)).  A shorter annihilator is formed whole, and its blocks
-   are reduced in full.
+   Slice first: the slice's rows are some of each block's rows, so its
+   kernels contain the exact ones, over GF(q) and over GF(q^m).  When the
+   slice's GF(q^m)-kernel dimensions (n_i for a block zero there) add up
+   to t_hat and its reduced rows lie in GF(q), its kernels are kept and no
+   row below is formed.  Inside the guarantee the exact dimensions add up
+   to t_hat too, so the kept kernels are the exact ones.  Otherwise the
+   rows below are formed only on the columns of the other blocks, once
+   each: the at most t error blocks, which check those rows against the
+   slice, already reduced, and are reduced again in full only if their
+   rank grows there, and blocks zero on the slice, blocks of length 1
+   among them (one nonzero test per column).  The whole slice path is one
+   function, sumrank._reduce_blocks, over a plain stacked elimination.
+   The stage then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m)
+   instead of O(l (n - k) w^2), and forming h_sub O(t w n + t^2 w (n - k))
+   instead of O(t n (n - k)).  A shorter annihilator is formed whole, and
+   its blocks are reduced in full.
+   Outside the guarantee the kept kernels can be larger than the exact
+   ones and still add up to t_hat.  No new success can follow: once
+   verify passes, H @ E^T = S, so h_sub @ B^T @ A^T = h_sub @ E^T = 0, and
+   A, of t_hat columns, has rank(A) >= rank(E) >= rank(S) = t_hat; so
+   h_sub @ B^T = 0, B's rows lie in the exact kernels, and with the same
+   dimensions the kernels are equal.  Only the failure could change, so when
+   erasure or verify fails after kept kernels, decode re-derives the
+   exact ones from the formed annihilator: where they differ their
+   dimensions add up to less than t_hat, and the exact stage's
+   SupportMismatch is raised instead; otherwise the failure stands.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  A left-kernel
    vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
    because B spans the kernels of h_sub's expanded blocks.  So every
@@ -247,21 +263,28 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Annihilator, int, list[int]]:
 
 
 def recover_block_supports(
-    tower: FieldTower, h_sub: Annihilator, partition: LengthPartition, t_hat: int
-) -> tuple[Matrix, tuple[int, ...]]:
+    tower: FieldTower, h_sub: Annihilator | np.ndarray, partition: LengthPartition, t_hat: int
+) -> tuple[Matrix, tuple[int, ...], bool]:
     """Per-block kernels of the expanded annihilator matrix.
 
-    Returns (B, per_block_t): B is the block-diagonal GF(q) support basis
-    whose i-th diagonal block is the canonical kernel basis of the i-th
-    expanded block of h_sub, with per_block_t[i] rows.  Under the decoding
+    h_sub is an Annihilator, read as a row source, or the formed annihilator
+    as a (1, r, n) array, which is always reduced in full.  Returns (B,
+    per_block_t, kept): B is the block-diagonal GF(q) support basis whose
+    i-th diagonal block is the canonical kernel basis of the i-th expanded
+    block of h_sub, with per_block_t[i] rows.  Under the decoding
     hypotheses it spans the GF(q) row space of error block i.
-    block_kernels reads h_sub as a row source: on a tall annihilator it
-    forms the leading 2w rows of every block, and the rows below only on
-    the blocks that are zero or short of full rank there (see the module
-    docstring, step 3).  Raises SupportMismatch when the recovered
-    per-block weights do not sum to t_hat.
+    block_kernels forms the leading 2w rows of a tall annihilator and
+    reduces them first.  When their kernel dimensions add up to t_hat and
+    their reduced rows lie in GF(q), it keeps their kernels, reads no row
+    below, and kept is True (the slice-first rule).  Those kernels contain
+    the exact ones and equal them inside the guarantee; outside it, decode
+    re-derives the exact ones when a later stage fails.  Otherwise it forms
+    the rows below only on the blocks that are zero or short of full rank
+    on the slice, and the kernels are exact (see the module docstring, step
+    3).  Raises SupportMismatch when the recovered per-block weights do not
+    sum to t_hat.
     """
-    K, lead = block_kernels(tower, h_sub, partition)
+    K, lead, kept = block_kernels(tower, h_sub, partition, t_hat)
     per_block_t = tuple(lead[0].sum(axis=1).tolist())
     if sum(per_block_t) != t_hat:
         raise SupportMismatch(
@@ -277,7 +300,7 @@ def recover_block_supports(
     starts = np.cumsum(partition.parts) - partition.parts
     B = np.zeros((t_hat, partition.n + w), dtype=np.int64)
     B[np.arange(t_hat)[:, None], starts[blk][:, None] + np.arange(w)] = K[0, blk, o]
-    return Matrix(tower.base_field, B[:, : partition.n], _checked=True), per_block_t
+    return Matrix(tower.base_field, B[:, : partition.n], _checked=True), per_block_t, kept
 
 
 def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
@@ -356,7 +379,10 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     Every returned report has a verified residual and a certified weight;
     all failure modes raise a DecodingFailure subclass or a solver error,
     whose stage attribute names the stage that failed ("erasure" for a
-    solver error).
+    solver error).  When erasure or verify fails after support recovery
+    kept the annihilator slice's kernels, the exact supports are re-derived
+    first (module docstring, step 3), so every outcome is that of exact
+    supports.
     """
     code = icode.constituent
     tower, partition = code.tower, code.partition
@@ -367,7 +393,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
 
     S = syndrome(code.H, Y)
     h_sub, t_hat, I = compute_hsub(code.H, S)
-    B, per_block_t = recover_block_supports(tower, h_sub, partition, t_hat)
+    B, per_block_t, kept = recover_block_supports(tower, h_sub, partition, t_hat)
     # step 4 solves over B's support columns J only
     J = np.flatnonzero(B.array.any(axis=0))
     BJ = B.array[:, J]
@@ -375,17 +401,24 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     SI = Matrix(S.field, S.array[I], _checked=True)
     try:
         A = erasure_decode(HIJ, Matrix(B.field, BJ, _checked=True), SI)
-    except LinearSystemError as ex:
-        ex.stage = "erasure"
-        raise
-    E_hat = _verify(code, S, A, B, t_hat)
-    return DecodingReport(
-        C_hat=Y - E_hat,
-        E_hat=E_hat,
-        A_hat=A,
-        B_hat=B,
-        t_hat=t_hat,
-        per_block_t=per_block_t,
-        S=S,
-        annihilator=h_sub,
-    )
+        E_hat = _verify(code, S, A, B, t_hat)
+    except (DecodingFailure, LinearSystemError) as ex:
+        if isinstance(ex, LinearSystemError):
+            ex.stage = "erasure"
+        failure = ex
+    else:
+        return DecodingReport(
+            C_hat=Y - E_hat,
+            E_hat=E_hat,
+            A_hat=A,
+            B_hat=B,
+            t_hat=t_hat,
+            per_block_t=per_block_t,
+            S=S,
+            annihilator=h_sub,
+        )
+    if kept:
+        # the slice's kernels contain the exact ones; where they differ, the
+        # exact ones add up to less than t_hat and raise SupportMismatch here
+        recover_block_supports(tower, h_sub.matrix().array[None], partition, t_hat)
+    raise failure

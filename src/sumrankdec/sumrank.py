@@ -8,6 +8,7 @@ spaces, kept in canonical reduced-echelon form so they compare by equality.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -132,7 +133,8 @@ class LengthPartition:
 _SOURCE_MIN_ENTRIES = 2**12
 
 
-def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition):
+def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition,
+                   t_hat: int | None = None):
     """The stacked eliminations behind block_ranks and block_kernels.
 
     Every column block of every matrix in the (batch, r, n) stack arr is one
@@ -164,25 +166,45 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     r > 4w and l (r - 2w) w, its entries below the leading 2w rows, is at
     least _SOURCE_MIN_ENTRIES; a shorter or smaller source is formed whole
     at once, as every row would be read.  On the path, only the leading
-    slice of 2w rows of the l members is formed, on all columns, and
-    reduced.  A member zero there is zero unless its rows below are not, so
-    those members, blocks of length 1 included (a nonzero test per column),
-    take their rows below too.  A member of full rank n_i on the slice is
-    done.  Each other member's rows below are formed and checked against
-    the slice: a row below minus its entries in the pivot columns times the
-    slice's pivot rows (one submul pass per pivot column, exact because the
-    slice is in RREF) vanishes exactly when the row lies in the slice's row
-    space.  When all of them vanish, the member's row space is the slice's,
-    and so is its RREF, which is canonical for the row space.  Only members
-    whose rank grows below the slice are reduced again in full; their R
-    keeps its leading 2w rows, as a member's RREF has at most w nonzero
-    rows.  A formed stack is always reduced in full.
+    slice of 2w rows of the l members is formed, on all columns, and its
+    nonzero members of length >= 2 are reduced, once.
 
-    Returns (ranks, deficient, R, piv, rev, real): the GF(q)-ranks of all
-    batch * l expanded blocks, the members of length >= 2 short of full
+    Slice first: given t_hat, the slice's kernels are kept, and no row
+    below it is read, when their GF(q^m)-dimensions add up to t_hat (n_i
+    for a member zero on the slice, n_i - rank for the reduced ones, 0 for
+    a nonzero member of length 1) and every short member's reduced rows lie
+    in GF(q), so that nothing is expanded and the GF(q)-dimensions are the
+    same.  A slice member has a subset of the block's rows, so its kernel
+    contains the block's, over GF(q) and over GF(q^m); when the exact
+    GF(q)-dimensions add up to t_hat too, as they do in decoding inside the
+    guarantee (t <= d - 2, s >= t, full rank), each slice kernel equals the
+    exact one.  Outside it the slice's kernels can be larger and still add
+    up to t_hat; the result says so (kept), and decode re-derives the exact
+    kernels when a later stage fails.
+
+    Otherwise, and always without t_hat, the rows below decide, on the
+    slice already reduced.  A member zero on the slice is zero unless its
+    rows below are not, so those members, blocks of length 1 included (a
+    nonzero test per column), take their rows below; one of length >= 2
+    nonzero there joins the check below as a short member without pivots,
+    on the rows already read.  A member of full rank n_i on the slice is
+    done.  Each short member's rows below are formed once and checked
+    against the slice: a row below minus its entries in the pivot columns
+    times the slice's pivot rows (one submul pass per pivot column, exact
+    because the slice is in RREF) vanishes exactly when the row lies in the
+    slice's row space.  When all of them vanish, the member's row space is
+    the slice's, and so is its RREF, which is canonical for the row space.
+    Only members whose rank grows below the slice are reduced again in
+    full; their R keeps its leading 2w rows, as a member's RREF has at most
+    w nonzero rows.  A formed stack is always reduced in full, and t_hat
+    changes nothing there.
+
+    Returns (ranks, deficient, R, piv, rev, real, kept): the GF(q)-ranks of
+    all batch * l expanded blocks, the members of length >= 2 short of full
     rank, their GF(q)-reduced rows and pivot masks (reversed columns; None
-    if no member has length >= 2 and is nonzero), and per block the column
-    reversal and the mask of real (unpadded) columns.
+    if no member has length >= 2 and is nonzero), per block the column
+    reversal and the mask of real (unpadded) columns, and whether the
+    slice's kernels were kept by the slice-first rule.
     """
     parts, real, rev, cols = partition._grid
     ell, w = real.shape
@@ -209,46 +231,67 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
 
         top = rows(slice(None), 0, h)
 
+    kept = False
     if r < parts.min():
         # no block can reach full GF(q^m)-rank: expand every member as it is
         ranks = np.tile(parts, batch)
         deficient, R, piv, expand = np.arange(batch * ell), top, None, slice(None)
     else:
+        f = tower.ext_field
         nonzero = top.any(axis=(1, 2))
-        if h < r and not nonzero.all():
-            # a member zero on the leading slice may be nonzero below it
-            zero = np.flatnonzero(~nonzero)
-            nonzero[zero] = rows(zero, h, r).any(axis=(1, 2))
         ranks = nonzero * np.tile(parts, batch)
         live = np.flatnonzero(ranks > 1)
-        if not live.size:
-            return ranks, live, None, None, rev, real
-        f = tower.ext_field
-        R, piv = rref_stack(f, top[live] if live.size < ranks.size else top)
+        if live.size:
+            R, piv = rref_stack(f, top[live] if live.size < ranks.size else top)
+        else:
+            R, piv = np.zeros((0, h, w), dtype=np.int64), np.zeros((0, w), dtype=bool)
         short = piv.sum(axis=1) < ranks[live]
-        if h < r and short.any():
-            # the residual check: each row below less its pivot-column
-            # entries times the slice's pivot rows; prows[:, j] is the pivot
-            # row of column j, zero if j is free
+        # slice first: keep the slice's kernels when their GF(q^m)
+        # dimensions (n_i for a member zero there, 0 for a nonzero one of
+        # length 1) add up to t_hat and no short member leaves GF(q)
+        kept = bool(h < r and t_hat == partition.n - np.count_nonzero(ranks == 1) - piv.sum()
+                    and R[short].max(initial=0) < tower.q)
+        if h < r and not kept:
             check = np.flatnonzero(short)
-            p = piv[check]
-            prows = R[check[:, None], np.cumsum(p, axis=1) - 1] * p[:, :, None]
-            rest = rows(live[check], h, r)
-            res = rest
-            for col in np.flatnonzero(p.any(axis=0)):
-                res = f.submul(res, rest[:, :, col, None], prows[:, None, col, :])
-            grew = res.any(axis=(1, 2))
-            if grew.any():
-                # rank grows below the slice: reduce those members in full
-                g = check[grew]
-                full, piv[g] = rref_stack(f, np.concatenate([top[live[g]], rest[grew]], axis=1))
-                R[g] = full[:, :h]
-                short[g] = piv[g].sum(axis=1) < ranks[live[g]]
+            rest = rows(live[check], h, r) if check.size else np.zeros((0, r - h, w), dtype=np.int64)
+            zero = np.flatnonzero(~nonzero)
+            if zero.size:
+                # a member zero on the slice is zero unless its rows below are
+                # not; one that is joins the check as short, with no pivots
+                below = rows(zero, h, r)
+                nonzero[zero] = below.any(axis=(1, 2))
+                ranks[zero] = nonzero[zero] * parts[zero]
+                new = ranks[zero] > 1
+                if new.any():
+                    check = np.concatenate([check, len(live) + np.arange(new.sum())])
+                    live = np.concatenate([live, zero[new]])
+                    R = np.concatenate([R, np.zeros((new.sum(), h, w), dtype=np.int64)])
+                    piv = np.concatenate([piv, np.zeros((new.sum(), w), dtype=bool)])
+                    short = np.concatenate([short, np.ones(new.sum(), dtype=bool)])
+                    rest = np.concatenate([rest, below[new]])
+            if check.size:
+                # the residual check: each row below less its pivot-column
+                # entries times the slice's pivot rows; prows[:, j] is the
+                # pivot row of column j, zero if j is free
+                p = piv[check]
+                prows = R[check[:, None], np.cumsum(p, axis=1) - 1] * p[:, :, None]
+                res = rest
+                for col in np.flatnonzero(p.any(axis=0)):
+                    res = f.submul(res, rest[:, :, col, None], prows[:, None, col, :])
+                grew = res.any(axis=(1, 2))
+                if grew.any():
+                    # rank grows below the slice: reduce those members in full
+                    g = check[grew]
+                    full, piv[g] = rref_stack(f, np.concatenate([top[live[g]], rest[grew]], axis=1))
+                    R[g] = full[:, :h]
+                    short[g] = piv[g].sum(axis=1) < ranks[live[g]]
+        if not live.size:
+            return ranks, live, None, None, rev, real, kept
         deficient = live[short]
         R, piv = R[short, : min(r, w)], piv[short]  # rows below the rank are zero
         if R.max(initial=0) < tower.q:  # every reduced row lies in GF(q)
             ranks[deficient] = piv.sum(axis=1)
-            return ranks, deficient, R, piv, rev, real
+            return ranks, deficient, R, piv, rev, real, kept
         expand = (R >= tower.q).any(axis=(1, 2))
     ext = tower.ext_array(R[expand].reshape(-1, w))
     Rq, pq = rref_stack(tower.base_field, ext.reshape(-1, R.shape[1] * tower.m, w))
@@ -260,7 +303,7 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
         R = np.concatenate([R, pad], axis=1)  # np.pad costs 15x more on small stacks
         R[expand], piv[expand] = Rq, pq
     ranks[deficient] = piv.sum(axis=1)
-    return ranks, deficient, R, piv, rev, real
+    return ranks, deficient, R, piv, rev, real, kept
 
 
 def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) -> np.ndarray:
@@ -269,14 +312,14 @@ def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) 
 
 
 def block_kernels(
-    tower: FieldTower, arr: np.ndarray, partition: LengthPartition
-) -> tuple[np.ndarray, np.ndarray]:
+    tower: FieldTower, arr: np.ndarray, partition: LengthPartition, t_hat: int | None = None
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """GF(q)-kernels of the expanded column blocks of a stack of GF(q^m) matrices.
 
     arr is a (batch, r, n) array of GF(q^m) codes, or a row source of one
-    r x n matrix (batch 1; see _reduce_blocks).  Returns (K, lead) with K
-    of shape (batch, l, w, w) and lead of shape (batch, l, w), w the largest
-    block length: K[b, i][lead[b, i]] is the canonical (reduced echelon)
+    r x n matrix (batch 1; see _reduce_blocks).  Returns (K, lead, kept)
+    with K of shape (batch, l, w, w) and lead of shape (batch, l, w), w the
+    largest block length: K[b, i][lead[b, i]] is the canonical (reduced echelon)
     basis of {v in GF(q)^{n_i} : block_i(arr[b]) @ v = 0}, in the first n_i
     columns, and equals right_kernel(tower.ext_matrix(block_i)).  Row o of
     K[b, i] is the basis vector whose leading entry is in column o, and is
@@ -286,8 +329,15 @@ def block_kernels(
     block whose GF(q^m)-reduced rows lie in GF(q) takes its kernel basis from
     them, and only the others are expanded and reduced over GF(q) (see
     _reduce_blocks).
+
+    t_hat matters only for a row source read on its leading slice: kept is
+    True when the slice's kernels add up to t_hat and are returned as they
+    stand (the slice-first rule of _reduce_blocks).  They contain the exact
+    kernels and equal them whenever the exact dimensions add up to t_hat
+    too, as in decoding inside the guarantee.  Otherwise, and always without
+    t_hat, the kernels are exact and kept is False.
     """
-    ranks, deficient, R, piv, rev, real = _reduce_blocks(tower, arr, partition)
+    ranks, deficient, R, piv, rev, real, kept = _reduce_blocks(tower, arr, partition, t_hat)
     ell, w = real.shape
     K = np.zeros((ranks.size, w, w), dtype=np.int64)
     lead = np.zeros((ranks.size, w), dtype=bool)
@@ -307,7 +357,7 @@ def block_kernels(
         kern[:, j, j] = 1
         lead[deficient] = (~piv & real[deficient % ell])[d, rv]
         K[deficient] = kern * lead[deficient][:, :, None]
-    return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w)
+    return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w), kept
 
 
 def sum_rank_weight(tower: FieldTower, M: Matrix, partition: LengthPartition) -> int:
@@ -370,9 +420,11 @@ class ErrorModel:
     def from_dict(cls, d: dict, tower: FieldTower, partition: LengthPartition) -> "ErrorModel":
         """Raises ValueError for a non-integer weight or seed, a non-bool
         full_rank, a profile other than B's rows per block (each row
-        counted in the block of its first nonzero column), an E of other
-        than n columns or an A of other than E's rows and B's rows as
-        columns, or E != A @ lift(B)."""
+        counted in the block of its first nonzero column), a row of B
+        nonzero in two blocks, an E of other than n columns or an A of other
+        than E's rows and B's rows as columns, E != A @ lift(B), block
+        weights of E other than the profile (so B's rows in a block are
+        independent), or a full_rank other than rank(A) == t."""
         profile = tuple(int_from_dict(x, "block weight") for x in d["profile"])
         full_rank = d["full_rank"]
         if not isinstance(full_rank, bool):
@@ -386,12 +438,19 @@ class ErrorModel:
         block = np.where(nz.any(axis=1), partition._column_blocks[nz.argmax(axis=1)], partition.ell)
         if tuple(np.bincount(block, minlength=partition.ell + 1)) != profile + (0,):
             raise ValueError(f"profile {profile} does not match B's rows per block")
+        if (nz & (partition._column_blocks != block[:, None])).any():
+            raise ValueError("a row of B is nonzero in more than one block")
         E, A = matrix_from_dict(d["E"], tower), matrix_from_dict(d["A"], tower)
         if E.cols != partition.n or A.shape != (E.rows, B.rows):
             raise ValueError(f"E is {E.rows} x {E.cols} and A {A.rows} x {A.cols}, expected "
                              f"s x {partition.n} and s x {B.rows}")
         if A @ tower.lift(B) != E:
             raise ValueError("E is not A @ lift(B)")
+        weights = tuple(block_ranks(tower, E.array[None], partition)[0].tolist())
+        if weights != profile:
+            raise ValueError(f"E has block weights {weights}, the profile says {profile}")
+        if full_rank != (rank(A) == B.rows):
+            raise ValueError(f"full_rank is {full_rank} for an A of rank {rank(A)} with {B.rows} columns")
         return cls(
             tower=tower,
             partition=partition,
@@ -458,13 +517,14 @@ def sample_error(
     t = sum(profile)
     if rng is None:
         rng = np.random.default_rng(seed)
+    # an integral seed of any type, np.int64 too, is recorded as an int
+    seed = int(seed) if isinstance(seed, numbers.Integral) and not isinstance(seed, bool) else None
     Fq, Fqm = tower.base_field, tower.ext_field
 
     if t == 0:
         E = Matrix.zeros(Fqm, s, partition.n)
         return ErrorModel(tower, partition, E, Matrix.zeros(Fqm, s, 0),
-                          Matrix.zeros(Fq, 0, partition.n), profile, full_rank=True,
-                          seed=seed if isinstance(seed, int) else None)
+                          Matrix.zeros(Fq, 0, partition.n), profile, full_rank=True, seed=seed)
 
     # A's column blocks, one per nonzero block weight, and B's row blocks
     a_parts = LengthPartition([ti for ti in profile if ti])
@@ -482,7 +542,7 @@ def sample_error(
         if require_full_rank and not full:
             continue
         return ErrorModel(tower, partition, A @ tower.lift(B), A, B, profile, full_rank=full,
-                          seed=seed if isinstance(seed, int) else None)
+                          seed=seed)
     raise SamplingFailure(f"no admissible error after {_SAMPLE_ATTEMPTS} attempts")
 
 

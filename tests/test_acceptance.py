@@ -73,7 +73,7 @@ def test_criterion_1_worked_example_reproduction():
         problems.append(f"inferred weight {t_hat} != 3")
     if not row_spaces_equal(h_sub.matrix(), ref.h_sub):
         problems.append("annihilator row space differs")
-    B, per_block_t = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
+    B, per_block_t, _ = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
     Fq = ref.tower.base_field
     # block 1 spanned by (1, 2), block 2 by the unit vectors, block 3 empty
     expected = block_diag([Matrix(Fq, [[1, 2]]), Matrix.identity(Fq, 2), Matrix.zeros(Fq, 0, 2)])
@@ -179,7 +179,7 @@ def test_criterion_4_support_recovery_invariants():
             if right_kernel(eb) != right_kernel(bb):
                 problems.append("per-block kernel equality violated")
                 break
-        B, _ = recover_block_supports(inst.tower, h_sub, inst.partition, t_hat)
+        B, _, _ = recover_block_supports(inst.tower, h_sub, inst.partition, t_hat)
         blocks = inst.partition.blocks(inst.E)
         if B != block_diag([rank_support(inst.tower, blk) for blk in blocks]):
             problems.append("recovered support differs from error row space")
@@ -214,7 +214,7 @@ def test_criterion_5_metric_reductions():
         inst = make_instance(code_r, s=max(t, 1), rng=rng, t=t)
         S = syndrome(code_r.H, inst.Y)
         h_sub, t_hat, _ = compute_hsub(code_r.H, S)
-        B, _ = recover_block_supports(tower_r, h_sub, part_r, t_hat)
+        B, _, _ = recover_block_supports(tower_r, h_sub, part_r, t_hat)
         if B != rank_support(tower_r, inst.E):
             problems.append(f"rank support mismatch at instance {i}")
             break

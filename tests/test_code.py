@@ -129,6 +129,8 @@ class TestLinearCodeValidation:
         ic = InterleavedCode(ref.code, 3)
         assert ic.contains(ref.C)
         assert not ic.contains(ref.Y)
+        # a matrix of the right shape over another field is no codeword stack
+        assert not ic.contains(Matrix.zeros(ref.tower.base_field, 3, ref.code.n))
         with pytest.raises(ValueError):
             InterleavedCode(ref.code, 0)
 

@@ -110,7 +110,7 @@ class TestReferenceInstance:
         h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
         assert t_hat == 3
         assert row_spaces_equal(h_sub.matrix(), ref.h_sub)
-        B, per_block_t = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
+        B, per_block_t, _ = recover_block_supports(ref.tower, h_sub, ref.partition, t_hat)
         assert per_block_t == (1, 2, 0)
         assert B == block_diag(ref.B_blocks)
         A = erasure_decode(ref.code.H, B, S)
@@ -267,7 +267,7 @@ class TestLemmaInvariants:
         for inst in self._instances(ref, 18):
             S = syndrome(ref.code.H, inst.Y)
             h_sub, t_hat, _ = compute_hsub(ref.code.H, S)
-            B, per_block_t = recover_block_supports(ref.tower, h_sub, inst.partition, t_hat)
+            B, per_block_t, _ = recover_block_supports(ref.tower, h_sub, inst.partition, t_hat)
             blocks = inst.partition.blocks(inst.E)
             assert B == block_diag([rank_support(ref.tower, blk) for blk in blocks])
             assert per_block_t == inst.em.profile
@@ -616,18 +616,22 @@ class TestAnnihilatorOnDemand:
     def test_matches_full_array(self, case):
         tower, part, M, ann, on_route = case
         assert ann.matrix().tolist() == M.tolist()
-        K_ref, lead_ref = block_kernels(tower, M[None], part)
+        K_ref, lead_ref, _ = block_kernels(tower, M[None], part)
         with reduced_stacks(min_entries=0 if on_route else None) as shapes:
-            K, lead = block_kernels(tower, ann, part)
+            K, lead, _ = block_kernels(tower, ann, part)
         assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
         w, r = max(part.parts), ann.rows
-        live = sum(ni > 1 and blk.any() for ni, blk in zip(part.parts, np.split(
-            M, np.cumsum(part.parts)[:-1], axis=1)))
-        if on_route and r > 4 * w and live:
-            # the first elimination sees the leading slice only
-            assert shapes[0] == (live, 2 * w, w)
+        blocks = np.split(M, np.cumsum(part.parts)[:-1], axis=1)
+        if on_route and r > 4 * w:
+            # the first elimination sees the leading slice only, and only
+            # the blocks of length >= 2 that are nonzero on it
+            live = sum(ni > 1 and blk[: 2 * w].any() for ni, blk in zip(part.parts, blocks))
+            assert shapes[:1] == ([(live, 2 * w, w)] if live else [])
+        elif r >= min(part.parts):
+            live = sum(ni > 1 and blk.any() for ni, blk in zip(part.parts, blocks))
+            assert shapes[:1] == ([(live, r, w)] if live else [])
         per_block_t = tuple(lead_ref[0].sum(axis=1).tolist())
-        B, got_t = recover_block_supports(tower, ann, part, sum(per_block_t))
+        B, got_t, _ = recover_block_supports(tower, ann, part, sum(per_block_t))
         assert got_t == per_block_t
         kernels = [Matrix(tower.base_field, K_ref[0, i][lead_ref[0, i]][:, :ni])
                    for i, ni in enumerate(part.parts)]
@@ -653,6 +657,149 @@ class TestAnnihilatorOnDemand:
             assert shapes and (120, 256) not in shapes
             # the report forms it when asked
             assert report.h_sub.shape == (120, 256) and shapes[-1] == (120, 256)
+
+
+# The small fields where a leading slice of 2w rows most often falls short
+# of its block's rank
+SLICE_FIRST_TOWERS = [FieldTower.standard(2, 1), FieldTower.standard(2, 2),
+                      FieldTower.standard(3, 1), FieldTower.standard(2, 3)]
+
+
+@st.composite
+def slice_first_cases(draw):
+    """(icode, Y) over SLICE_FIRST_TOWERS, blocks of 2, of 3 or mixed, with
+    n - k - t > 4w, so that the annihilator is read on its leading slice
+    once the route bound is lowered.  "inside" draws a code of certified
+    distance d >= t + 2 and s >= t; "deficient" has s < t; "overweight"
+    plants the codeword (1, a, 0, ..., 0), so d <= 2 < t + 2.  The error is
+    drawn with or without the full-rank condition (always without at s < t).
+    """
+    tower = draw(st.sampled_from(SLICE_FIRST_TOWERS))
+    w = draw(st.integers(2, 3))
+    shape = draw(st.sampled_from(["equal", "mixed"]))
+    kind = draw(st.sampled_from(["inside", "deficient", "overweight"]))
+    t = draw(st.integers(2, 4) if kind == "deficient" else st.integers(1, 3))
+    s = draw(st.integers(1, t - 1)) if kind == "deficient" else t + draw(st.integers(0, 1))
+    full = kind != "deficient" and draw(st.booleans())
+    k = draw(st.integers(1, 2))
+    parts = [w] + (draw(st.lists(st.integers(1, w), max_size=3)) if shape == "mixed" else [])
+    while sum(parts) <= k + t + 4 * w + draw(st.integers(0, 2)):
+        parts.append(w)
+    part = LengthPartition(parts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "overweight":
+        f = tower.ext_field
+        while True:
+            H = f.random(rng, (part.n - k, part.n))
+            H[:, 0] = f.neg(f.mul(int(f.random(rng, ())), H[:, 1]))
+            if rank(Matrix(f, H)) == part.n - k:
+                break
+        code = LinearCode(tower, part, Matrix(f, H))
+    else:
+        code = random_code(tower, part, k, rng=rng, d_min=t + 2 if kind == "inside" else None)
+    inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=full)
+    return inst.icode, inst.Y
+
+
+def _outcome(icode, Y):
+    """decode's report, or the failure's type, message and fields."""
+    try:
+        return decode(icode, Y)
+    except FAILURES as ex:
+        return type(ex), str(ex), vars(ex)
+
+
+_recover = decoder.recover_block_supports
+
+
+def _exact_supports(tower, h_sub, partition, t_hat):
+    """recover_block_supports on the formed annihilator, always reduced in
+    full: the exact supports."""
+    return _recover(tower, h_sub.matrix().array[None], partition, t_hat)
+
+
+def _no_rederivation(*args):
+    """recover_block_supports reporting its kernels as exact, so that decode
+    never re-derives them."""
+    return _recover(*args)[:2] + (False,)
+
+
+class TestSliceFirst:
+    """The slice-first rule of support recovery: the kernels of the
+    annihilator's leading slice are kept when their dimensions add up to
+    t_hat; a later failure re-derives the exact ones."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(slice_first_cases())
+    def test_same_outcome_as_exact_supports(self, case):
+        icode, Y = case
+        with reduced_stacks(min_entries=0):
+            got = _outcome(icode, Y)
+            with mock.patch.object(decoder, "recover_block_supports", _exact_supports):
+                want = _outcome(icode, Y)
+        assert got == want
+
+    def test_failure_after_the_slice_rederives(self):
+        # GF(3), 64 blocks of 2, k = 40, s = 2 and t = 4 without the rank
+        # condition, at the default route bound: the slice's kernels add up
+        # to t_hat, verify (instance 0) or the erasure solve (instance 6)
+        # fails on them, and the exact kernels add up to less, so decode
+        # raises the exact kernels' SupportMismatch
+        tower, part = FieldTower.standard(3, 1), LengthPartition([2] * 64)
+        rng = np.random.default_rng(0)
+        code = random_code(tower, part, 40, rng=rng)
+        insts = [make_instance(code, s=2, rng=rng, t=4, require_full_rank=False) for _ in range(7)]
+        for inst, later in [(insts[0], ResidualCheckFailed), (insts[6], Inconsistent)]:
+            calls = []
+
+            def spy(tower, h_sub, partition, t_hat):
+                calls.append(isinstance(h_sub, np.ndarray))
+                return _recover(tower, h_sub, partition, t_hat)
+
+            with mock.patch.object(decoder, "recover_block_supports", spy):
+                got = _outcome(inst.icode, inst.Y)
+            assert calls == [False, True]  # the slice first, then the formed annihilator
+            with mock.patch.object(decoder, "recover_block_supports", _no_rederivation):
+                assert _outcome(inst.icode, inst.Y)[0] is later
+            with mock.patch.object(decoder, "recover_block_supports", _exact_supports):
+                want = _outcome(inst.icode, inst.Y)
+            assert got[0] is SupportMismatch and got == want
+            assert sum(got[2]["per_block_t"]) < got[2]["t_hat"]
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(factored_annihilators(), st.sampled_from(["slice", "qm", "exact", "neither"]))
+    def test_block_kernels_given_t_hat(self, case, target):
+        tower, part, M, ann, _ = case
+        w, r = max(part.parts), ann.rows
+        K_exact, lead_exact, _ = block_kernels(tower, M[None], part)
+        K_slice, lead_slice, _ = block_kernels(tower, M[None, : 2 * w], part)
+        # the slice's kernel dimensions over GF(q^m); a block zero there
+        # counts n_i, a nonzero block of length 1 counts 0
+        blocks = [Matrix(tower.ext_field, b)
+                  for b in np.split(M[: 2 * w], np.cumsum(part.parts)[:-1], axis=1)]
+        dims_qm = sum(ni - rank(b) for ni, b in zip(part.parts, blocks))
+        t_hat = {"slice": lead_slice.sum(), "qm": dims_qm, "exact": lead_exact.sum(),
+                 "neither": dims_qm + 1}[target]
+        reads = []
+        take = decoder.Annihilator.take
+
+        def spy(self, rows, cols):
+            reads.append(rows.stop)
+            return take(self, rows, cols)
+
+        with reduced_stacks(min_entries=0), mock.patch.object(decoder.Annihilator, "take", spy):
+            K, lead, kept = block_kernels(tower, ann, part, t_hat)
+        # on the slice path the slice's kernels are kept exactly when their
+        # GF(q^m)-dimensions add up to t_hat and equal their GF(q)-dimensions
+        # (the reduced rows lie in GF(q))
+        assert kept == (r > 4 * w and lead_slice.sum() == dims_qm == t_hat)
+        K_want, lead_want = (K_slice, lead_slice) if kept else (K_exact, lead_exact)
+        assert np.array_equal(K, K_want) and np.array_equal(lead, lead_want)
+        if r > 4 * w:
+            # rows below the slice are read unless the slice is kept or
+            # every block is nonzero on it and of full rank there
+            short = any(b.is_zero or rank(b) < ni for ni, b in zip(part.parts, blocks))
+            assert (max(reads) > 2 * w) == (short and not kept)
 
 
 @st.composite
@@ -1011,13 +1158,13 @@ class TestRobustness:
             recover = decoder.recover_block_supports
 
             def moved(tower, h_sub, partition, t_hat):
-                B, per_block_t = recover(tower, h_sub, partition, t_hat)
+                B, per_block_t, kept = recover(tower, h_sub, partition, t_hat)
                 b = B.array.copy()
                 r = int(np.argmax((b != 0).sum(axis=1)))
                 c = int(np.flatnonzero(b[r])[-1])
                 assert (b[r] != 0).sum() >= 2 and partition.parts == (2, 2, 2)
                 b[r, (c + 2) % partition.n], b[r, c] = b[r, c], 0
-                return Matrix(B.field, b), per_block_t
+                return Matrix(B.field, b), per_block_t, kept
 
             monkeypatch.setattr(decoder, "recover_block_supports", moved)
         with pytest.raises(ResidualCheckFailed) as info:
@@ -1059,7 +1206,7 @@ class TestSpecialCaseReductions:
             report = decode(inst.icode, inst.Y)
             S = syndrome(code.H, inst.Y)
             h_sub, t_hat, _ = compute_hsub(code.H, S)
-            B, _ = recover_block_supports(tower, h_sub, part, t_hat)
+            B, _, _ = recover_block_supports(tower, h_sub, part, t_hat)
             assert B == rank_support(tower, inst.E)
             assert report.C_hat == inst.C
 

@@ -1,5 +1,7 @@
 """Elimination, kernels, solving, row-space operations."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -468,8 +470,9 @@ class TestRrefStack:
     )
     def test_tall_stacks_match_single_matrix_engine(self, tower, c, extra, members, seed):
         # block_kernels on a row source on the slice path: the leading 2w
-        # rows of the nonzero blocks of length >= 2 are reduced first, and
-        # only the blocks whose rank grows below the slice again in full
+        # rows of the blocks of length >= 2 nonzero there are reduced first,
+        # once, and only the blocks whose rank grows below the slice again
+        # in full; a block zero on the slice that is nonzero below joins them
         f = tower.ext_field
         rng = np.random.default_rng(seed)
         kinds = [kind for kind, _ in members]
@@ -479,30 +482,41 @@ class TestRrefStack:
         blocks = [_tall_member(f, kind, r, ni, 2 * w, rng) for kind, ni in zip(kinds, parts)]
         source = _RowSource(f, np.hstack(blocks))
         with reduced_stacks(min_entries=0) as shapes, stacked_eliminations() as calls:
-            K, lead = block_kernels(tower, source, LengthPartition(parts))
-        assert source.reads[0] == (0, 2 * w)
-        live = sum(ni > 1 and kind != "zero" for kind, ni in zip(kinds, parts))
+            K, lead, kept = block_kernels(tower, source, LengthPartition(parts))
+        assert source.reads[0] == (0, 2 * w) and not kept
+        live = sum(ni > 1 and kind not in ("zero", "zero_on_slice")
+                   for kind, ni in zip(kinds, parts))
         grew = sum(ni > 1 and kind in ("grows_below", "zero_on_slice")
                    for kind, ni in zip(kinds, parts))
         ext = [shape for shape, (field, _) in zip(shapes, calls) if field == f]
-        assert ext[:1] == ([(live, 2 * w, w)] if live else [])
-        assert ext[1:] == ([(grew, r, w)] if grew else [])
+        assert ext == ([(live, 2 * w, w)] if live else []) + ([(grew, r, w)] if grew else [])
+        # the rows below are read once for each block zero or short of full
+        # rank on the slice, and for no other block
+        slices = [Matrix(f, blk[: 2 * w]) for blk in blocks]
+        want = {i for i, (ni, sl) in enumerate(zip(parts, slices)) if sl.is_zero or rank(sl) < ni}
+        below = source.blocks_read(parts, 2 * w)
+        assert set(below) == want and set(below.values()) <= {1}
         self._check_kernels(tower, blocks, K, lead)
 
     def test_fallback_at_annihilator_size(self):
         # GF(5^2), 64 blocks of 4 with 120 annihilator rows, as in a decode
-        # at n = 256, under the default route bound: the zero block reaches
-        # no elimination, and only the two blocks whose rank grows below the
-        # slice are reduced in full
+        # at n = 256, under the default route bound: the blocks zero on the
+        # slice reach no elimination of it, and only the two blocks whose
+        # rank grows below the slice, one of them zero there, are reduced in
+        # full; the rows below are read once for each of the five blocks
+        # zero or short on the slice
         tower = FieldTower.standard(5, 2)
         f = tower.ext_field
         rng = np.random.default_rng(16)
         kinds = ["full"] * 59 + ["in_span", "zero", "grows_below", "zero_on_slice", "in_span"]
         blocks = [_tall_member(f, kind, 120, 4, 8, rng) for kind in kinds]
+        source = _RowSource(f, np.hstack(blocks))
         with reduced_stacks() as shapes, stacked_eliminations() as calls:
-            K, lead = block_kernels(tower, _RowSource(f, np.hstack(blocks)), LengthPartition([4] * 64))
+            K, lead, kept = block_kernels(tower, source, LengthPartition([4] * 64))
         assert [shape for shape, (field, _) in zip(shapes, calls) if field == f] == [
-            (63, 8, 4), (2, 120, 4)]
+            (62, 8, 4), (2, 120, 4)]
+        assert source.blocks_read([4] * 64, 8) == {59: 1, 60: 1, 61: 1, 62: 1, 63: 1}
+        assert not kept
         self._check_kernels(tower, blocks, K, lead)
 
     @pytest.mark.parametrize(
@@ -523,9 +537,9 @@ class TestRrefStack:
         tower = FieldTower.standard(5, 2)
         part = LengthPartition([w] * ell)
         source = _RowSource(tower.ext_field, tower.ext_field.random(np.random.default_rng(17), (r, ell * w)))
-        K, lead = block_kernels(tower, source, part)
+        K, lead, _ = block_kernels(tower, source, part)
         assert source.reads[0] == ((0, 2 * w) if sliced else "whole")
-        K_ref, lead_ref = block_kernels(tower, source.a[None], part)
+        K_ref, lead_ref, _ = block_kernels(tower, source.a[None], part)
         assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
 
 
@@ -534,15 +548,25 @@ class _RowSource:
     records what it is asked for: a range of rows, or the whole matrix."""
 
     def __init__(self, field, a):
-        self.field, self.a, self.rows, self.reads = field, a, a.shape[0], []
+        self.field, self.a, self.rows, self.reads, self.cols = field, a, a.shape[0], [], []
 
     def take(self, rows, cols):
         self.reads.append((rows.start, rows.stop))
+        self.cols.append(np.array(cols))
         return self.a[rows][:, cols]
 
     def matrix(self):
         self.reads.append("whole")
+        self.cols.append(None)
         return Matrix(self.field, self.a)
+
+    def blocks_read(self, parts, lo):
+        """How often the rows from lo on were read, per block index:
+        _reduce_blocks reads w columns per block, the first of them the
+        block's last column."""
+        ends, w = np.cumsum(parts), max(parts)
+        return Counter(i for read, c in zip(self.reads, self.cols) if read != "whole" and read[0] == lo
+                       for i in np.searchsorted(ends, c[::w], side="right").tolist())
 
 
 # odd p, prime and extension fields, a prime whose products take the int64

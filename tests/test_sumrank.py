@@ -190,6 +190,17 @@ class TestSampleError:
         b = sample_error(ref_tower, part, (1, 1, 1), s=3, seed=5)
         assert a.E == b.E and a.A == b.A and a.B == b.B
 
+    @pytest.mark.parametrize("profile", [(1, 1, 1), (0, 0, 0)])
+    def test_numpy_integer_seed_is_recorded(self, ref_tower, profile):
+        part = LengthPartition([2, 2, 2])
+        a = sample_error(ref_tower, part, profile, s=3, seed=np.int64(3))
+        b = sample_error(ref_tower, part, profile, s=3, seed=3)
+        assert a.E == b.E and type(a.seed) is int and a.seed == 3
+        assert a.to_dict()["seed"] == 3
+        # a seed sequence or a bool records no seed
+        assert sample_error(ref_tower, part, profile, s=3, seed=np.random.SeedSequence(3)).seed is None
+        assert sample_error(ref_tower, part, profile, s=3, seed=True).seed is None
+
     @pytest.mark.parametrize("tower, parts, profile, s, full", [
         (FieldTower.standard(5, 2), (2, 2, 2, 2), (1, 0, 2, 1), 4, True),
         (FieldTower.standard(2, 3), (3, 1, 2), (2, 1, 0), 2, False),
@@ -303,6 +314,42 @@ class TestSampleError:
         d = {**em.to_dict(), "E": matrix_to_dict(E, ref_tower), "A": matrix_to_dict(A, ref_tower)}
         with pytest.raises(ValueError):
             ErrorModel.from_dict(d, ref_tower, part)
+
+    @pytest.mark.parametrize("case", ["full_rank_false", "full_rank_true", "repeated_row",
+                                      "row_in_two_blocks"])
+    def test_from_dict_rejects_contradicting_weights(self, ref_tower, case):
+        # the flag must be rank(A) == t, and B's rows in a block must be
+        # independent and nonzero in that block only, so that E has the
+        # profile's block weights
+        from sumrankdec.sumrank import ErrorModel
+
+        f, part = ref_tower.ext_field, LengthPartition([2, 2, 2])
+        a = Matrix(f, [[1, 7], [3, 1], [0, 24]])  # rank 2
+        if case == "full_rank_false":
+            em = sample_error(ref_tower, part, (1, 1, 0), s=3, seed=11)
+            assert em.full_rank
+            A, B, profile, flag = em.A, em.B.tolist(), (1, 1, 0), False
+        elif case == "full_rank_true":
+            # two equal columns: rank(A) = 1 < t = 2, each block of weight 1
+            A = Matrix(f, [[1, 1], [3, 3], [24, 24]])
+            B, profile, flag = [[1, 2, 0, 0, 0, 0], [0, 0, 1, 3, 0, 0]], (1, 1, 0), True
+            d = self._error_dict(ref_tower, A, B, profile, False)
+            assert ErrorModel.from_dict(d, ref_tower, part).profile == profile
+        elif case == "repeated_row":
+            # one row twice in block 0: t = 2 but E has weight 1
+            A, B, profile, flag = a, [[1, 2, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0]], (2, 0, 0), True
+        else:
+            # the first row is nonzero in blocks 0 and 1, yet E has weights (1, 1, 0)
+            A, B, profile, flag = a, [[1, 2, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0]], (1, 1, 0), True
+        with pytest.raises(ValueError):
+            ErrorModel.from_dict(self._error_dict(ref_tower, A, B, profile, flag), ref_tower, part)
+
+    @staticmethod
+    def _error_dict(tower, A, B, profile, full_rank):
+        B = Matrix(tower.base_field, B)
+        return {"profile": list(profile), "full_rank": full_rank, "seed": None,
+                "E": matrix_to_dict(A @ tower.lift(B), tower), "A": matrix_to_dict(A, tower),
+                "B": matrix_to_dict(B, tower)}
 
     def test_json_roundtrip_weight_zero(self, ref_tower):
         # t = 0: A is s x 0 and B the 0 x n matrix, stored as []
@@ -430,7 +477,7 @@ class TestSamplerInvariants:
 
 def check_against_per_block_loop(tower, part, arr):
     """block_kernels and block_ranks of arr equal the per-block loop they replace."""
-    K, lead = block_kernels(tower, arr, part)
+    K, lead, _ = block_kernels(tower, arr, part)
     ranks = block_ranks(tower, arr, part)
     for b in range(arr.shape[0]):
         M = Matrix(tower.ext_field, arr[b])
@@ -589,7 +636,7 @@ class TestBlockKernels:
 
     def test_zero_row_matrix(self, ref_tower):
         part = LengthPartition([2, 1])
-        K, lead = block_kernels(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part)
+        K, lead, _ = block_kernels(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part)
         assert lead.tolist() == [[[True, True], [True, False]]]
         assert K[0, 0].tolist() == [[1, 0], [0, 1]] and K[0, 1].tolist() == [[1, 0], [0, 0]]
         assert block_ranks(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part).tolist() == [[0, 0]]
