@@ -26,23 +26,22 @@ linear system for the error values (column-erasure decoding):
    leave GF(q) are expanded over GF(q) and reduced in a second stacked
    elimination.  Zero blocks and nonzero blocks of length 1 (every block in
    the Hamming metric) need no elimination at all.
-   When the annihilator is tall (n - k - t > 4w with w = max n_i, and
-   l (n - k - t - 2w) w, its entries below the leading 2w rows, at least
-   sumrank._SOURCE_MIN_ENTRIES), only its leading 2w rows are formed, on
-   all columns, one (2w x t)(t x n) product, and the first elimination
-   reduces them.  An error-free block typically shows full rank there.
+   When the annihilator is tall (n - k - t > 4w with w = max n_i), only
+   its leading 2w rows are formed, on all columns, one (2w x t)(t x n)
+   product, and the first elimination reduces them.  An error-free block
+   typically shows full rank there.
    Slice first: the slice's rows are some of each block's rows, so its
    kernels contain the exact ones, over GF(q) and over GF(q^m).  When the
    slice's GF(q^m)-kernel dimensions (n_i for a block zero there) add up
    to t_hat and its reduced rows lie in GF(q), its kernels are kept and no
    row below is formed.  Inside the guarantee the exact dimensions add up
    to t_hat too, so the kept kernels are the exact ones.  Otherwise the
-   rows below are formed only on the columns of the other blocks, once
-   each: the at most t error blocks, which check those rows against the
-   slice, already reduced, and are reduced again in full only if their
-   rank grows there, and blocks zero on the slice, blocks of length 1
-   among them (one nonzero test per column).  The whole slice path is one
-   function, sumrank._reduce_blocks, over a plain stacked elimination.
+   check below the slice forms the rows below in one read, only on the
+   columns of the other blocks: the at most t error blocks, which check
+   those rows against the slice and are reduced again in full only if
+   their rank grows there, and blocks zero on the slice, blocks of length
+   1 among them (one nonzero test per column).  The whole slice path is
+   one function, sumrank._reduce_blocks, over a plain stacked elimination.
    The stage then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m)
    instead of O(l (n - k) w^2), and forming h_sub O(t w n + t^2 w (n - k))
    instead of O(t n (n - k)).  A shorter annihilator is formed whole, and
@@ -52,11 +51,12 @@ linear system for the error values (column-erasure decoding):
    verify passes, H @ E^T = S, so h_sub @ B^T @ A^T = h_sub @ E^T = 0, and
    A, of t_hat columns, has rank(A) >= rank(E) >= rank(S) = t_hat; so
    h_sub @ B^T = 0, B's rows lie in the exact kernels, and with the same
-   dimensions the kernels are equal.  Only the failure could change, so when
-   erasure or verify fails after kept kernels, decode re-derives the
-   exact ones from the formed annihilator: where they differ their
-   dimensions add up to less than t_hat, and the exact stage's
-   SupportMismatch is raised instead; otherwise the failure stands.
+   dimensions the kernels are equal.  Only the failure could change, so
+   kept kernels come with their completion, the check below the slice
+   deferred, which decode calls when erasure or verify fails after them:
+   where the exact kernels differ, their dimensions add up to less than
+   t_hat and their SupportMismatch is raised instead; otherwise the
+   failure stands.
 4. Solve (H @ B^T) A^T = S, giving E = A @ B and C = Y - E.  A left-kernel
    vector v of S maps [H @ B^T | S] to [(v @ H) @ B^T | 0], which is zero
    because B spans the kernels of h_sub's expanded blocks.  So every
@@ -91,6 +91,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -165,8 +166,8 @@ class Annihilator:
 
     compute_hsub gives the parity-check array H, the non-pivot rows F of S,
     X = R[:t_hat, F]^T and HI = H[I].  Entries are formed only when read:
-    take forms a slice, and matrix() the whole (len(F) x n) matrix.
-    block_kernels reads it as a row source (see sumrank._reduce_blocks).
+    block_kernels reads slices by take (see sumrank._reduce_blocks), and
+    DecodingReport.h_sub the whole (len(F) x n) matrix by matrix().
     """
 
     field: object
@@ -264,43 +265,48 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Annihilator, int, list[int]]:
 
 def recover_block_supports(
     tower: FieldTower, h_sub: Annihilator | np.ndarray, partition: LengthPartition, t_hat: int
-) -> tuple[Matrix, tuple[int, ...], bool]:
+) -> tuple[Matrix, tuple[int, ...], Callable[[], tuple[Matrix, tuple[int, ...]]] | None]:
     """Per-block kernels of the expanded annihilator matrix.
 
     h_sub is an Annihilator, read as a row source, or the formed annihilator
     as a (1, r, n) array, which is always reduced in full.  Returns (B,
-    per_block_t, kept): B is the block-diagonal GF(q) support basis whose
+    per_block_t, complete): B is the block-diagonal GF(q) support basis whose
     i-th diagonal block is the canonical kernel basis of the i-th expanded
     block of h_sub, with per_block_t[i] rows.  Under the decoding
     hypotheses it spans the GF(q) row space of error block i.
-    block_kernels forms the leading 2w rows of a tall annihilator and
+    block_kernels reads the leading 2w rows of a tall annihilator and
     reduces them first.  When their kernel dimensions add up to t_hat and
-    their reduced rows lie in GF(q), it keeps their kernels, reads no row
-    below, and kept is True (the slice-first rule).  Those kernels contain
-    the exact ones and equal them inside the guarantee; outside it, decode
-    re-derives the exact ones when a later stage fails.  Otherwise it forms
-    the rows below only on the blocks that are zero or short of full rank
-    on the slice, and the kernels are exact (see the module docstring, step
-    3).  Raises SupportMismatch when the recovered per-block weights do not
-    sum to t_hat.
+    their reduced rows lie in GF(q), it keeps their kernels and reads no row
+    below (the slice-first rule).  Those kernels contain the exact ones and
+    equal them inside the guarantee; complete is then a function of no
+    arguments that reads the rows below, on the slice's reduction, and
+    returns the exact (B, per_block_t) or raises their SupportMismatch.
+    Otherwise the kernels are exact and complete is None (see the module
+    docstring, step 3).  Raises SupportMismatch when the recovered
+    per-block weights do not sum to t_hat.
     """
-    K, lead, kept = block_kernels(tower, h_sub, partition, t_hat)
-    per_block_t = tuple(lead[0].sum(axis=1).tolist())
-    if sum(per_block_t) != t_hat:
-        raise SupportMismatch(
-            f"recovered block weights {per_block_t} sum to {sum(per_block_t)}, "
-            f"expected {t_hat}; full-rank condition likely violated",
-            t_hat=t_hat,
-            per_block_t=per_block_t,
-        )
-    # the kernel rows in block order are the rows of B; each is written at
-    # its block's first column, into zero padding past the last block
-    blk, o = np.nonzero(lead[0])
-    w = K.shape[-1]
-    starts = np.cumsum(partition.parts) - partition.parts
-    B = np.zeros((t_hat, partition.n + w), dtype=np.int64)
-    B[np.arange(t_hat)[:, None], starts[blk][:, None] + np.arange(w)] = K[0, blk, o]
-    return Matrix(tower.base_field, B[:, : partition.n], _checked=True), per_block_t, kept
+
+    def basis(K, lead):
+        per_block_t = tuple(lead[0].sum(axis=1).tolist())
+        if sum(per_block_t) != t_hat:
+            raise SupportMismatch(
+                f"recovered block weights {per_block_t} sum to {sum(per_block_t)}, "
+                f"expected {t_hat}; full-rank condition likely violated",
+                t_hat=t_hat,
+                per_block_t=per_block_t,
+            )
+        # the kernel rows in block order are the rows of B; each is written
+        # at its block's first column, into zero padding past the last block
+        blk, o = np.nonzero(lead[0])
+        w = K.shape[-1]
+        starts = np.cumsum(partition.parts) - partition.parts
+        B = np.zeros((t_hat, partition.n + w), dtype=np.int64)
+        B[np.arange(t_hat)[:, None], starts[blk][:, None] + np.arange(w)] = K[0, blk, o]
+        return Matrix(tower.base_field, B[:, : partition.n], _checked=True), per_block_t
+
+    K, lead, complete = block_kernels(tower, h_sub, partition, t_hat)
+    B, per_block_t = basis(K, lead)
+    return B, per_block_t, None if complete is None else lambda: basis(*complete())
 
 
 def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
@@ -380,9 +386,9 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     all failure modes raise a DecodingFailure subclass or a solver error,
     whose stage attribute names the stage that failed ("erasure" for a
     solver error).  When erasure or verify fails after support recovery
-    kept the annihilator slice's kernels, the exact supports are re-derived
-    first (module docstring, step 3), so every outcome is that of exact
-    supports.
+    kept the annihilator slice's kernels, their completion runs first and
+    raises the exact supports' SupportMismatch where they differ (module
+    docstring, step 3), so every outcome is that of exact supports.
     """
     code = icode.constituent
     tower, partition = code.tower, code.partition
@@ -393,7 +399,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
 
     S = syndrome(code.H, Y)
     h_sub, t_hat, I = compute_hsub(code.H, S)
-    B, per_block_t, kept = recover_block_supports(tower, h_sub, partition, t_hat)
+    B, per_block_t, complete = recover_block_supports(tower, h_sub, partition, t_hat)
     # step 4 solves over B's support columns J only
     J = np.flatnonzero(B.array.any(axis=0))
     BJ = B.array[:, J]
@@ -417,8 +423,8 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
             S=S,
             annihilator=h_sub,
         )
-    if kept:
+    if complete is not None:
         # the slice's kernels contain the exact ones; where they differ, the
         # exact ones add up to less than t_hat and raise SupportMismatch here
-        recover_block_supports(tower, h_sub.matrix().array[None], partition, t_hat)
+        complete()
     raise failure

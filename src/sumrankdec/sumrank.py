@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,22 +119,7 @@ class LengthPartition:
         return cls((n,))
 
 
-# Smallest l (r - 2w) w, the entries below the leading 2w rows, for which
-# _reduce_blocks reads a row source of r > 4w rows on demand (its slice
-# path) instead of forming it whole.  Timed (2-core x86-64 VM, one BLAS
-# thread, best of 60 decodes per instance, the two routes interleaved per
-# decode, median over 10 instances) with decode() on random codes over
-# GF(4), GF(8), GF(25), GF(81) and GF(2^12), blocks of 1, 2, 3, 4 and mixed
-# (3, 1, 4, 2), n = 16..256: against forming the whole annihilator, the path
-# lost 2-21 % up to 2460 entries (e.g. GF(4), 16 blocks of 2, r = 23: +21 %;
-# GF(25), 16 blocks of 4, r = 44: +6 %), tied within 3 % at 2664-3840, and
-# won from 4160 on (0.88-0.94x at 4160-6912, 0.78x on GF(25) with 64 blocks
-# of 4 and r = 120).
-_SOURCE_MIN_ENTRIES = 2**12
-
-
-def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition,
-                   t_hat: int | None = None):
+def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: int | None = None):
     """The stacked eliminations behind block_ranks and block_kernels.
 
     Every column block of every matrix in the (batch, r, n) stack arr is one
@@ -151,8 +136,8 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     lie in GF(q)^{n_i}, and a GF(q)-kernel is never larger than the
     GF(q^m)-kernel, so both kernels have the same basis and R is the GF(q)
     reduced echelon form of the expanded block.  Only the other members are
-    expanded over GF(q) and reduced in a second stacked call.  With fewer
-    rows than the shortest block (one codeword per member, as in
+    expanded over GF(q) and reduced in a second stacked call (_over_base).
+    With fewer rows than the shortest block (one codeword per member, as in
     min_sum_rank_distance) no member can reach full rank, so the first call
     is skipped and every member, zero or not, is expanded unreduced: the
     GF(q)-row space, and so the reduced rows, are the same, and leaving out
@@ -161,13 +146,11 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     reversed back, a reduced echelon basis (see block_kernels).
 
     arr may also be a row source of one r x n matrix (batch 1), an object
-    with rows, take(rows, cols) and matrix(), such as decoder.Annihilator:
-    its entries are formed only when read.  It takes the slice path when
-    r > 4w and l (r - 2w) w, its entries below the leading 2w rows, is at
-    least _SOURCE_MIN_ENTRIES; a shorter or smaller source is formed whole
-    at once, as every row would be read.  On the path, only the leading
-    slice of 2w rows of the l members is formed, on all columns, and its
-    nonzero members of length >= 2 are reduced, once.
+    with rows and take(rows, cols), such as decoder.Annihilator: its entries
+    are formed only when read.  A source of r > 4w rows is read on its
+    leading slice of 2w rows first, on all columns, and the slice's nonzero
+    members of length >= 2 are reduced, once; a shorter source is read
+    whole, as every row would be read.
 
     Slice first: given t_hat, the slice's kernels are kept, and no row
     below it is read, when their GF(q^m)-dimensions add up to t_hat (n_i
@@ -179,16 +162,14 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     GF(q)-dimensions add up to t_hat too, as they do in decoding inside the
     guarantee (t <= d - 2, s >= t, full rank), each slice kernel equals the
     exact one.  Outside it the slice's kernels can be larger and still add
-    up to t_hat; the result says so (kept), and decode re-derives the exact
-    kernels when a later stage fails.
+    up to t_hat, so kept kernels come with their completion: the check
+    below the slice, deferred until it is called.
 
-    Otherwise, and always without t_hat, the rows below decide, on the
-    slice already reduced.  A member zero on the slice is zero unless its
-    rows below are not, so those members, blocks of length 1 included (a
-    nonzero test per column), take their rows below; one of length >= 2
-    nonzero there joins the check below as a short member without pivots,
-    on the rows already read.  A member of full rank n_i on the slice is
-    done.  Each short member's rows below are formed once and checked
+    Otherwise, and always without t_hat, that check runs at once.  A
+    member of full rank n_i on the slice is done.  The members zero or short
+    on the slice, blocks of length 1 among them (a nonzero test per column),
+    read their rows below in one take; one zero on the slice is zero unless
+    its rows below are not.  Each short member's rows below are checked
     against the slice: a row below minus its entries in the pivot columns
     times the slice's pivot rows (one submul pass per pivot column, exact
     because the slice is in RREF) vanishes exactly when the row lies in the
@@ -196,32 +177,23 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
     the slice's, and so is its RREF, which is canonical for the row space.
     Only members whose rank grows below the slice are reduced again in
     full; their R keeps its leading 2w rows, as a member's RREF has at most
-    w nonzero rows.  A formed stack is always reduced in full, and t_hat
-    changes nothing there.
+    w nonzero rows.  A formed stack, and a source read whole, are reduced
+    in full, and t_hat changes nothing there.
 
-    Returns (ranks, deficient, R, piv, rev, real, kept): the GF(q)-ranks of
-    all batch * l expanded blocks, the members of length >= 2 short of full
-    rank, their GF(q)-reduced rows and pivot masks (reversed columns; None
-    if no member has length >= 2 and is nonzero), per block the column
-    reversal and the mask of real (unpadded) columns, and whether the
-    slice's kernels were kept by the slice-first rule.
+    Returns (ranks, deficient, R, piv, complete): the GF(q)-ranks of all
+    batch * l expanded blocks, the members of length >= 2 short of full
+    rank, and their GF(q)-reduced rows and pivot masks (reversed columns).
+    complete is None when these are exact; for kept kernels it is a
+    function of no arguments that returns the exact (ranks, deficient, R,
+    piv).
     """
     parts, real, rev, cols = partition._grid
     ell, w = real.shape
-    source = None if isinstance(arr, np.ndarray) else arr
-    if source is not None:
-        h = 2 * w
-        if source.rows <= 2 * h or ell * (source.rows - h) * w < _SOURCE_MIN_ENTRIES:
-            # off the slice path every row is read: form them all
-            arr, source = source.matrix().array[None], None
-    if source is None:
-        if arr.shape[1] == 0:  # a zero row leaves every kernel as it is
-            arr = np.zeros((arr.shape[0], 1, arr.shape[2]), dtype=np.int64)
+    if isinstance(arr, np.ndarray):
         batch, r, _ = arr.shape
-        h = r
         top = (arr[:, :, cols] * real).transpose(0, 2, 1, 3).reshape(batch * ell, r, w)
     else:
-        batch, r = 1, source.rows
+        source, batch, r = arr, 1, arr.rows
 
         def rows(members, lo, hi):
             c = cols[members]
@@ -229,70 +201,80 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
             # C order: the eliminations step through every member's rows
             return np.ascontiguousarray((out * real[members]).transpose(1, 0, 2))
 
-        top = rows(slice(None), 0, h)
-
-    kept = False
+        top = rows(slice(None), 0, 2 * w if r > 4 * w else r)
+    h = top.shape[1]
+    if h == 0:  # a zero row leaves every kernel as it is
+        top, h, r = np.zeros((batch * ell, 1, w), dtype=np.int64), 1, 1
     if r < parts.min():
         # no block can reach full GF(q^m)-rank: expand every member as it is
-        ranks = np.tile(parts, batch)
-        deficient, R, piv, expand = np.arange(batch * ell), top, None, slice(None)
+        return _over_base(tower, np.tile(parts, batch), np.arange(batch * ell), top, None) + (None,)
+    f = tower.ext_field
+    nonzero = top.any(axis=(1, 2))
+    ranks = nonzero * np.tile(parts, batch)
+    live = np.flatnonzero(ranks > 1)
+    if live.size:
+        R, piv = rref_stack(f, top[live] if live.size < ranks.size else top)
     else:
-        f = tower.ext_field
-        nonzero = top.any(axis=(1, 2))
-        ranks = nonzero * np.tile(parts, batch)
-        live = np.flatnonzero(ranks > 1)
-        if live.size:
-            R, piv = rref_stack(f, top[live] if live.size < ranks.size else top)
-        else:
-            R, piv = np.zeros((0, h, w), dtype=np.int64), np.zeros((0, w), dtype=bool)
-        short = piv.sum(axis=1) < ranks[live]
+        R, piv = np.zeros((0, h, w), dtype=np.int64), np.zeros((0, w), dtype=bool)
+    short = piv.sum(axis=1) < ranks[live]
+
+    def below():
+        # the members short or zero on the slice read their rows below, in
+        # one take
+        zero = np.flatnonzero(~nonzero)
+        m = np.concatenate([live[short], zero])
+        rest = rows(m, h, r) if m.size else np.zeros((0, r - h, w), dtype=np.int64)
+        ranks, Rm, pm = parts * nonzero, R[short], piv[short]
+        if zero.size:
+            # one zero on the slice is zero unless its rows below are not;
+            # one of length >= 2 nonzero there is short, with no pivots
+            ranks[zero] = parts[zero] * rest[len(Rm):].any(axis=(1, 2))
+            keep = ranks[m] > 1
+            m, rest = m[keep], rest[keep]
+            Rm = np.concatenate([Rm, np.zeros((len(m) - len(Rm), h, w), dtype=np.int64)])
+            pm = np.concatenate([pm, np.zeros((len(m) - len(pm), w), dtype=bool)])
+        # the residual check: each row below less its pivot-column entries
+        # times the slice's pivot rows; prows[:, j] is the pivot row of
+        # column j, zero if j is free
+        prows = Rm[np.arange(len(m))[:, None], np.cumsum(pm, axis=1) - 1] * pm[:, :, None]
+        res = rest
+        for col in np.flatnonzero(pm.any(axis=0)):
+            res = f.submul(res, rest[:, :, col, None], prows[:, None, col, :])
+        grew = res.any(axis=(1, 2))
+        if grew.any():
+            # rank grows below the slice: reduce those members in full
+            full, pm[grew] = rref_stack(f, np.concatenate([top[m[grew]], rest[grew]], axis=1))
+            Rm[grew] = full[:, :h]
+        still = pm.sum(axis=1) < ranks[m]
+        return _over_base(tower, ranks, m[still], Rm[still, :w], pm[still])
+
+    if h < r and not (
         # slice first: keep the slice's kernels when their GF(q^m)
         # dimensions (n_i for a member zero there, 0 for a nonzero one of
         # length 1) add up to t_hat and no short member leaves GF(q)
-        kept = bool(h < r and t_hat == partition.n - np.count_nonzero(ranks == 1) - piv.sum()
-                    and R[short].max(initial=0) < tower.q)
-        if h < r and not kept:
-            check = np.flatnonzero(short)
-            rest = rows(live[check], h, r) if check.size else np.zeros((0, r - h, w), dtype=np.int64)
-            zero = np.flatnonzero(~nonzero)
-            if zero.size:
-                # a member zero on the slice is zero unless its rows below are
-                # not; one that is joins the check as short, with no pivots
-                below = rows(zero, h, r)
-                nonzero[zero] = below.any(axis=(1, 2))
-                ranks[zero] = nonzero[zero] * parts[zero]
-                new = ranks[zero] > 1
-                if new.any():
-                    check = np.concatenate([check, len(live) + np.arange(new.sum())])
-                    live = np.concatenate([live, zero[new]])
-                    R = np.concatenate([R, np.zeros((new.sum(), h, w), dtype=np.int64)])
-                    piv = np.concatenate([piv, np.zeros((new.sum(), w), dtype=bool)])
-                    short = np.concatenate([short, np.ones(new.sum(), dtype=bool)])
-                    rest = np.concatenate([rest, below[new]])
-            if check.size:
-                # the residual check: each row below less its pivot-column
-                # entries times the slice's pivot rows; prows[:, j] is the
-                # pivot row of column j, zero if j is free
-                p = piv[check]
-                prows = R[check[:, None], np.cumsum(p, axis=1) - 1] * p[:, :, None]
-                res = rest
-                for col in np.flatnonzero(p.any(axis=0)):
-                    res = f.submul(res, rest[:, :, col, None], prows[:, None, col, :])
-                grew = res.any(axis=(1, 2))
-                if grew.any():
-                    # rank grows below the slice: reduce those members in full
-                    g = check[grew]
-                    full, piv[g] = rref_stack(f, np.concatenate([top[live[g]], rest[grew]], axis=1))
-                    R[g] = full[:, :h]
-                    short[g] = piv[g].sum(axis=1) < ranks[live[g]]
-        if not live.size:
-            return ranks, live, None, None, rev, real, kept
-        deficient = live[short]
-        R, piv = R[short, : min(r, w)], piv[short]  # rows below the rank are zero
-        if R.max(initial=0) < tower.q:  # every reduced row lies in GF(q)
-            ranks[deficient] = piv.sum(axis=1)
-            return ranks, deficient, R, piv, rev, real, kept
+        t_hat == partition.n - np.count_nonzero(ranks == 1) - piv.sum()
+        and R[short].max(initial=0) < tower.q
+    ):
+        return below() + (None,)
+    complete = below if h < r else None
+    if not live.size:
+        return ranks, live, R, piv, complete
+    # rows below the rank are zero
+    return _over_base(tower, ranks, live[short], R[short, :w], piv[short]) + (complete,)
+
+
+def _over_base(tower: FieldTower, ranks, deficient, R, piv):
+    """_reduce_blocks' result over GF(q), from the deficient members' rows R
+    over GF(q^m), reduced with pivot masks piv or, for piv None, not;
+    ranks[deficient] is set in place."""
+    if piv is None:
+        expand = slice(None)
+    elif R.max(initial=0) < tower.q:  # every reduced row lies in GF(q)
+        ranks[deficient] = piv.sum(axis=1)
+        return ranks, deficient, R, piv
+    else:
         expand = (R >= tower.q).any(axis=(1, 2))
+    w = R.shape[2]
     ext = tower.ext_array(R[expand].reshape(-1, w))
     Rq, pq = rref_stack(tower.base_field, ext.reshape(-1, R.shape[1] * tower.m, w))
     if len(Rq) == len(deficient):
@@ -303,7 +285,7 @@ def _reduce_blocks(tower: FieldTower, arr: np.ndarray, partition: LengthPartitio
         R = np.concatenate([R, pad], axis=1)  # np.pad costs 15x more on small stacks
         R[expand], piv[expand] = Rq, pq
     ranks[deficient] = piv.sum(axis=1)
-    return ranks, deficient, R, piv, rev, real, kept
+    return ranks, deficient, R, piv
 
 
 def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) -> np.ndarray:
@@ -313,11 +295,11 @@ def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) 
 
 def block_kernels(
     tower: FieldTower, arr: np.ndarray, partition: LengthPartition, t_hat: int | None = None
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray]] | None]:
     """GF(q)-kernels of the expanded column blocks of a stack of GF(q^m) matrices.
 
     arr is a (batch, r, n) array of GF(q^m) codes, or a row source of one
-    r x n matrix (batch 1; see _reduce_blocks).  Returns (K, lead, kept)
+    r x n matrix (batch 1; see _reduce_blocks).  Returns (K, lead, complete)
     with K of shape (batch, l, w, w) and lead of shape (batch, l, w), w the
     largest block length: K[b, i][lead[b, i]] is the canonical (reduced echelon)
     basis of {v in GF(q)^{n_i} : block_i(arr[b]) @ v = 0}, in the first n_i
@@ -330,34 +312,43 @@ def block_kernels(
     them, and only the others are expanded and reduced over GF(q) (see
     _reduce_blocks).
 
-    t_hat matters only for a row source read on its leading slice: kept is
-    True when the slice's kernels add up to t_hat and are returned as they
-    stand (the slice-first rule of _reduce_blocks).  They contain the exact
-    kernels and equal them whenever the exact dimensions add up to t_hat
-    too, as in decoding inside the guarantee.  Otherwise, and always without
-    t_hat, the kernels are exact and kept is False.
+    t_hat matters only for a row source read on its leading slice: when the
+    slice's kernels add up to t_hat they are returned as they stand (the
+    slice-first rule of _reduce_blocks), and complete is a function of no
+    arguments that returns the exact (K, lead), read on the rows below the
+    slice.  Kept kernels contain the exact ones and equal them whenever the
+    exact dimensions add up to t_hat too, as in decoding inside the
+    guarantee.  Otherwise, and always without t_hat, the kernels are exact
+    and complete is None.
     """
-    ranks, deficient, R, piv, rev, real, kept = _reduce_blocks(tower, arr, partition, t_hat)
+    _, real, rev, _ = partition._grid
     ell, w = real.shape
-    K = np.zeros((ranks.size, w, w), dtype=np.int64)
-    lead = np.zeros((ranks.size, w), dtype=bool)
     j = np.arange(w)
-    if not ranks.all():
-        zero = np.flatnonzero(ranks == 0)
-        lead[zero] = real[zero % ell]
-        K[zero[:, None], j, j] = lead[zero]
-    if deficient.size:
-        # T[d, p] is the reduced row with its pivot in column p, zero if p is
-        # free; the kernel vector of free column f is e_f - T[d, :, f], with
-        # its leading entry at f once the columns are reversed back
-        d = np.arange(deficient.size)[:, None]
-        T = R[d, np.cumsum(piv, axis=1) - 1] * piv[:, :, None]
-        rv = rev[deficient % ell]
-        kern = tower.base_field.neg(T[d[:, :, None], rv[:, None, :], rv[:, :, None]])
-        kern[:, j, j] = 1
-        lead[deficient] = (~piv & real[deficient % ell])[d, rv]
-        K[deficient] = kern * lead[deficient][:, :, None]
-    return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w), kept
+
+    def kernels(ranks, deficient, R, piv):
+        K = np.zeros((ranks.size, w, w), dtype=np.int64)
+        lead = np.zeros((ranks.size, w), dtype=bool)
+        if not ranks.all():
+            zero = np.flatnonzero(ranks == 0)
+            lead[zero] = real[zero % ell]
+            K[zero[:, None], j, j] = lead[zero]
+        if deficient.size:
+            # T[d, p] is the reduced row with its pivot in column p, zero if
+            # p is free; the kernel vector of free column f is
+            # e_f - T[d, :, f], with its leading entry at f once the columns
+            # are reversed back
+            d = np.arange(deficient.size)[:, None]
+            T = R[d, np.cumsum(piv, axis=1) - 1] * piv[:, :, None]
+            rv = rev[deficient % ell]
+            kern = tower.base_field.neg(T[d[:, :, None], rv[:, None, :], rv[:, :, None]])
+            kern[:, j, j] = 1
+            lead[deficient] = (~piv & real[deficient % ell])[d, rv]
+            K[deficient] = kern * lead[deficient][:, :, None]
+        return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w)
+
+    ranks, deficient, R, piv, complete = _reduce_blocks(tower, arr, partition, t_hat)
+    K, lead = kernels(ranks, deficient, R, piv)
+    return K, lead, None if complete is None else lambda: kernels(*complete())
 
 
 def sum_rank_weight(tower: FieldTower, M: Matrix, partition: LengthPartition) -> int:

@@ -87,15 +87,13 @@ def make_instance(
 
 
 @contextmanager
-def reduced_stacks(min_entries: int | None = None):
+def reduced_stacks():
     """Record the shape of every stack that block_ranks and block_kernels
     pass to rref_stack.
 
-    The slice path of a row source of r rows and blocks of at most w
+    The slice path of a row source of r > 4w rows and blocks of at most w
     columns reduces a (batch, 2w, w) slice first, then the full height of
-    the members whose rank grows below it.  With min_entries set, sumrank's
-    bound for reading a row source on that path is lowered to it, so that
-    annihilators of test size (min_entries = 0) take the path too.
+    the members whose rank grows below it.
     """
     shapes: list[tuple[int, ...]] = []
     inner = sumrank.rref_stack
@@ -104,10 +102,7 @@ def reduced_stacks(min_entries: int | None = None):
         shapes.append(a.shape)
         return inner(field, a)
 
-    bound = sumrank._SOURCE_MIN_ENTRIES if min_entries is None else min_entries
-    with mock.patch.object(sumrank, "rref_stack", spy), mock.patch.object(
-        sumrank, "_SOURCE_MIN_ENTRIES", bound
-    ):
+    with mock.patch.object(sumrank, "rref_stack", spy):
         yield shapes
 
 

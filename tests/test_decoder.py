@@ -458,7 +458,7 @@ class TestDecoderPromise:
     def test_exact_inside_typed_or_verified_outside(self, case):
         code, s, t, kind, rng = case
         inst = make_instance(code, s=s, rng=rng, t=t, require_full_rank=kind != "deficient")
-        with reduced_stacks(min_entries=0) as shapes, stacked_eliminations() as calls:
+        with reduced_stacks() as shapes, stacked_eliminations() as calls:
             try:
                 report, failure = decode(inst.icode, inst.Y), None
             except FAILURES as ex:
@@ -583,10 +583,10 @@ def _annihilator_block(tower, kind, r, ni, h, rng):
 
 @st.composite
 def factored_annihilators(draw):
-    """(tower, partition, M, annihilator, on_route): an annihilator of
-    chosen column blocks M, in factored form H[F] - X @ H[I] with a random
-    inner dimension; on_route lowers the route bound to 0, so that every
-    tall annihilator (r > 4w) is read on demand."""
+    """(tower, partition, M, annihilator): an annihilator of chosen column
+    blocks M, in factored form H[F] - X @ H[I] with a random inner
+    dimension, of r <= 4w rows, read whole, or r > 4w, read on its leading
+    slice first."""
     tower = draw(st.sampled_from(ON_DEMAND_TOWERS))
     shape = draw(st.sampled_from(["blocks_of_4", "blocks_of_1", "mixed"]))
     count = draw(st.integers(1, 3))
@@ -604,7 +604,7 @@ def factored_annihilators(draw):
     X, HI = f.random(rng, (r, t)), f.random(rng, (t, part.n))
     H = np.vstack([f.add(M, f.matmul(X, HI)), HI])
     ann = decoder.Annihilator(f, H, np.arange(r), X, HI)
-    return tower, part, M, ann, draw(st.booleans())
+    return tower, part, M, ann
 
 
 class TestAnnihilatorOnDemand:
@@ -614,15 +614,15 @@ class TestAnnihilatorOnDemand:
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(factored_annihilators())
     def test_matches_full_array(self, case):
-        tower, part, M, ann, on_route = case
+        tower, part, M, ann = case
         assert ann.matrix().tolist() == M.tolist()
         K_ref, lead_ref, _ = block_kernels(tower, M[None], part)
-        with reduced_stacks(min_entries=0 if on_route else None) as shapes:
+        with reduced_stacks() as shapes:
             K, lead, _ = block_kernels(tower, ann, part)
         assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
         w, r = max(part.parts), ann.rows
         blocks = np.split(M, np.cumsum(part.parts)[:-1], axis=1)
-        if on_route and r > 4 * w:
+        if r > 4 * w:
             # the first elimination sees the leading slice only, and only
             # the blocks of length >= 2 that are nonzero on it
             live = sum(ni > 1 and blk[: 2 * w].any() for ni, blk in zip(part.parts, blocks))
@@ -668,11 +668,11 @@ SLICE_FIRST_TOWERS = [FieldTower.standard(2, 1), FieldTower.standard(2, 2),
 @st.composite
 def slice_first_cases(draw):
     """(icode, Y) over SLICE_FIRST_TOWERS, blocks of 2, of 3 or mixed, with
-    n - k - t > 4w, so that the annihilator is read on its leading slice
-    once the route bound is lowered.  "inside" draws a code of certified
-    distance d >= t + 2 and s >= t; "deficient" has s < t; "overweight"
-    plants the codeword (1, a, 0, ..., 0), so d <= 2 < t + 2.  The error is
-    drawn with or without the full-rank condition (always without at s < t).
+    n - k - t > 4w, so that the annihilator is read on its leading slice.
+    "inside" draws a code of certified distance d >= t + 2 and s >= t;
+    "deficient" has s < t; "overweight" plants the codeword
+    (1, a, 0, ..., 0), so d <= 2 < t + 2.  The error is drawn with or
+    without the full-rank condition (always without at s < t).
     """
     tower = draw(st.sampled_from(SLICE_FIRST_TOWERS))
     w = draw(st.integers(2, 3))
@@ -720,20 +720,21 @@ def _exact_supports(tower, h_sub, partition, t_hat):
 
 def _no_rederivation(*args):
     """recover_block_supports reporting its kernels as exact, so that decode
-    never re-derives them."""
-    return _recover(*args)[:2] + (False,)
+    never completes them."""
+    return _recover(*args)[:2] + (None,)
 
 
 class TestSliceFirst:
     """The slice-first rule of support recovery: the kernels of the
     annihilator's leading slice are kept when their dimensions add up to
-    t_hat; a later failure re-derives the exact ones."""
+    t_hat; a later failure completes them to the exact ones, on the rows
+    below the slice."""
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(slice_first_cases())
     def test_same_outcome_as_exact_supports(self, case):
         icode, Y = case
-        with reduced_stacks(min_entries=0):
+        with reduced_stacks():
             got = _outcome(icode, Y)
             with mock.patch.object(decoder, "recover_block_supports", _exact_supports):
                 want = _outcome(icode, Y)
@@ -741,24 +742,32 @@ class TestSliceFirst:
 
     def test_failure_after_the_slice_rederives(self):
         # GF(3), 64 blocks of 2, k = 40, s = 2 and t = 4 without the rank
-        # condition, at the default route bound: the slice's kernels add up
-        # to t_hat, verify (instance 0) or the erasure solve (instance 6)
-        # fails on them, and the exact kernels add up to less, so decode
-        # raises the exact kernels' SupportMismatch
+        # condition: the slice's kernels add up to t_hat, verify (instance 0)
+        # or the erasure solve (instance 6) fails on them, and the exact
+        # kernels, completed on the rows below the slice, add up to less, so
+        # decode raises their SupportMismatch without forming h_sub
         tower, part = FieldTower.standard(3, 1), LengthPartition([2] * 64)
         rng = np.random.default_rng(0)
         code = random_code(tower, part, 40, rng=rng)
         insts = [make_instance(code, s=2, rng=rng, t=4, require_full_rank=False) for _ in range(7)]
+        take, matrix = decoder.Annihilator.take, decoder.Annihilator.matrix
         for inst, later in [(insts[0], ResidualCheckFailed), (insts[6], Inconsistent)]:
-            calls = []
+            reads, formed = [], []
 
-            def spy(tower, h_sub, partition, t_hat):
-                calls.append(isinstance(h_sub, np.ndarray))
-                return _recover(tower, h_sub, partition, t_hat)
+            def take_spy(self, rows, cols):
+                reads.append((rows.start, rows.stop))
+                return take(self, rows, cols)
 
-            with mock.patch.object(decoder, "recover_block_supports", spy):
+            def matrix_spy(self):
+                formed.append(self.rows)
+                return matrix(self)
+
+            with mock.patch.object(decoder.Annihilator, "take", take_spy), \
+                    mock.patch.object(decoder.Annihilator, "matrix", matrix_spy):
                 got = _outcome(inst.icode, inst.Y)
-            assert calls == [False, True]  # the slice first, then the formed annihilator
+            # the slice, then the completion's one read, of the rows below it
+            r = code.H.rows - got[2]["t_hat"]
+            assert reads == [(0, 4), (4, r)] and not formed
             with mock.patch.object(decoder, "recover_block_supports", _no_rederivation):
                 assert _outcome(inst.icode, inst.Y)[0] is later
             with mock.patch.object(decoder, "recover_block_supports", _exact_supports):
@@ -769,7 +778,7 @@ class TestSliceFirst:
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(factored_annihilators(), st.sampled_from(["slice", "qm", "exact", "neither"]))
     def test_block_kernels_given_t_hat(self, case, target):
-        tower, part, M, ann, _ = case
+        tower, part, M, ann = case
         w, r = max(part.parts), ann.rows
         K_exact, lead_exact, _ = block_kernels(tower, M[None], part)
         K_slice, lead_slice, _ = block_kernels(tower, M[None, : 2 * w], part)
@@ -787,8 +796,9 @@ class TestSliceFirst:
             reads.append(rows.stop)
             return take(self, rows, cols)
 
-        with reduced_stacks(min_entries=0), mock.patch.object(decoder.Annihilator, "take", spy):
-            K, lead, kept = block_kernels(tower, ann, part, t_hat)
+        with reduced_stacks(), mock.patch.object(decoder.Annihilator, "take", spy):
+            K, lead, complete = block_kernels(tower, ann, part, t_hat)
+        kept = complete is not None
         # on the slice path the slice's kernels are kept exactly when their
         # GF(q^m)-dimensions add up to t_hat and equal their GF(q)-dimensions
         # (the reduced rows lie in GF(q))
@@ -800,6 +810,10 @@ class TestSliceFirst:
             # every block is nonzero on it and of full rank there
             short = any(b.is_zero or rank(b) < ni for ni, b in zip(part.parts, blocks))
             assert (max(reads) > 2 * w) == (short and not kept)
+        if kept:
+            # the completion, on the slice's reduction: the exact kernels
+            K_done, lead_done = complete()
+            assert np.array_equal(K_done, K_exact) and np.array_equal(lead_done, lead_exact)
 
 
 @st.composite
@@ -808,8 +822,7 @@ def rank_law_cases(draw):
     error of weight t <= s drawn without the full-rank condition, redrawn
     until it has GF(q^m)-rank t or, for the other half, below t (s = t >=
     2 there).  "tall" is GF(4) with 8 blocks of 2 and k = 3, so
-    n - k - t > 4w and the annihilator is read on demand once the route
-    bound is lowered."""
+    n - k - t > 4w and the annihilator is read on its leading slice."""
     full = draw(st.booleans())
     tall = draw(st.booleans())
     t = draw(st.integers(1 if full else 2, 3 if tall else 2))
@@ -842,7 +855,7 @@ class TestExactRankLaw:
     @given(rank_law_cases())
     def test_success_exactly_when_full_rank(self, case):
         code, inst, tall = case
-        with reduced_stacks(min_entries=0) as shapes:
+        with reduced_stacks() as shapes:
             try:
                 report, failure = decode(inst.icode, inst.Y), None
             except FAILURES as ex:
@@ -1158,13 +1171,13 @@ class TestRobustness:
             recover = decoder.recover_block_supports
 
             def moved(tower, h_sub, partition, t_hat):
-                B, per_block_t, kept = recover(tower, h_sub, partition, t_hat)
+                B, per_block_t, complete = recover(tower, h_sub, partition, t_hat)
                 b = B.array.copy()
                 r = int(np.argmax((b != 0).sum(axis=1)))
                 c = int(np.flatnonzero(b[r])[-1])
                 assert (b[r] != 0).sum() >= 2 and partition.parts == (2, 2, 2)
                 b[r, (c + 2) % partition.n], b[r, c] = b[r, c], 0
-                return Matrix(B.field, b), per_block_t, kept
+                return Matrix(B.field, b), per_block_t, complete
 
             monkeypatch.setattr(decoder, "recover_block_supports", moved)
         with pytest.raises(ResidualCheckFailed) as info:

@@ -480,10 +480,10 @@ class TestRrefStack:
         w = max(parts)
         r = 4 * w + extra
         blocks = [_tall_member(f, kind, r, ni, 2 * w, rng) for kind, ni in zip(kinds, parts)]
-        source = _RowSource(f, np.hstack(blocks))
-        with reduced_stacks(min_entries=0) as shapes, stacked_eliminations() as calls:
-            K, lead, kept = block_kernels(tower, source, LengthPartition(parts))
-        assert source.reads[0] == (0, 2 * w) and not kept
+        source = _RowSource(np.hstack(blocks))
+        with reduced_stacks() as shapes, stacked_eliminations() as calls:
+            K, lead, complete = block_kernels(tower, source, LengthPartition(parts))
+        assert source.reads[0] == (0, 2 * w) and complete is None
         live = sum(ni > 1 and kind not in ("zero", "zero_on_slice")
                    for kind, ni in zip(kinds, parts))
         grew = sum(ni > 1 and kind in ("grows_below", "zero_on_slice")
@@ -500,72 +500,72 @@ class TestRrefStack:
 
     def test_fallback_at_annihilator_size(self):
         # GF(5^2), 64 blocks of 4 with 120 annihilator rows, as in a decode
-        # at n = 256, under the default route bound: the blocks zero on the
-        # slice reach no elimination of it, and only the two blocks whose
-        # rank grows below the slice, one of them zero there, are reduced in
-        # full; the rows below are read once for each of the five blocks
-        # zero or short on the slice
+        # at n = 256: the blocks zero on the slice reach no elimination of
+        # it, and only the two blocks whose rank grows below the slice, one
+        # of them zero there, are reduced in full; the rows below are read
+        # in one take, once for each of the five blocks zero or short on the
+        # slice
         tower = FieldTower.standard(5, 2)
         f = tower.ext_field
         rng = np.random.default_rng(16)
         kinds = ["full"] * 59 + ["in_span", "zero", "grows_below", "zero_on_slice", "in_span"]
         blocks = [_tall_member(f, kind, 120, 4, 8, rng) for kind in kinds]
-        source = _RowSource(f, np.hstack(blocks))
+        source = _RowSource(np.hstack(blocks))
         with reduced_stacks() as shapes, stacked_eliminations() as calls:
-            K, lead, kept = block_kernels(tower, source, LengthPartition([4] * 64))
+            K, lead, complete = block_kernels(tower, source, LengthPartition([4] * 64))
         assert [shape for shape, (field, _) in zip(shapes, calls) if field == f] == [
             (62, 8, 4), (2, 120, 4)]
+        assert source.reads == [(0, 8), (8, 120)]
         assert source.blocks_read([4] * 64, 8) == {59: 1, 60: 1, 61: 1, 62: 1, 63: 1}
-        assert not kept
+        assert complete is None
         self._check_kernels(tower, blocks, K, lead)
 
     @pytest.mark.parametrize(
         "shape,sliced",
         [
-            ((128, 56, 1), True),  # hamming-wide: l (r - 2w) w = 6912
+            ((128, 56, 1), True),  # hamming-wide
             ((6, 5, 2), False),  # mc-small: r <= 4w
-            ((8, 32, 4), False),  # l (r - 2w) w = 768, below 2^12
-            ((64, 120, 4), True),  # sumrank-large: 14336
+            ((8, 16, 4), False),  # r = 4w
+            ((64, 120, 4), True),  # sumrank-large
+            ((8, 17, 4), True),  # r = 4w + 1
         ],
     )
     def test_slice_path_rule(self, shape, sliced):
         # sumrank._reduce_blocks's rule for a row source of r rows and l
-        # blocks of w, on the annihilator shapes (l, r, w) of the workloads:
-        # a sliced source is read on its leading 2w rows first, any other is
-        # formed whole
+        # blocks of w, on the annihilator shapes (l, r, w) of the workloads
+        # and on each side of r > 4w: a sliced source is read on its leading
+        # 2w rows first, any other whole, in one read
         ell, r, w = shape
         tower = FieldTower.standard(5, 2)
         part = LengthPartition([w] * ell)
-        source = _RowSource(tower.ext_field, tower.ext_field.random(np.random.default_rng(17), (r, ell * w)))
+        source = _RowSource(tower.ext_field.random(np.random.default_rng(17), (r, ell * w)))
         K, lead, _ = block_kernels(tower, source, part)
-        assert source.reads[0] == ((0, 2 * w) if sliced else "whole")
+        if sliced:
+            assert source.reads[0] == (0, 2 * w)
+        else:
+            assert source.reads == [(0, r)]
         K_ref, lead_ref, _ = block_kernels(tower, source.a[None], part)
         assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
 
 
 class _RowSource:
     """A row source (see sumrank._reduce_blocks) over a formed array that
-    records what it is asked for: a range of rows, or the whole matrix."""
+    records the rows and columns it is asked for."""
 
-    def __init__(self, field, a):
-        self.field, self.a, self.rows, self.reads, self.cols = field, a, a.shape[0], [], []
+    def __init__(self, a):
+        self.a, self.rows, self.reads, self.cols = a, a.shape[0], [], []
 
     def take(self, rows, cols):
         self.reads.append((rows.start, rows.stop))
         self.cols.append(np.array(cols))
         return self.a[rows][:, cols]
 
-    def matrix(self):
-        self.reads.append("whole")
-        self.cols.append(None)
-        return Matrix(self.field, self.a)
-
     def blocks_read(self, parts, lo):
         """How often the rows from lo on were read, per block index:
         _reduce_blocks reads w columns per block, the first of them the
         block's last column."""
         ends, w = np.cumsum(parts), max(parts)
-        return Counter(i for read, c in zip(self.reads, self.cols) if read != "whole" and read[0] == lo
+        return Counter(i for read, c in zip(self.reads, self.cols) if read[0] == lo
                        for i in np.searchsorted(ends, c[::w], side="right").tolist())
 
 
