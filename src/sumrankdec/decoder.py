@@ -99,7 +99,7 @@ from . import linalg
 from .code import InterleavedCode, LinearCode, syndrome
 from .gf import FieldTower
 from .linalg import LinearSystemError, Matrix, matrix_to_dict, solve_unique
-from .sumrank import LengthPartition, block_kernels
+from .sumrank import LengthPartition, block_supports
 # unused here; decodebench/spans.py patches decoder.sum_rank_weight by name
 from .sumrank import sum_rank_weight  # noqa: F401
 
@@ -166,7 +166,7 @@ class Annihilator:
 
     compute_hsub gives the parity-check array H, the non-pivot rows F of S,
     X = R[:t_hat, F]^T and HI = H[I].  Entries are formed only when read:
-    block_kernels reads slices by take (see sumrank._reduce_blocks), and
+    block_supports reads slices by take (see sumrank._reduce_blocks), and
     DecodingReport.h_sub the whole (len(F) x n) matrix by matrix().
     """
 
@@ -265,48 +265,35 @@ def compute_hsub(H: Matrix, S: Matrix) -> tuple[Annihilator, int, list[int]]:
 
 def recover_block_supports(
     tower: FieldTower, h_sub: Annihilator | np.ndarray, partition: LengthPartition, t_hat: int
-) -> tuple[Matrix, tuple[int, ...], Callable[[], tuple[Matrix, tuple[int, ...]]] | None]:
+) -> tuple[Matrix, tuple[int, ...], Callable[[], tuple[np.ndarray, tuple[int, ...]]] | None]:
     """Per-block kernels of the expanded annihilator matrix.
 
     h_sub is an Annihilator, read as a row source, or the formed annihilator
-    as a (1, r, n) array, which is always reduced in full.  Returns (B,
-    per_block_t, complete): B is the block-diagonal GF(q) support basis whose
-    i-th diagonal block is the canonical kernel basis of the i-th expanded
-    block of h_sub, with per_block_t[i] rows.  Under the decoding
-    hypotheses it spans the GF(q) row space of error block i.
-    block_kernels reads the leading 2w rows of a tall annihilator and
-    reduces them first.  When their kernel dimensions add up to t_hat and
-    their reduced rows lie in GF(q), it keeps their kernels and reads no row
-    below (the slice-first rule).  Those kernels contain the exact ones and
-    equal them inside the guarantee; complete is then a function of no
-    arguments that reads the rows below, on the slice's reduction, and
-    returns the exact (B, per_block_t) or raises their SupportMismatch.
-    Otherwise the kernels are exact and complete is None (see the module
-    docstring, step 3).  Raises SupportMismatch when the recovered
-    per-block weights do not sum to t_hat.
+    as a (1, r, n) array, which is always reduced in full.  Returns
+    sumrank.block_supports' (B, per_block_t, complete), B as a Matrix: the
+    block-diagonal GF(q) support basis whose i-th diagonal block is the
+    canonical kernel basis of the i-th expanded block of h_sub, with
+    per_block_t[i] rows.  Under the decoding hypotheses it spans the GF(q)
+    row space of error block i.  Where the slice-first rule kept the
+    kernels of a tall annihilator's leading slice, complete returns the
+    exact (B, per_block_t), B as an array, for decode to check; otherwise
+    it is None (see the module docstring, step 3).  Raises SupportMismatch
+    when the recovered per-block weights do not sum to t_hat.
     """
+    B, per_block_t, complete = block_supports(tower, h_sub, partition, t_hat)
+    _check_weights(per_block_t, t_hat)
+    return Matrix(tower.base_field, B, _checked=True), per_block_t, complete
 
-    def basis(K, lead):
-        per_block_t = tuple(lead[0].sum(axis=1).tolist())
-        if sum(per_block_t) != t_hat:
-            raise SupportMismatch(
-                f"recovered block weights {per_block_t} sum to {sum(per_block_t)}, "
-                f"expected {t_hat}; full-rank condition likely violated",
-                t_hat=t_hat,
-                per_block_t=per_block_t,
-            )
-        # the kernel rows in block order are the rows of B; each is written
-        # at its block's first column, into zero padding past the last block
-        blk, o = np.nonzero(lead[0])
-        w = K.shape[-1]
-        starts = np.cumsum(partition.parts) - partition.parts
-        B = np.zeros((t_hat, partition.n + w), dtype=np.int64)
-        B[np.arange(t_hat)[:, None], starts[blk][:, None] + np.arange(w)] = K[0, blk, o]
-        return Matrix(tower.base_field, B[:, : partition.n], _checked=True), per_block_t
 
-    K, lead, complete = block_kernels(tower, h_sub, partition, t_hat)
-    B, per_block_t = basis(K, lead)
-    return B, per_block_t, None if complete is None else lambda: basis(*complete())
+def _check_weights(per_block_t: tuple[int, ...], t_hat: int) -> None:
+    """Raises SupportMismatch unless the per-block weights sum to t_hat."""
+    if sum(per_block_t) != t_hat:
+        raise SupportMismatch(
+            f"recovered block weights {per_block_t} sum to {sum(per_block_t)}, "
+            f"expected {t_hat}; full-rank condition likely violated",
+            t_hat=t_hat,
+            per_block_t=per_block_t,
+        )
 
 
 def erasure_decode(H: Matrix, B: Matrix, S: Matrix) -> Matrix:
@@ -386,8 +373,8 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     all failure modes raise a DecodingFailure subclass or a solver error,
     whose stage attribute names the stage that failed ("erasure" for a
     solver error).  When erasure or verify fails after support recovery
-    kept the annihilator slice's kernels, their completion runs first and
-    raises the exact supports' SupportMismatch where they differ (module
+    kept the annihilator slice's kernels, their completion runs first, and
+    the exact supports' SupportMismatch is raised where they differ (module
     docstring, step 3), so every outcome is that of exact supports.
     """
     code = icode.constituent
@@ -426,5 +413,5 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     if complete is not None:
         # the slice's kernels contain the exact ones; where they differ, the
         # exact ones add up to less than t_hat and raise SupportMismatch here
-        complete()
+        _check_weights(complete()[1], t_hat)
     raise failure

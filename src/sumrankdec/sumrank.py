@@ -23,7 +23,7 @@ __all__ = [
     "LengthPartition",
     "ErrorModel",
     "block_ranks",
-    "block_kernels",
+    "block_supports",
     "sum_rank_weight",
     "rank_support",
     "hamming_support",
@@ -120,7 +120,7 @@ class LengthPartition:
 
 
 def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: int | None = None):
-    """The stacked eliminations behind block_ranks and block_kernels.
+    """The stacked eliminations behind block_ranks and block_supports.
 
     Every column block of every matrix in the (batch, r, n) stack arr is one
     member, gathered with its columns reversed and zero-padded to w, the
@@ -143,7 +143,7 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
     GF(q)-row space, and so the reduced rows, are the same, and leaving out
     zero members there costs more than it spares.  Zero columns never
     pivot, and reversing the columns makes the free-column kernel vectors,
-    reversed back, a reduced echelon basis (see block_kernels).
+    reversed back, a reduced echelon basis (see block_supports).
 
     arr may also be a row source of one r x n matrix (batch 1), an object
     with rows and take(rows, cols), such as decoder.Annihilator: its entries
@@ -187,7 +187,7 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
     function of no arguments that returns the exact (ranks, deficient, R,
     piv).
     """
-    parts, real, rev, cols = partition._grid
+    parts, real, _, cols = partition._grid
     ell, w = real.shape
     if isinstance(arr, np.ndarray):
         batch, r, _ = arr.shape
@@ -205,12 +205,13 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
     h = top.shape[1]
     if h == 0:  # a zero row leaves every kernel as it is
         top, h, r = np.zeros((batch * ell, 1, w), dtype=np.int64), 1, 1
+    lengths = parts if batch == 1 else np.tile(parts, batch)  # read-only at batch 1
     if r < parts.min():
         # no block can reach full GF(q^m)-rank: expand every member as it is
-        return _over_base(tower, np.tile(parts, batch), np.arange(batch * ell), top, None) + (None,)
+        return _over_base(tower, lengths.copy(), np.arange(batch * ell), top, None) + (None,)
     f = tower.ext_field
     nonzero = top.any(axis=(1, 2))
-    ranks = nonzero * np.tile(parts, batch)
+    ranks = nonzero * lengths
     live = np.flatnonzero(ranks > 1)
     if live.size:
         R, piv = rref_stack(f, top[live] if live.size < ranks.size else top)
@@ -293,62 +294,70 @@ def block_ranks(tower: FieldTower, arr: np.ndarray, partition: LengthPartition) 
     return _reduce_blocks(tower, arr, partition)[0].reshape(arr.shape[0], partition.ell)
 
 
-def block_kernels(
-    tower: FieldTower, arr: np.ndarray, partition: LengthPartition, t_hat: int | None = None
-) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray]] | None]:
-    """GF(q)-kernels of the expanded column blocks of a stack of GF(q^m) matrices.
+def block_supports(
+    tower: FieldTower, arr, partition: LengthPartition, t_hat: int | None = None
+) -> tuple[np.ndarray, tuple[int, ...], Callable[[], tuple[np.ndarray, tuple[int, ...]]] | None]:
+    """GF(q) supports of the expanded column blocks of one GF(q^m) matrix.
 
-    arr is a (batch, r, n) array of GF(q^m) codes, or a row source of one
-    r x n matrix (batch 1; see _reduce_blocks).  Returns (K, lead, complete)
-    with K of shape (batch, l, w, w) and lead of shape (batch, l, w), w the
-    largest block length: K[b, i][lead[b, i]] is the canonical (reduced echelon)
-    basis of {v in GF(q)^{n_i} : block_i(arr[b]) @ v = 0}, in the first n_i
-    columns, and equals right_kernel(tower.ext_matrix(block_i)).  Row o of
-    K[b, i] is the basis vector whose leading entry is in column o, and is
-    zero where lead[b, i, o] is False; lead.sum(-1) are the kernel dimensions.
-    A zero block's kernel GF(q)^{n_i} has the unit vectors as its basis; a
-    nonzero block of length 1, or of full GF(q^m)-rank, has kernel {0}.  A
-    block whose GF(q^m)-reduced rows lie in GF(q) takes its kernel basis from
-    them, and only the others are expanded and reduced over GF(q) (see
-    _reduce_blocks).
+    arr is a row source of one r x n matrix, or a (1, r, n) array of GF(q^m)
+    codes (see _reduce_blocks); any other array raises ValueError.  Returns
+    (B, dims, complete): B is the block-diagonal int64 GF(q) matrix whose
+    i-th diagonal block, of dims[i] rows, is the canonical (reduced echelon)
+    basis of {v in GF(q)^{n_i} : block_i(arr) @ v = 0}, and equals
+    right_kernel(tower.ext_matrix(block_i)).  A zero block's kernel
+    GF(q)^{n_i} has the unit vectors as its basis; a nonzero block of length
+    1, or of full GF(q^m)-rank, has kernel {0} and no rows.  The basis of
+    each other block is read off its GF(q)-reduced rows R, in reversed
+    columns (see _reduce_blocks): T[p] is the row of R with its pivot in
+    column p, zero if p is free, and the kernel vector of free column f is
+    e_f - T[:, f].  Reversed back, its leading entry is in column n_i - 1 -
+    f, so the block's rows come in order of decreasing f.
 
     t_hat matters only for a row source read on its leading slice: when the
     slice's kernels add up to t_hat they are returned as they stand (the
     slice-first rule of _reduce_blocks), and complete is a function of no
-    arguments that returns the exact (K, lead), read on the rows below the
+    arguments that returns the exact (B, dims), read on the rows below the
     slice.  Kept kernels contain the exact ones and equal them whenever the
     exact dimensions add up to t_hat too, as in decoding inside the
     guarantee.  Otherwise, and always without t_hat, the kernels are exact
     and complete is None.
     """
-    _, real, rev, _ = partition._grid
-    ell, w = real.shape
-    j = np.arange(w)
-
-    def kernels(ranks, deficient, R, piv):
-        K = np.zeros((ranks.size, w, w), dtype=np.int64)
-        lead = np.zeros((ranks.size, w), dtype=bool)
-        if not ranks.all():
-            zero = np.flatnonzero(ranks == 0)
-            lead[zero] = real[zero % ell]
-            K[zero[:, None], j, j] = lead[zero]
-        if deficient.size:
-            # T[d, p] is the reduced row with its pivot in column p, zero if
-            # p is free; the kernel vector of free column f is
-            # e_f - T[d, :, f], with its leading entry at f once the columns
-            # are reversed back
-            d = np.arange(deficient.size)[:, None]
-            T = R[d, np.cumsum(piv, axis=1) - 1] * piv[:, :, None]
-            rv = rev[deficient % ell]
-            kern = tower.base_field.neg(T[d[:, :, None], rv[:, None, :], rv[:, :, None]])
-            kern[:, j, j] = 1
-            lead[deficient] = (~piv & real[deficient % ell])[d, rv]
-            K[deficient] = kern * lead[deficient][:, :, None]
-        return K.reshape(-1, ell, w, w), lead.reshape(-1, ell, w)
-
+    if isinstance(arr, np.ndarray) and (arr.ndim != 3 or arr.shape[0] != 1):
+        raise ValueError(f"block_supports takes one r x n matrix, got an array of shape {arr.shape}")
     ranks, deficient, R, piv, complete = _reduce_blocks(tower, arr, partition, t_hat)
-    K, lead = kernels(ranks, deficient, R, piv)
-    return K, lead, None if complete is None else lambda: kernels(*complete())
+    B, dims = _supports(tower, partition, ranks, deficient, R, piv)
+    return B, dims, None if complete is None else lambda: _supports(tower, partition, *complete())
+
+
+def _supports(tower: FieldTower, partition: LengthPartition, ranks, deficient, R, piv):
+    """block_supports' (B, dims) from _reduce_blocks' (ranks, deficient, R,
+    piv) of one matrix."""
+    parts, real, rev, cols = partition._grid
+    w = real.shape[1]
+    dims = parts - ranks
+    # block i's rows end at row end[i]; the grid's padding columns map to
+    # at most w columns left of their block, so B has w more before column
+    # 0, and the entries written to them are zero
+    end = np.cumsum(dims)
+    B = np.zeros((end[-1], w + partition.n), dtype=np.int64)
+    zero = np.flatnonzero(ranks == 0)
+    if zero.size:
+        # the unit vector of column f, reversed back, leads at n_i - 1 - f
+        i, f = np.nonzero(real[zero])
+        i = zero[i]
+        B[end[i] - dims[i] + rev[i, f], w + cols[i, f]] = 1
+    if deficient.size:
+        d = np.arange(deficient.size)[:, None]
+        T = R[d, np.cumsum(piv, axis=1) - 1] * piv[:, :, None]
+        free = ~piv & real[deficient]
+        # the vector of free column f follows those of the free columns
+        # after it
+        rows = end[deficient, None] - np.cumsum(free, axis=1)
+        e, f = np.nonzero(free)
+        v = tower.base_field.neg(T[e, :, f])
+        v[np.arange(e.size), f] = 1
+        B[rows[e, f, None], w + cols[deficient[e]]] = v
+    return B[:, w:], tuple(dims.tolist())
 
 
 def sum_rank_weight(tower: FieldTower, M: Matrix, partition: LengthPartition) -> int:

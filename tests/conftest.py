@@ -88,7 +88,7 @@ def make_instance(
 
 @contextmanager
 def reduced_stacks():
-    """Record the shape of every stack that block_ranks and block_kernels
+    """Record the shape of every stack that block_ranks and block_supports
     pass to rref_stack.
 
     The slice path of a row source of r > 4w rows and blocks of at most w
@@ -146,7 +146,7 @@ def panel_reductions(min_rows: int | None = None, min_cols: int | None = None,
 @contextmanager
 def stacked_eliminations():
     """Record (field, batch) of every stacked elimination that block_ranks
-    and block_kernels run: the GF(q^m) reductions (the slice, and the
+    and block_supports run: the GF(q^m) reductions (the slice, and the
     members whose rank grows below it) and the GF(q) fallback."""
     calls: list = []
     inner = sumrank.rref_stack

@@ -44,7 +44,7 @@ from sumrankdec.linalg import (
 )
 from sumrankdec.sumrank import (
     LengthPartition,
-    block_kernels,
+    block_supports,
     hamming_support,
     random_profile,
     rank_support,
@@ -607,35 +607,45 @@ def factored_annihilators(draw):
     return tower, part, M, ann
 
 
+def _block_kernels(tower, part, a):
+    """right_kernel of every expanded column block of the GF(q^m) array a."""
+    return [right_kernel(tower.ext_matrix(blk)) for blk in part.blocks(Matrix(tower.ext_field, a))]
+
+
+def _check_supports(supports, kernels):
+    """block_supports' (B, dims) is block_diag of the kernels."""
+    B, dims = supports
+    assert B.tolist() == block_diag(kernels).tolist()
+    assert dims == tuple(k.rows for k in kernels)
+
+
 class TestAnnihilatorOnDemand:
-    """block_kernels reading the factored annihilator on demand against
-    block_kernels on the whole annihilator array, the reference."""
+    """block_supports reading the factored annihilator on demand against
+    the per-block kernels of the whole annihilator array, the reference."""
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(factored_annihilators())
     def test_matches_full_array(self, case):
         tower, part, M, ann = case
         assert ann.matrix().tolist() == M.tolist()
-        K_ref, lead_ref, _ = block_kernels(tower, M[None], part)
-        with reduced_stacks() as shapes:
-            K, lead, _ = block_kernels(tower, ann, part)
-        assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
+        kernels = _block_kernels(tower, part, M)
+        with reduced_stacks() as shapes, stacked_eliminations() as calls:
+            B, dims, _ = block_supports(tower, ann, part)
+        _check_supports((B, dims), kernels)
         w, r = max(part.parts), ann.rows
         blocks = np.split(M, np.cumsum(part.parts)[:-1], axis=1)
+        ext = [shape for shape, (field, _) in zip(shapes, calls) if field == tower.ext_field]
         if r > 4 * w:
-            # the first elimination sees the leading slice only, and only
-            # the blocks of length >= 2 that are nonzero on it
+            # the only GF(q^m) elimination not of full height r is the
+            # leading slice's, of its blocks of length >= 2 nonzero there;
+            # the blocks whose rank grows below the slice are reduced in full
             live = sum(ni > 1 and blk[: 2 * w].any() for ni, blk in zip(part.parts, blocks))
-            assert shapes[:1] == ([(live, 2 * w, w)] if live else [])
+            assert [shape for shape in ext if shape[1] != r] == ([(live, 2 * w, w)] if live else [])
         elif r >= min(part.parts):
             live = sum(ni > 1 and blk.any() for ni, blk in zip(part.parts, blocks))
-            assert shapes[:1] == ([(live, r, w)] if live else [])
-        per_block_t = tuple(lead_ref[0].sum(axis=1).tolist())
-        B, got_t, _ = recover_block_supports(tower, ann, part, sum(per_block_t))
-        assert got_t == per_block_t
-        kernels = [Matrix(tower.base_field, K_ref[0, i][lead_ref[0, i]][:, :ni])
-                   for i, ni in enumerate(part.parts)]
-        assert B == block_diag(kernels)
+            assert ext == ([(live, r, w)] if live else [])
+        B, got_t, _ = recover_block_supports(tower, ann, part, sum(dims))
+        assert got_t == dims and B == block_diag(kernels)
 
     def test_decode_never_forms_hsub(self):
         # at sumrank-large's shape (GF(5^2), 64 blocks of 4, k = 128,
@@ -780,15 +790,14 @@ class TestSliceFirst:
     def test_block_kernels_given_t_hat(self, case, target):
         tower, part, M, ann = case
         w, r = max(part.parts), ann.rows
-        K_exact, lead_exact, _ = block_kernels(tower, M[None], part)
-        K_slice, lead_slice, _ = block_kernels(tower, M[None, : 2 * w], part)
+        exact, on_slice = (_block_kernels(tower, part, a) for a in (M, M[: 2 * w]))
         # the slice's kernel dimensions over GF(q^m); a block zero there
         # counts n_i, a nonzero block of length 1 counts 0
         blocks = [Matrix(tower.ext_field, b)
                   for b in np.split(M[: 2 * w], np.cumsum(part.parts)[:-1], axis=1)]
         dims_qm = sum(ni - rank(b) for ni, b in zip(part.parts, blocks))
-        t_hat = {"slice": lead_slice.sum(), "qm": dims_qm, "exact": lead_exact.sum(),
-                 "neither": dims_qm + 1}[target]
+        t_hat = {"slice": sum(k.rows for k in on_slice), "qm": dims_qm,
+                 "exact": sum(k.rows for k in exact), "neither": dims_qm + 1}[target]
         reads = []
         take = decoder.Annihilator.take
 
@@ -797,14 +806,13 @@ class TestSliceFirst:
             return take(self, rows, cols)
 
         with reduced_stacks(), mock.patch.object(decoder.Annihilator, "take", spy):
-            K, lead, complete = block_kernels(tower, ann, part, t_hat)
-        kept = complete is not None
+            got = block_supports(tower, ann, part, t_hat)
+        kept = got[2] is not None
         # on the slice path the slice's kernels are kept exactly when their
         # GF(q^m)-dimensions add up to t_hat and equal their GF(q)-dimensions
         # (the reduced rows lie in GF(q))
-        assert kept == (r > 4 * w and lead_slice.sum() == dims_qm == t_hat)
-        K_want, lead_want = (K_slice, lead_slice) if kept else (K_exact, lead_exact)
-        assert np.array_equal(K, K_want) and np.array_equal(lead, lead_want)
+        assert kept == (r > 4 * w and sum(k.rows for k in on_slice) == dims_qm == t_hat)
+        _check_supports(got[:2], on_slice if kept else exact)
         if r > 4 * w:
             # rows below the slice are read unless the slice is kept or
             # every block is nonzero on it and of full rank there
@@ -812,8 +820,7 @@ class TestSliceFirst:
             assert (max(reads) > 2 * w) == (short and not kept)
         if kept:
             # the completion, on the slice's reduction: the exact kernels
-            K_done, lead_done = complete()
-            assert np.array_equal(K_done, K_exact) and np.array_equal(lead_done, lead_exact)
+            _check_supports(got[2](), exact)
 
 
 @st.composite

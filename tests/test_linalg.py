@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import eliminations, panel_reductions, reduced_stacks, stacked_eliminations
 from sumrankdec import linalg
 from sumrankdec.gf import FieldTower, PrimeField
-from sumrankdec.sumrank import LengthPartition, block_kernels
+from sumrankdec.sumrank import LengthPartition, block_supports
 from sumrankdec.linalg import (
     _rref_arrays,
     Inconsistent,
@@ -453,11 +453,10 @@ class TestRrefStack:
         assert pivots[2].tolist() == [False, True]
 
     @staticmethod
-    def _check_kernels(tower, blocks, K, lead):
+    def _check_kernels(tower, blocks, B, dims):
         # every block's kernel against the single-matrix engine's
-        for i, blk in enumerate(blocks):
-            want = right_kernel(tower.ext_matrix(Matrix(tower.ext_field, blk)))
-            assert np.array_equal(K[0, i][lead[0, i]][:, : blk.shape[1]], want.array)
+        want = [right_kernel(tower.ext_matrix(Matrix(tower.ext_field, blk))) for blk in blocks]
+        assert B.tolist() == block_diag(want).tolist() and dims == tuple(k.rows for k in want)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -469,7 +468,7 @@ class TestRrefStack:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_tall_stacks_match_single_matrix_engine(self, tower, c, extra, members, seed):
-        # block_kernels on a row source on the slice path: the leading 2w
+        # block_supports on a row source on the slice path: the leading 2w
         # rows of the blocks of length >= 2 nonzero there are reduced first,
         # once, and only the blocks whose rank grows below the slice again
         # in full; a block zero on the slice that is nonzero below joins them
@@ -482,7 +481,7 @@ class TestRrefStack:
         blocks = [_tall_member(f, kind, r, ni, 2 * w, rng) for kind, ni in zip(kinds, parts)]
         source = _RowSource(np.hstack(blocks))
         with reduced_stacks() as shapes, stacked_eliminations() as calls:
-            K, lead, complete = block_kernels(tower, source, LengthPartition(parts))
+            B, dims, complete = block_supports(tower, source, LengthPartition(parts))
         assert source.reads[0] == (0, 2 * w) and complete is None
         live = sum(ni > 1 and kind not in ("zero", "zero_on_slice")
                    for kind, ni in zip(kinds, parts))
@@ -496,7 +495,7 @@ class TestRrefStack:
         want = {i for i, (ni, sl) in enumerate(zip(parts, slices)) if sl.is_zero or rank(sl) < ni}
         below = source.blocks_read(parts, 2 * w)
         assert set(below) == want and set(below.values()) <= {1}
-        self._check_kernels(tower, blocks, K, lead)
+        self._check_kernels(tower, blocks, B, dims)
 
     def test_fallback_at_annihilator_size(self):
         # GF(5^2), 64 blocks of 4 with 120 annihilator rows, as in a decode
@@ -512,13 +511,13 @@ class TestRrefStack:
         blocks = [_tall_member(f, kind, 120, 4, 8, rng) for kind in kinds]
         source = _RowSource(np.hstack(blocks))
         with reduced_stacks() as shapes, stacked_eliminations() as calls:
-            K, lead, complete = block_kernels(tower, source, LengthPartition([4] * 64))
+            B, dims, complete = block_supports(tower, source, LengthPartition([4] * 64))
         assert [shape for shape, (field, _) in zip(shapes, calls) if field == f] == [
             (62, 8, 4), (2, 120, 4)]
         assert source.reads == [(0, 8), (8, 120)]
         assert source.blocks_read([4] * 64, 8) == {59: 1, 60: 1, 61: 1, 62: 1, 63: 1}
         assert complete is None
-        self._check_kernels(tower, blocks, K, lead)
+        self._check_kernels(tower, blocks, B, dims)
 
     @pytest.mark.parametrize(
         "shape,sliced",
@@ -539,13 +538,13 @@ class TestRrefStack:
         tower = FieldTower.standard(5, 2)
         part = LengthPartition([w] * ell)
         source = _RowSource(tower.ext_field.random(np.random.default_rng(17), (r, ell * w)))
-        K, lead, _ = block_kernels(tower, source, part)
+        B, dims, _ = block_supports(tower, source, part)
         if sliced:
             assert source.reads[0] == (0, 2 * w)
         else:
             assert source.reads == [(0, r)]
-        K_ref, lead_ref, _ = block_kernels(tower, source.a[None], part)
-        assert np.array_equal(K, K_ref) and np.array_equal(lead, lead_ref)
+        blocks = np.split(source.a, np.cumsum(part.parts)[:-1], axis=1)
+        self._check_kernels(tower, blocks, B, dims)
 
 
 class _RowSource:

@@ -16,8 +16,8 @@ from sumrankdec.linalg import (Matrix, block_diag, hstack, matrix_to_dict, rank,
 from sumrankdec.sumrank import (
     Infeasible,
     LengthPartition,
-    block_kernels,
     block_ranks,
+    block_supports,
     decompose_error,
     hamming_support,
     random_profile,
@@ -476,21 +476,18 @@ class TestSamplerInvariants:
 
 
 def check_against_per_block_loop(tower, part, arr):
-    """block_kernels and block_ranks of arr equal the per-block loop they replace."""
-    K, lead, _ = block_kernels(tower, arr, part)
+    """block_supports of each matrix of arr, and block_ranks of the stack,
+    equal the per-block loop they replace."""
     ranks = block_ranks(tower, arr, part)
     for b in range(arr.shape[0]):
         M = Matrix(tower.ext_field, arr[b])
         expanded = [tower.ext_matrix(blk) for blk in part.blocks(M)]
+        want = [right_kernel(ext) for ext in expanded]
+        B, dims, complete = block_supports(tower, arr[b : b + 1], part)
+        assert B.tolist() == block_diag(want).tolist() and complete is None
+        assert dims == tuple(k.rows for k in want)
         for i, (ni, ext) in enumerate(zip(part.parts, expanded)):
-            want = right_kernel(ext)
-            assert K[b, i][lead[b, i], :ni].tolist() == want.tolist()
-            assert not K[b, i][~lead[b, i]].any() and not K[b, i][:, ni:].any()
-            # row o holds the basis vector whose leading entry is in column o
-            assert np.flatnonzero(lead[b, i]).tolist() == [
-                int(np.flatnonzero(v)[0]) for v in want.array
-            ]
-            assert ranks[b, i] == rank(ext) == ni - want.rows
+            assert ranks[b, i] == rank(ext) == ni - want[i].rows
         assert sum_rank_weight(tower, M, part) == sum(rank(ext) for ext in expanded)
 
 
@@ -532,7 +529,7 @@ class TestBlockKernels:
         arr[3, 0, :2] = [1, 3]  # a block whose GF(q)-rank 2 needs the expansion
         arr[3, 0, 5:] = [ref_tower.alpha, ref_tower.ext_field.mul(ref_tower.alpha, 2)]
         with stacked_eliminations() as calls:
-            block_kernels(ref_tower, arr, part)
+            block_ranks(ref_tower, arr, part)
         assert calls == [(ref_tower.base_field, arr.shape[0] * part.ell)]
         check_against_per_block_loop(ref_tower, part, arr)
 
@@ -570,10 +567,9 @@ class TestBlockKernels:
         assert irrational == [k for k in kinds if k == "qm"]
         want = [(F, len(kinds) - kinds.count("zero"))]
         want += [(Fq, len(irrational))] if irrational else []
-        for fn in (block_kernels, block_ranks):
-            with stacked_eliminations() as calls:
-                fn(ref_tower, arr, part)
-            assert calls == want
+        with stacked_eliminations() as calls:
+            block_ranks(ref_tower, arr, part)
+        assert calls == want
         check_against_per_block_loop(ref_tower, part, arr)
 
     def test_degree_one_tower_never_expands(self):
@@ -583,7 +579,7 @@ class TestBlockKernels:
         arr = tower.ext_field.random(np.random.default_rng(7), (6, 2, 7))
         nonzero = sum(blocks[b].any() for blocks in np.split(arr, [2, 5], axis=2) for b in range(6))
         with stacked_eliminations() as calls:
-            block_kernels(tower, arr, part)
+            block_ranks(tower, arr, part)
         assert calls == [(tower.ext_field, nonzero)]
         check_against_per_block_loop(tower, part, arr)
 
@@ -595,14 +591,14 @@ class TestBlockKernels:
         arr = F.random(rng, (3, 2, 7))
         arr[0, :, 0] = 0
         arr[1, :, 1:4] = 0
-        for fn in (block_kernels, block_ranks):
-            with stacked_eliminations() as calls:
-                fn(ref_tower, arr, part)
-            assert calls[0] == (F, 5)  # the nonzero members of length >= 2
+        with stacked_eliminations() as calls:
+            block_ranks(ref_tower, arr, part)
+        assert calls[0] == (F, 5)  # the nonzero members of length >= 2
         check_against_per_block_loop(ref_tower, part, arr)
         hamming = LengthPartition.hamming(7)
         with stacked_eliminations() as calls:
-            block_kernels(ref_tower, arr, hamming)
+            for b in range(arr.shape[0]):
+                block_supports(ref_tower, arr[b : b + 1], hamming)
             block_ranks(ref_tower, arr, hamming)
         assert calls == []
         check_against_per_block_loop(ref_tower, hamming, arr)
@@ -621,22 +617,76 @@ class TestBlockKernels:
             arr[1, :, :2] = 0
             arr[1, :, 5:] = 0
         nonzero = sum(int(blocks[b].any()) for blocks in np.split(arr, [2, 5], axis=2) for b in range(2))
-        for fn in (block_kernels, block_ranks):
-            with reduced_stacks() as shapes:
-                fn(ref_tower, arr, part)
-            if rows >= min(part.parts):
-                # zero members skip both eliminations: the first sees exactly
-                # the nonzero members, the second at most those
-                assert max((shape[0] for shape in shapes), default=0) == nonzero
-            else:
-                # below the shortest block, one GF(q) elimination expands
-                # every member as it is, zero or not
-                assert [shape[0] for shape in shapes] == [arr.shape[0] * part.ell]
+        with reduced_stacks() as shapes:
+            block_ranks(ref_tower, arr, part)
+        if rows >= min(part.parts):
+            # zero members skip both eliminations: the first sees exactly
+            # the nonzero members, the second at most those
+            assert max((shape[0] for shape in shapes), default=0) == nonzero
+        else:
+            # below the shortest block, one GF(q) elimination expands
+            # every member as it is, zero or not
+            assert [shape[0] for shape in shapes] == [arr.shape[0] * part.ell]
         check_against_per_block_loop(ref_tower, part, arr)
 
     def test_zero_row_matrix(self, ref_tower):
         part = LengthPartition([2, 1])
-        K, lead, _ = block_kernels(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part)
-        assert lead.tolist() == [[[True, True], [True, False]]]
-        assert K[0, 0].tolist() == [[1, 0], [0, 1]] and K[0, 1].tolist() == [[1, 0], [0, 0]]
+        B, dims, _ = block_supports(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part)
+        assert dims == (2, 1) and B.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert block_ranks(ref_tower, np.zeros((1, 0, 3), dtype=np.int64), part).tolist() == [[0, 0]]
+
+
+class _Rows:
+    """A row source (see sumrank._reduce_blocks) over a formed array."""
+
+    def __init__(self, a):
+        self.a, self.rows = a, a.shape[0]
+
+    def take(self, rows, cols):
+        return self.a[rows][:, cols]
+
+
+class TestBlockSupports:
+    @pytest.mark.parametrize("below", ["none", "grows"])
+    def test_unequal_blocks_on_the_slice_path(self, ref_tower, below):
+        # blocks of 1, 2, 3 and 4 with r = 4w + 2 rows, read on the leading
+        # slice of 2w = 8: the block of 1 is zero, the block of 2 zero on the
+        # slice and, for "grows", random below it, and the blocks of 3 and 4
+        # have GF(q) row spaces of dimension 2; the slice's kernel dimensions
+        # 1 + 2 + 1 + 2 add up to t_hat = 6, so they are kept, and the
+        # completion gives the exact ones, 1 + 0 + 1 + 2 for "grows"
+        F, Fq = ref_tower.ext_field, ref_tower.base_field
+        rng = np.random.default_rng(41)
+        part, w, r = LengthPartition([1, 2, 3, 4]), 4, 18
+        second = np.zeros((r, 2), dtype=np.int64)
+        if below == "grows":
+            second[2 * w:] = F.random(rng, (r - 2 * w, 2))
+        M = np.hstack([np.zeros((r, 1), dtype=np.int64), second]
+                      + [F.matmul(F.random(rng, (r, 2)), Fq.random(rng, (2, ni))) for ni in (3, 4)])
+
+        def kernels(a):
+            return [right_kernel(ref_tower.ext_matrix(blk)) for blk in part.blocks(Matrix(F, a))]
+
+        *kept, complete = block_supports(ref_tower, _Rows(M), part, t_hat=6)
+        assert complete is not None and kept[1] == (1, 2, 1, 2)
+        exact = kernels(M)
+        assert [k.rows for k in exact] == [1, 0 if below == "grows" else 2, 1, 2]
+        for (B, dims), want in [(kept, kernels(M[: 2 * w])), (complete(), exact)]:
+            assert B.tolist() == block_diag(want).tolist()
+            assert dims == tuple(k.rows for k in want)
+            rows = np.split(B, np.cumsum(dims)[:-1])
+            for blk_rows, sl in zip(rows, part.slices):
+                # nothing outside the block's own columns, padding included
+                assert not np.delete(blk_rows, np.r_[sl], axis=1).any()
+                # leading columns strictly increasing
+                leads = [int(np.flatnonzero(v)[0]) for v in blk_rows]
+                assert leads == sorted(set(leads))
+        # without t_hat the kernels read are the exact ones
+        B, dims, complete = block_supports(ref_tower, _Rows(M), part)
+        assert B.tolist() == block_diag(exact).tolist() and complete is None
+
+    def test_one_matrix_only(self, ref_tower):
+        part = LengthPartition([2, 1])
+        for shape in [(2, 3, 3), (0, 3, 3), (3, 3)]:
+            with pytest.raises(ValueError):
+                block_supports(ref_tower, np.zeros(shape, dtype=np.int64), part)
