@@ -37,10 +37,12 @@ at most order - 1; larger fields recompose in int64.  Fields of order up to
 TABLE_LIMIT get exp/log tables, built by doubling (about a second at 2^20);
 larger fields multiply element by element in polynomial arithmetic (correct
 but slow).  The exp table is stored in the smallest unsigned dtype holding
-order - 1, uint16 up to GF(2^16).  The element-wise kernels (mul, div,
-submul) keep int64 logs: np.take converts any other index dtype to int64
-first, so on elimination-size arrays int32 log sums add a copy of every
-index array without narrowing the gather.  The characteristic-2 matmul
+order - 1, uint16 up to GF(2^16), except in odd characteristic while the
+add/sub tables exist, where its products index those tables and are int64
+(at most 33 KB of table, at order 1024).  The element-wise kernels (mul,
+div, eliminate) keep int64 logs: np.take converts any other index dtype to
+int64 first, so on elimination-size arrays int32 log sums add a copy of
+every index array without narrowing the gather.  The characteristic-2 matmul
 gathers a uint16 copy of the log table and adds its (inner, shorter,
 longer) tensor of log sums in uint16 wherever every sum fits, that is
 4 (order - 1) < 2^16, up to GF(2^14): on the tensor the narrow add saves
@@ -48,13 +50,19 @@ more than the converted gather costs.  Larger fields add int64 logs.  At
 GF(2^20) the tables are a 16.8 MB uint32 exp table and an 8.4 MB log
 table, against 33.6 and 8.4 MB with an int64 exp table.  mul, div and inv
 return int64 codes; the characteristic-2 matmul gathers and XOR-reduces its
-tensor in the exp dtype and casts once.  Elimination uses two fused
-kernels, one table pass each:
-div(a, b) = a / b, which raises ZeroDivisionError on a zero divisor (a
-check, not an assert, so also under python -O), and submul(a, f, b) =
-a - f*b, the exp/log product followed by one XOR in characteristic 2, or
-by the subtraction that add/sub use in odd characteristic (one table lookup
-while q^2 <= TABLE_LIMIT).  Above TABLE_LIMIT both take the element path.
+tensor in the exp dtype and casts once.  Every elimination step is one
+call of eliminate(a, fac, prow, pv): a -= fac * (prow / pv) in place, and
+prow / pv returned.  On the tables it is one pass on logarithms: the pivot
+rows' logs are gathered once and normalised by adding n1 - log(pv) (the
+pivot search chose pv nonzero, so there is no zero check), exp and log map
+them to the normalised rows and their logs (a sum of three logs would
+overrun the doubled exp table), and the update is one exp gather of
+log(fac) + log(prow / pv), applied by an in-place XOR in characteristic 2
+or by the subtraction that sub uses in odd characteristic (one table
+lookup while q^2 <= TABLE_LIMIT).  PrimeField computes
+(a - fac * prow / pv) mod p, and above TABLE_LIMIT the step takes the
+element path.  div(a, b) = a / b, and inv, raise ZeroDivisionError on a
+zero divisor (a check, not an assert, so also under python -O).
 """
 
 from __future__ import annotations
@@ -313,23 +321,31 @@ class PrimeField:
     def mul(self, a, b):
         return _unwrap((np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p)
 
-    def submul(self, a, f, b):
-        """a - f*b, the row update of an elimination step."""
-        f, b = np.asarray(f, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        return _unwrap((np.asarray(a, dtype=np.int64) - f * b) % self.p)
+    def eliminate(self, a, fac, prow, pv):
+        """One pivot step: a -= fac * (prow / pv) in place; returns prow / pv.
+
+        The int64 array a may be a view; fac and prow broadcast against
+        it, and the pivots pv (nonzero, as the pivot search chose them)
+        against prow.  Each product of two residues fits int64.
+        """
+        prow = np.asarray(prow, dtype=np.int64) * self._inverse(pv) % self.p
+        a[...] = (a - fac * prow) % self.p
+        return prow
 
     def div(self, a, b):
         """a / b; raises ZeroDivisionError if any entry of b is zero."""
         b = np.asarray(b, dtype=np.int64)
         if np.count_nonzero(b) < b.size:
             raise ZeroDivisionError("division by zero in GF(p)")
+        return _unwrap(np.asarray(a, dtype=np.int64) * self._inverse(b) % self.p)
+
+    def _inverse(self, b):
+        """Inverses of the nonzero residues b, by table up to TABLE_LIMIT."""
         if self.p > TABLE_LIMIT:
-            inv = self._fermat_inv(b)
-        else:
-            if self._inv_table is None:
-                self._inv_table = self._fermat_inv(np.arange(self.p, dtype=np.int64))
-            inv = self._inv_table.take(b)
-        return _unwrap(np.asarray(a, dtype=np.int64) * inv % self.p)
+            return self._fermat_inv(np.asarray(b, dtype=np.int64))
+        if self._inv_table is None:
+            self._inv_table = self._fermat_inv(np.arange(self.p, dtype=np.int64))
+        return self._inv_table.take(b)
 
     def inv(self, a):
         return self.div(1, a)
@@ -527,13 +543,15 @@ class ExtField:
         # log(0) = 2*n1 and exp is doubled then padded with zeros, so
         # exp[log(a) + log(b)] is a*b for every a, b, zero or not, and
         # exp[log(a) - log(b) + n1] is a/b for every nonzero b.  exp entries
-        # take the narrowest unsigned dtype holding order - 1; logs stay
-        # int64, the index dtype take uses without a converted copy
+        # take the narrowest unsigned dtype holding order - 1, except where
+        # the products index the sum tables (a * order + b), which they do
+        # as int64; logs stay int64, the index dtype take uses without a
+        # converted copy
         log = np.full(self.order, 2 * n1, dtype=np.int64)
         log[exp] = np.arange(n1)
         self.generator = g
         self._exp = np.concatenate([exp, exp, np.zeros(2 * n1 + 1, dtype=np.int64)]).astype(
-            np.min_scalar_type(self.order - 1))
+            np.int64 if self._sums_by_table else np.min_scalar_type(self.order - 1))
         self._log = log
         return True
 
@@ -562,11 +580,15 @@ class ExtField:
             return a[..., None] // self._powers % self.char
         return self._digit_table.take(a, axis=0)
 
+    @property
+    def _sums_by_table(self) -> bool:
+        # odd characteristic while order^2 <= TABLE_LIMIT (order <= 1024)
+        return self.char != 2 and self.order**2 <= TABLE_LIMIT
+
     @cached_property
     def _sum_tables(self) -> dict | None:
-        # a + b and a - b for every pair of codes, at index a * order + b, in
-        # odd characteristic while order^2 <= TABLE_LIMIT
-        if self.char == 2 or self.order**2 > TABLE_LIMIT:
+        # a + b and a - b for every pair of codes, at index a * order + b
+        if not self._sums_by_table:
             return None
         a, b = np.divmod(np.arange(self.order**2, dtype=np.int64), self.order)
         return {op: self._digit_kernel(op, a, b) for op in (np.add, np.subtract)}
@@ -587,7 +609,7 @@ class ExtField:
 
     def _digitwise_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """_digitwise on an int64 array a and an array b of codes in int64 or
-        in the exp table's narrow dtype (submul's products); returns int64."""
+        in the exp table's narrow dtype (eliminate's products); returns int64."""
         if self.char == 2:
             return _unwrap(a ^ b)
         tables = self._sum_tables
@@ -614,11 +636,29 @@ class ExtField:
     def mul(self, a, b):
         return _unwrap(self._prod(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)))
 
-    def submul(self, a, f, b):
-        """a - f*b, the row update of an elimination step: one exp/log pass,
-        then the XOR or subtraction of sub."""
-        prod = self._prod(np.asarray(f, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return self._digitwise_codes(np.subtract, np.asarray(a, dtype=np.int64), prod)
+    def eliminate(self, a, fac, prow, pv):
+        """One pivot step: a -= fac * (prow / pv) in place; returns prow / pv.
+
+        The int64 array a may be a view; fac and prow broadcast against
+        it, and the pivots pv (nonzero, as the pivot search chose them)
+        against prow.  The step is one pass on logarithms (see the module
+        docstring); the returned rows are in the exp table's dtype.  Above
+        TABLE_LIMIT it takes the element path.
+        """
+        if not self._ensure_tables():
+            prow = self.div(prow, pv)
+            prod = self._prod(np.asarray(fac, dtype=np.int64), prow)
+        else:
+            log, exp = self._log, self._exp
+            lp = log.take(prow)
+            lp += self.order - 1 - log.take(pv)
+            prow = exp.take(lp)
+            prod = exp.take(log.take(fac) + log.take(prow))
+        if self.char == 2:
+            a ^= prod
+        else:
+            a[...] = self._digitwise_codes(np.subtract, a, prod)
+        return prow
 
     def div(self, a, b):
         """a / b in one exp/log pass; raises ZeroDivisionError if any entry

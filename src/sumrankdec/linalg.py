@@ -243,9 +243,11 @@ def _reduce_steps(field, a: np.ndarray, width: int | None = None) -> tuple[list[
 
     Returns (pivots, order): the pivot columns, and the input row that each
     row of a started as (the steps swap rows).  Pivot choice: leftmost
-    unprocessed column, topmost nonzero row.  A pivot step is one field.div
-    of the pivot row and one field.submul over the columns from the pivot
-    on: one fused table pass each, and the only field arithmetic in the loop.
+    unprocessed column, topmost nonzero row; the column is scanned only when
+    a[row, col] is zero.  A pivot step is one field.eliminate over the
+    columns from the pivot on, one table pass on logarithms that normalises
+    the pivot row and updates every row, and the only field arithmetic in
+    the loop.
 
     With width set, only the first width columns take pivots, and the k-th
     pivot row gets a 1 in column width + k as it is chosen.  If those
@@ -260,24 +262,21 @@ def _reduce_steps(field, a: np.ndarray, width: int | None = None) -> tuple[list[
     for col in range(c if width is None else width):
         if row == r:
             break
-        nz = a[row:, col].nonzero()[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
+        pv = int(a[row, col])
+        if pv == 0:
+            nz = a[row + 1 :, col].nonzero()[0]
+            if nz.size == 0:
+                continue
+            pr = row + 1 + int(nz[0])
             a[[row, pr]] = a[[pr, row]]
             order[row], order[pr] = order[pr], order[row]
+            pv = int(a[row, col])
         if width is not None:
             a[row, width + row] = 1
-        # the pivot row is zero left of col, so only columns col: change
-        prow = a[row, col:]
-        pv = int(prow[0])
-        if pv != 1:
-            prow = field.div(prow, pv)
-            a[row, col:] = prow
-        fac = a[:, col].copy()
-        fac[row] = 0
-        a[:, col:] = field.submul(a[:, col:], fac[:, None], prow[None, :])
+        # the pivot row is zero left of col, so only columns col: change;
+        # the step clears the pivot row too, and the normalised row is
+        # written back
+        a[row, col:] = field.eliminate(a[:, col:], a[:, col, None], a[row, col:], pv)
         pivots.append(col)
         row += 1
     return pivots, order
@@ -347,9 +346,9 @@ def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Single matrices stay on _rref_arrays, which is faster at batch 1.
 
     Every step updates the whole stack: a member without a pivot in the
-    column swaps a row with itself and gets zero elimination factors.  As in
-    _reduce_steps, a step is one field.div of the pivot rows and one
-    field.submul over the stack.
+    column swaps a row with itself, with pivot 1 and zero elimination
+    factors.  As in _reduce_steps, a step is one field.eliminate over the
+    stack, and the normalised pivot rows are written back after it.
     """
     a = np.array(arr, dtype=np.int64)
     batch, r, c = a.shape
@@ -373,12 +372,9 @@ def rref_stack(field, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prow = a[members, pr, col:]
         a[members, pr, col:] = a[members, top, col:]
         pv = np.where(has, prow[:, 0], 1)
-        if (pv != 1).any():
-            prow = field.div(prow, pv[:, None])
-        a[members, top, col:] = prow
         fac = x * has[:, None]
-        fac[members, top] = 0
-        a[:, :, col:] = field.submul(a[:, :, col:], fac[:, :, None], prow[:, None, :])
+        a[members, top, col:] = field.eliminate(
+            a[:, :, col:], fac[:, :, None], prow[:, None, :], pv[:, None, None])[:, 0]
         pivots[:, col] = has
         row += has
     return a, pivots
@@ -445,13 +441,12 @@ def solve_unique(M: Matrix, rhs: Matrix) -> Matrix:
     if rhs.rows != M.rows:
         raise ValueError(f"rhs has {rhs.rows} rows, expected {M.rows}")
     b = M.cols
-    aug = hstack([M, rhs])
-    R, pivots = rref(aug)
-    if any(p >= b for p in pivots):
+    R, _, pivots = _rref_arrays(M.field, np.hstack([M.array, rhs.array]))
+    if pivots and pivots[-1] >= b:
         raise Inconsistent("system has no solution")
     if len(pivots) < b:
         raise NonUniqueSolution(f"matrix has rank {len(pivots)} < {b} columns")
-    return R[:b, b:]
+    return Matrix(M.field, R[:b, b:], _checked=True)
 
 
 def row_space_intersection(M1: Matrix, M2: Matrix) -> Matrix:

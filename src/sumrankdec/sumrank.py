@@ -171,7 +171,7 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
     read their rows below in one take; one zero on the slice is zero unless
     its rows below are not.  Each short member's rows below are checked
     against the slice: a row below minus its entries in the pivot columns
-    times the slice's pivot rows (one submul pass per pivot column, exact
+    times the slice's pivot rows (one eliminate pass per pivot column, exact
     because the slice is in RREF) vanishes exactly when the row lies in the
     slice's row space.  When all of them vanish, the member's row space is
     the slice's, and so is its RREF, which is canonical for the row space.
@@ -238,9 +238,9 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
         # times the slice's pivot rows; prows[:, j] is the pivot row of
         # column j, zero if j is free
         prows = Rm[np.arange(len(m))[:, None], np.cumsum(pm, axis=1) - 1] * pm[:, :, None]
-        res = rest
+        res = rest.copy()
         for col in np.flatnonzero(pm.any(axis=0)):
-            res = f.submul(res, rest[:, :, col, None], prows[:, None, col, :])
+            f.eliminate(res, rest[:, :, col, None], prows[:, None, col, :], 1)
         grew = res.any(axis=(1, 2))
         if grew.any():
             # rank grows below the slice: reduce those members in full

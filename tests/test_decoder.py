@@ -1202,6 +1202,28 @@ class TestRobustness:
             decode(ref.icode, ref.Y)
         assert vars(info.value)["stage"] == "erasure"
 
+    @pytest.mark.parametrize("seed", [4, 33, 45])
+    def test_erasure_inconsistent_on_own_supports(self, seed):
+        # binary Hamming metric (GF(2), ten blocks of 1), k = 4, s = t = 4,
+        # errors not of full rank: the supports the decoder recovers itself
+        # pass their weight check, and the erasure system on them has no
+        # solution, so decode raises instead of returning a codeword
+        tower = FieldTower.standard(2, 1)
+        part = LengthPartition([1] * 10)
+        rng = np.random.default_rng(seed)
+        code = random_code(tower, part, 4, rng=rng)
+        profile = random_profile(rng, tower, part, 4, 4)
+        em = sample_error(tower, part, profile, 4, require_full_rank=False, rng=rng)
+        icode = InterleavedCode(code, 4)
+        C = icode.encode(Matrix.random(tower.ext_field, 4, 4, rng))
+        Y = C + em.E
+        S = syndrome(code.H, Y)
+        h_sub, t_hat, _ = compute_hsub(code.H, S)
+        recover_block_supports(tower, h_sub, part, t_hat)  # no SupportMismatch
+        with pytest.raises(Inconsistent) as info:
+            decode(icode, Y)
+        assert info.value.stage == "erasure"
+
 
 class TestSpecialCaseReductions:
     def test_hamming_partition_recovers_error_positions(self):

@@ -418,13 +418,14 @@ FUSED_FIELDS = (
     + [PrimeField(2), PrimeField(5), PrimeField(2**31 - 1)]
 )
 
-# The operand shapes of the pivot steps, (a, f, b) for submul(a, f, b):
-# _rref_arrays, rref_stack and sumrank._reduce_blocks's residual check.
-# div divides an a-shaped array by divisors of f's shape.
+# The operand shapes of the pivot steps, (a, fac, prow) for
+# eliminate(a, fac, prow, pv) and the shape of pv (() for a Python int):
+# _reduce_steps, rref_stack (pivot 1 for members without a pivot) and
+# sumrank._reduce_blocks's residual check (pivot 1).
 ENGINE_SHAPES = [
-    ((4, 5), (4, 1), (1, 5)),
-    ((3, 4, 5), (3, 4, 1), (3, 1, 5)),
-    ((2, 6, 3), (2, 6, 1), (2, 1, 3)),
+    ((4, 5), (4, 1), (5,), ()),
+    ((3, 4, 5), (3, 4, 1), (3, 1, 5), (3, 1, 1)),
+    ((2, 6, 3), (2, 6, 1), (2, 1, 3), ()),
 ]
 
 
@@ -433,25 +434,34 @@ def _nonzero(field, rng, shape):
 
 
 class TestFusedKernels:
-    """submul, div and the narrow-table products against the scalar oracles."""
+    """eliminate, div and the narrow-table products against the scalar oracles."""
 
     @pytest.mark.parametrize("field", FUSED_FIELDS, ids=repr)
     @settings(derandomize=True, database=None, max_examples=6, deadline=None)
     @given(shapes=st.sampled_from(ENGINE_SHAPES), seed=st.integers(0, 2**32 - 1))
     def test_match_scalar_oracles(self, field, shapes, seed):
         rng = np.random.default_rng(seed)
-        a, f, b = (field.random(rng, shape) for shape in shapes)
+        a, f, b = (field.random(rng, shape) for shape in shapes[:3])
         # zeros in every operand, and the largest code
         a[..., ::2, 0] = 0
         f[..., ::3, :] = 0
         b[..., ::4] = 0
         b.flat[-1] = field.order - 1
-        F, B = np.broadcast_arrays(f, b)
-        got = field.submul(a, f, b)
-        assert got.dtype == np.int64 and got.shape == a.shape
-        assert got.ravel().tolist() == [
+        pv = _nonzero(field, rng, shapes[3])
+        if pv.ndim == 0:
+            pv = int(pv)
+        else:
+            pv.flat[0] = 1  # a stack member without a pivot
+        out = a.copy()
+        row = field.eliminate(out, f, b, pv)
+        assert out.dtype == np.int64 and row.shape == b.shape
+        B, P = np.broadcast_arrays(b, pv)
+        want = [field._mul_i(z, field._inv_i(v)) for z, v in zip(B.ravel().tolist(), P.ravel().tolist())]
+        assert row.ravel().tolist() == want
+        F, W = np.broadcast_arrays(f, np.reshape(want, b.shape))
+        assert out.ravel().tolist() == [
             field._add_i(x, field._neg_i(field._mul_i(y, z)))
-            for x, y, z in zip(a.ravel().tolist(), F.ravel().tolist(), B.ravel().tolist())
+            for x, y, z in zip(a.ravel().tolist(), F.ravel().tolist(), W.ravel().tolist())
         ]
         d = _nonzero(field, rng, f.shape)
         D = np.broadcast_to(d, a.shape)
@@ -460,16 +470,27 @@ class TestFusedKernels:
         assert got.ravel().tolist() == [
             field._mul_i(x, field._inv_i(y)) for x, y in zip(a.ravel().tolist(), D.ravel().tolist())
         ]
-        # the pivot row of _rref_arrays: an array by a Python int
-        row, pv = a.reshape(-1, a.shape[-1])[0], int(d.flat[0])
-        assert field.div(row, pv).tolist() == [field._mul_i(x, field._inv_i(pv)) for x in row.tolist()]
+
+    @pytest.mark.parametrize("field", FUSED_FIELDS, ids=repr)
+    def test_eliminate_on_views(self, field):
+        # as _reduce_steps calls it: a, fac and prow are views of one array,
+        # and the step clears the pivot row before it is written back
+        rng = np.random.default_rng(3)
+        a = field.random(rng, (4, 5))
+        a[0, 1], a[2, 1], a[3] = field.order - 1, 0, 0
+        want = a.tolist()
+        pv = want[0][1]
+        prow = [field._mul_i(x, field._inv_i(pv)) for x in want[0][1:]]
+        for i, r in enumerate(want):
+            r[1:] = [field._add_i(x, field._neg_i(field._mul_i(r[1], y))) for x, y in zip(r[1:], prow)]
+        want[0][1:] = prow
+        a[0, 1:] = field.eliminate(a[:, 1:], a[:, 1, None], a[0, 1:], pv)
+        assert a.tolist() == want
 
     @pytest.mark.parametrize("field", FUSED_FIELDS, ids=repr)
     def test_scalars_stay_ints(self, field):
         x, y = field.order - 1, field.order // 2 or 1
         for got, want in [
-            (field.submul(x, y, x), field._add_i(x, field._neg_i(field._mul_i(y, x)))),
-            (field.submul(x, 0, y), x),
             (field.div(x, y), field._mul_i(x, field._inv_i(y))),
             (field.div(0, y), 0),
             (field.inv(y), field._inv_i(y)),
@@ -499,8 +520,9 @@ class TestFusedKernels:
     )
     @pytest.mark.parametrize("dtype", [object, np.uint64, np.uint32, np.int32])
     def test_sums_take_any_integer_dtype(self, field, dtype):
-        # add, sub and neg convert both operands to int64 codes; only submul
-        # hands the sum kernel its narrow products unconverted
+        # add, sub and neg convert both operands to int64 codes; only
+        # eliminate hands the sum kernel its products unconverted, in the exp
+        # table's dtype
         rng = np.random.default_rng(7)
         a, b = field.random(rng, (2, 5)), field.random(rng, (2, 5))
         b[0, 0] = field.order - 1

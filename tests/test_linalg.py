@@ -4,12 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import eliminations, panel_reductions, reduced_stacks, stacked_eliminations
 from sumrankdec import linalg
-from sumrankdec.gf import FieldTower, PrimeField
+from sumrankdec.gf import ExtField, FieldTower, PrimeField, default_modulus
 from sumrankdec.sumrank import LengthPartition, block_supports
 from sumrankdec.linalg import (
     _rref_arrays,
@@ -545,6 +545,80 @@ class TestRrefStack:
             assert source.reads == [(0, r)]
         blocks = np.split(source.a, np.cumsum(part.parts)[:-1], axis=1)
         self._check_kernels(tower, blocks, B, dims)
+
+
+def _scalar_rref(field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination on lists of codes with the scalar _mul_i,
+    _add_i, _neg_i and _inv_i only: (R, pivots), the same pivot choice as the
+    engines (leftmost column, topmost nonzero row)."""
+    R = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(R[0]) if R else 0):
+        row = len(pivots)
+        pr = next((i for i in range(row, len(R)) if R[i][col]), None)
+        if pr is None:
+            continue
+        R[row], R[pr] = R[pr], R[row]
+        inv = field._inv_i(R[row][col])
+        R[row] = [field._mul_i(x, inv) for x in R[row]]
+        for i, r in enumerate(R):
+            if i != row and r[col]:
+                f = r[col]
+                R[i] = [field._add_i(x, field._neg_i(field._mul_i(f, y))) for x, y in zip(r, R[row])]
+        pivots.append(col)
+    return R, pivots
+
+
+# the stacked fields and one above TABLE_LIMIT, whose steps take the element
+# path
+ORACLE_FIELDS = STACK_FIELDS + [ExtField(PrimeField(2), default_modulus(PrimeField(2), 21))]
+
+
+class TestScalarOracle:
+    """Both engines, which share one pivot step, against scalar Gauss-Jordan."""
+
+    @staticmethod
+    def _check(field, arr):
+        R, pivots = rref_stack(field, arr)
+        assert R.shape == arr.shape and pivots.shape == (arr.shape[0], arr.shape[2])
+        for b, member in enumerate(arr):
+            want, want_piv = _scalar_rref(field, member.tolist())
+            got, _, piv = _rref_arrays(field, member)
+            assert got.tolist() == want and piv == want_piv
+            assert R[b].tolist() == want and np.flatnonzero(pivots[b]).tolist() == want_piv
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        field=st.sampled_from(ORACLE_FIELDS),
+        shape=st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(0, 5)),
+        density=st.sampled_from([0.0, 0.4, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(field=ORACLE_FIELDS[-1], shape=(2, 4, 5), density=0.4, seed=0)
+    @example(field=ORACLE_FIELDS[3], shape=(3, 0, 4), density=1.0, seed=0)  # r = 0
+    def test_random_stacks(self, field, shape, density, seed):
+        rng = np.random.default_rng(seed)
+        arr = field.random(rng, shape) * (rng.random(shape) < density)
+        if arr.size:
+            arr[0, -1, -1] = field.order - 1  # the largest code
+        self._check(field, arr)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+    def test_constructed_stack(self, field):
+        # member 0: a zero first column and a zero last row, a pivot v != 1
+        # (where the field has one) found below a zero row, so rows swap,
+        # then a pivot of 1 in place and a column without a pivot; member 1
+        # is zero, a member without a pivot in every column; member 2 holds
+        # the largest code L
+        L, v = field.order - 1, max(2, field.order - 2) % field.order or 1
+        arr = np.array([
+            [[0, 0, 0, 0, 0], [0, 0, 1, L, 0], [0, v, L, 1, 1], [0, 0, 0, 0, 0]],
+            [[0] * 5] * 4,
+            [[L, 1, 0, 0, L], [L, L, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, v, 0]],
+        ], dtype=np.int64)
+        assert _scalar_rref(field, arr[0].tolist())[1] == [1, 2]
+        self._check(field, arr)
+        self._check(field, np.zeros((2, 0, 5), dtype=np.int64))
 
 
 class _RowSource:
