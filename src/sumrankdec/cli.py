@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import statistics
 import sys
 import time
@@ -138,6 +139,15 @@ def _instance_args(args) -> tuple[FieldTower, LengthPartition, tuple[int, ...] |
     if (args.t is None) == (args.profile is None):
         raise UsageError("give exactly one of --t or --profile")
     return tower, partition, tuple(_parse_ints(args.profile)) if args.profile else None
+
+
+def _blas_threads() -> dict[str, str]:
+    """The thread-count variables of the BLAS libraries NumPy may load, as
+    this process sees them ("unset" where one is unset).  The odd-p products
+    run in BLAS, and its default thread count can slow small products many
+    times over (see README), so timings record it; nothing here sets it."""
+    return {var: os.environ.get(var, "unset")
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _read_json(path: str) -> dict:
@@ -339,7 +349,7 @@ def cmd_trial(args) -> int:
         raise UsageError(f"cannot verify the distance hypothesis: {ex}") from ex
     except SamplingFailure as ex:
         raise UsageError(str(ex)) from ex
-    payload = summary.to_dict()
+    payload = {**summary.to_dict(), "blas_threads": _blas_threads()}
     if args.json_out:
         _write_json(args.json_out, payload)
     det = payload["summary"]
@@ -421,6 +431,7 @@ def cmd_bench(args) -> int:
     )
     header = ["n", "k", "s", "t", "setup_ms", "median_ms", "min_ms", "max_ms", "recovered", "typed",
               "wrong", "reps"]
+    print("BLAS threads: " + "  ".join(f"{var}={val}" for var, val in _blas_threads().items()))
     print("  ".join(f"{h:>10}" for h in header))
     for row in rows:
         print("  ".join(f"{row[h]:>10.3f}" if isinstance(row[h], float) else f"{row[h]:>10}" for h in header))

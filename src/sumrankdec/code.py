@@ -46,11 +46,19 @@ class BudgetExceeded(RuntimeError):
     """The brute-force enumeration would exceed the configured budget."""
 
 
-def syndrome(H: Matrix, Y: Matrix) -> Matrix:
-    """S = H @ Y^T; zero exactly when the rows of Y are codewords."""
+def syndrome(H: Matrix, Y: Matrix, digits: np.ndarray | None = None) -> Matrix:
+    """S = H @ Y^T; zero exactly when the rows of Y are codewords.
+
+    digits, H's digit form (LinearCode.H_digits), saves the product from
+    expanding H again; it is used while H stays the left operand of the
+    GF(p) product, that is while s <= n - k (see ExtField.matmul).
+    """
     if Y.cols != H.cols:
         raise ValueError(f"received word has {Y.cols} columns, code length is {H.cols}")
-    return H @ Y.T
+    if digits is None:
+        return H @ Y.T
+    H._compat(Y)
+    return Matrix(H.field, H.field.matmul(H.array, Y.array.T, digits=digits), _checked=True)
 
 
 class LinearCode:
@@ -60,6 +68,15 @@ class LinearCode:
     (random_code redraws on its ValueError), and the free-column vectors of
     the same reduction are the canonical generator.  A G passed in is
     validated against H and kept instead.
+
+    H_digits is H's digit form (ExtField.digit_form), formed once here for
+    the products that keep H on the left: every syndrome of a decode and
+    verify's residual on H's support columns.  H is immutable and a code
+    decodes many received words, so the digits are not expanded again per
+    decode.  It holds 4 d bytes per entry of H (8 d where the product needs
+    float64, d = pdigits), less than the 9 d bytes per entry that a product
+    expanding H allocates transiently; None in characteristic 2, whose
+    products take logs.
     """
 
     def __init__(
@@ -89,6 +106,7 @@ class LinearCode:
             if not (G @ H.T).is_zero:
                 raise ValueError("G is not orthogonal to H")
         self.generator = kernel if G is None else G
+        self.H_digits = tower.ext_field.digit_form(H.array)
 
     def to_dict(self) -> dict:
         d = {
@@ -140,7 +158,7 @@ class InterleavedCode:
         shape or over another field."""
         if C.shape != (self.s, self.constituent.n) or C.field != self.tower.ext_field:
             return False
-        return syndrome(self.constituent.H, C).is_zero
+        return syndrome(self.constituent.H, C, self.constituent.H_digits).is_zero
 
     def encode(self, M: Matrix) -> Matrix:
         if M.rows != self.s:

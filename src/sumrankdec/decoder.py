@@ -4,7 +4,10 @@ The decoder needs no structural knowledge of the constituent code.  It
 recovers the error support from the syndrome matrix alone and then solves a
 linear system for the error values (column-erasure decoding):
 
-1. S = H @ Y^T collapses the received matrix to syndromes.
+1. S = H @ Y^T collapses the received matrix to syndromes.  The code keeps
+   H's GF(p) digits (LinearCode.H_digits, odd characteristic), so the
+   product expands only Y^T: it is the stage's n^2 s term, and every decode
+   runs it against the same H.
 2. The annihilator h_sub, a basis of {v @ H : v @ S = 0}, vanishes on the
    error (the paper's rows of P @ H beside the zero rows of P @ S span it).
    Only the narrow S^T is eliminated: its pivot columns I are the first
@@ -70,13 +73,14 @@ linear system for the error values (column-erasure decoding):
 5. Form E = A @ B on J (zero elsewhere) and verify C = Y - E without
    recomputing H @ C^T: H @ C^T = S - H[:, J] @ E[:, J]^T vanishes exactly
    when H[:, J] @ E[:, J]^T = S, a product over |J| <= t w columns instead
-   of n.  The weight of E is not recomputed: the factorisation certifies
-   it.  If B has t rows, all in GF(q), and each row of B is nonzero in at
-   most one block, then block i of E is A[:, R_i] @ B[R_i, block i], R_i
-   the rows of B in block i, whose expansion over GF(q) has rank at most
-   |R_i|; so wt(E) <= t.  And once the residual holds, wt(E) >= rank(E) >=
-   rank(H @ E^T) = rank(S) = t.  So wt(E) = t, checked in O(t n) instead
-   of an elimination of E's blocks.
+   of n, which takes the J columns of H's kept digits.  The weight of E is
+   not recomputed: the factorisation certifies it.  If B has t rows, all
+   in GF(q), and each row of B is nonzero in at most one block, then block
+   i of E is A[:, R_i] @ B[R_i, block i], R_i the rows of B in block i,
+   whose expansion over GF(q) has rank at most |R_i|; so wt(E) <= t.  And
+   once the residual holds, wt(E) >= rank(E) >= rank(H @ E^T) = rank(S)
+   = t.  So wt(E) = t, checked in O(t n) instead of an elimination of E's
+   blocks.
 
 Recovery is guaranteed when the error weight t is at most d - 2, the
 interleaving order satisfies s >= t, and the error matrix has full
@@ -358,7 +362,10 @@ def _verify(code: LinearCode, S: Matrix, A: Matrix, B: Matrix, t_hat: int) -> Ma
     E = np.zeros((S.cols, code.n), dtype=np.int64)
     E[:, J] = field.matmul(A.array, BJ)
     # raw arrays: on small codes the Matrix wrappers cost more than the product
-    if not np.array_equal(field.matmul(code.H.array[:, J], E[:, J].T), S.array):
+    digits = code.H_digits
+    if digits is not None:
+        digits = digits.reshape(code.H.rows, code.n, -1)[:, J].reshape(code.H.rows, -1)
+    if not np.array_equal(field.matmul(code.H.array[:, J], E[:, J].T, digits=digits), S.array):
         raise ResidualCheckFailed(
             "decoded candidate is not a codeword stack", t_hat=t_hat, check="residual"
         )
@@ -384,7 +391,7 @@ def decode(icode: InterleavedCode, Y: Matrix) -> DecodingReport:
     if Y.shape != (icode.s, code.n):
         raise ValueError(f"received matrix has shape {Y.shape}, expected {(icode.s, code.n)}")
 
-    S = syndrome(code.H, Y)
+    S = syndrome(code.H, Y, code.H_digits)
     h_sub, t_hat, I = compute_hsub(code.H, S)
     B, per_block_t, complete = recover_block_supports(tower, h_sub, partition, t_hat)
     # step 4 solves over B's support columns J only

@@ -22,19 +22,26 @@ GF(31^2), 8.3 MB at GF(1021) as a degree-1 extension).  Above that bound
 add/sub/neg run the digit kernel itself: digits from a per-field digit
 table (or computed above TABLE_LIMIT), added mod p and recomposed.  matmul
 is one GF(p) product: x -> x*b is GF(p)-linear, so A @ B is digits(A) times
-the stacked multiplication matrices of B's entries.  GF(p) products run in
-float64 BLAS while inner * (p-1)^2 < 2^53, where every partial sum is an
-exact integer, and in int64 chunks otherwise.  The float64 product is
-reduced before it leaves float64, as c - p * floor(c / p), which is exact
-for every integer 0 <= c < 2^53: write c = k*p + r with 0 <= r < p; the
-quotient x = c / p is below 2^53 / p and rounds to nearest, so
-k <= fl(x) <= x * (1 + 2^-53) < x + 1/p <= k + 1 (k is a float and
+the stacked multiplication matrices of B's entries.  A GF(p) product over
+inner terms runs in float32 BLAS while inner * (p-1)^2 < 2^24, in float64
+BLAS while it is < 2^53, where every partial sum is an exact integer (a sum
+of some of the nonnegative terms, in whatever order BLAS adds them), and in
+int64 chunks otherwise (PrimeField._product_dtype).  A float product is
+reduced before it leaves its dtype, as c - p * floor(c / p), which is exact
+for every integer 0 <= c < 2^b, with b = 24 for float32 and 53 for float64:
+write c = k*p + r with 0 <= r < p; the quotient x = c / p is below 2^b / p
+and rounds to nearest with unit round-off 2^-b, so
+k <= fl(x) <= x * (1 + 2^-b) < x + 1/p <= k + 1 (k is a float and
 rounding is monotone), floor(fl(x)) = k, and p*k and c - p*k are integers
-below 2^53.  An odd-characteristic matmul recomposes the reduced digits
-into codes in float64 as well when the field's codes are below 2^53
-(order <= 2^53), where every partial sum of digit * p^i is an integer of
-at most order - 1; larger fields recompose in int64.  Fields of order up to
-TABLE_LIMIT get exp/log tables, built by doubling (about a second at 2^20);
+below 2^b.  An odd-characteristic matmul recomposes the reduced digits
+into codes through the float64 powers of p, from either float dtype, when
+the field's codes are below 2^53 (order <= 2^53), where every partial sum
+of digit * p^i is an integer of at most order - 1; larger fields recompose
+in int64.  ExtField.digit_form gives a left operand's digits in the dtype
+of its product, and matmul(a, b, digits=...) takes them instead of
+expanding a again: a code keeps its parity-check matrix's digits (see
+code.LinearCode).  Fields of order up to TABLE_LIMIT get exp/log tables,
+built by doubling (about a second at 2^20);
 larger fields multiply element by element in polynomial arithmetic (correct
 but slow).  The exp table is stored in the smallest unsigned dtype holding
 order - 1, uint16 up to GF(2^16), except in odd characteristic while the
@@ -61,8 +68,12 @@ log(fac) + log(prow / pv), applied by an in-place XOR in characteristic 2
 or by the subtraction that sub uses in odd characteristic (one table
 lookup while q^2 <= TABLE_LIMIT).  PrimeField computes
 (a - fac * prow / pv) mod p, and above TABLE_LIMIT the step takes the
-element path.  div(a, b) = a / b, and inv, raise ZeroDivisionError on a
-zero divisor (a check, not an assert, so also under python -O).
+element path.  A pv of the Python int 1 (the residual check of
+sumrank._reduce_blocks passes it for rows already normalised, and the
+single-matrix engine for a pivot of 1) skips the normalisation on every
+path; prow / pv is then an int64 copy of prow, which may be a view of a.
+div(a, b) = a / b, and inv, raise ZeroDivisionError on a zero divisor (a
+check, not an assert, so also under python -O).
 """
 
 from __future__ import annotations
@@ -275,6 +286,12 @@ def _unwrap(a: np.ndarray):
     return int(a) if a.ndim == 0 else a.astype(np.int64, copy=False)
 
 
+def _is_one(pv) -> bool:
+    """Whether an eliminate pivot is the Python int 1, a step that needs no
+    normalisation (the residual check of sumrank._reduce_blocks)."""
+    return type(pv) is int and pv == 1
+
+
 class PrimeField:
     """GF(p) with elements 0..p-1."""
 
@@ -326,9 +343,13 @@ class PrimeField:
 
         The int64 array a may be a view; fac and prow broadcast against
         it, and the pivots pv (nonzero, as the pivot search chose them)
-        against prow.  Each product of two residues fits int64.
+        against prow; a pv of the Python int 1 skips the normalisation.
+        Each product of two residues fits int64.
         """
-        prow = np.asarray(prow, dtype=np.int64) * self._inverse(pv) % self.p
+        if _is_one(pv):
+            prow = np.array(prow, dtype=np.int64)  # a copy: prow may be a view of a
+        else:
+            prow = np.asarray(prow, dtype=np.int64) * self._inverse(pv) % self.p
         a[...] = (a - fac * prow) % self.p
         return prow
 
@@ -366,17 +387,26 @@ class PrimeField:
         out = self._product(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return out.astype(np.int64, copy=False)
 
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod p for integer arrays of residues: float64 or int64.
+    def _product_dtype(self, inner: int) -> np.dtype:
+        """The dtype of an exact product over inner terms: float32 while
+        inner * (p-1)^2 < 2^24, float64 while it is < 2^53, else int64."""
+        bound = inner * (self.p - 1) ** 2
+        if bound < 2**24:
+            return np.dtype(np.float32)
+        return np.dtype(np.float64 if bound < 2**53 else np.int64)
 
-        While inner * (p-1)^2 < 2^53 the result is float64, exact (see the
-        module docstring) and left in float64 for callers that go on in
-        float64; otherwise it is int64.
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p for arrays of residues, in _product_dtype(inner).
+
+        A float result is exact (see the module docstring) and left in its
+        dtype for callers that go on in floating point.  a may come in that
+        dtype already (ExtField.digit_form), and is then not copied.
         """
-        if a.shape[1] * (self.p - 1) ** 2 < 2**53:
-            # every partial sum is an integer below 2^53, so float64 BLAS is
-            # exact, and so is c - p * floor(c / p)
-            c = a.astype(np.float64) @ b.astype(np.float64)
+        dtype = self._product_dtype(a.shape[1])
+        if dtype.kind == "f":
+            # every partial sum is an integer below 2^24 (float32) or 2^53
+            # (float64), so BLAS is exact, and so is c - p * floor(c / p)
+            c = a.astype(dtype, copy=False) @ b.astype(dtype)
             q = c / self.p
             np.floor(q, out=q)
             q *= self.p
@@ -642,18 +672,25 @@ class ExtField:
         The int64 array a may be a view; fac and prow broadcast against
         it, and the pivots pv (nonzero, as the pivot search chose them)
         against prow.  The step is one pass on logarithms (see the module
-        docstring); the returned rows are in the exp table's dtype.  Above
-        TABLE_LIMIT it takes the element path.
+        docstring); the returned rows are in the exp table's dtype, unless
+        pv is the Python int 1, which skips the normalisation and returns
+        an int64 copy of prow.  Above TABLE_LIMIT it takes the element path.
         """
+        one = _is_one(pv)
+        if one:
+            prow = np.array(prow, dtype=np.int64)  # a copy: prow may be a view of a
         if not self._ensure_tables():
-            prow = self.div(prow, pv)
+            if not one:
+                prow = self.div(prow, pv)
             prod = self._prod(np.asarray(fac, dtype=np.int64), prow)
         else:
             log, exp = self._log, self._exp
             lp = log.take(prow)
-            lp += self.order - 1 - log.take(pv)
-            prow = exp.take(lp)
-            prod = exp.take(log.take(fac) + log.take(prow))
+            if not one:
+                lp += self.order - 1 - log.take(pv)
+                prow = exp.take(lp)
+                lp = log.take(prow)
+            prod = exp.take(log.take(fac) + lp)
         if self.char == 2:
             a ^= prod
         else:
@@ -675,7 +712,20 @@ class ExtField:
     def inv(self, a):
         return self.div(1, a)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def digit_form(self, a: np.ndarray) -> np.ndarray | None:
+        """The GF(p) digits of a left operand a of matmul, as the
+        (rows, inner * pdigits) matrix in the dtype of its GF(p) product;
+        None in characteristic 2, whose products take logs."""
+        if self.char == 2:
+            return None
+        a = np.asarray(a, dtype=np.int64)
+        rows, inner = a.shape
+        width = inner * self.pdigits
+        return self._digits(a).reshape(rows, width).astype(self._gfp._product_dtype(width))
+
+    def matmul(self, a: np.ndarray, b: np.ndarray, digits: np.ndarray | None = None) -> np.ndarray:
+        """a @ b.  digits, digit_form(a) if given, stands in for a's digits
+        wherever a stays the left operand (odd characteristic)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.char == 2:
@@ -696,10 +746,12 @@ class ExtField:
         if b.shape[1] > a.shape[0]:
             return self.matmul(b.T, a.T).T
         (rows, inner), cols, d = a.shape, b.shape[1], self.pdigits
+        if digits is None:
+            digits = self.digit_form(a)
         mats = self._digits(self._prod(b[:, None, :], self._powers[:, None]))
-        prod = self._gfp._product(self._digits(a).reshape(rows, inner * d), mats.reshape(inner * d, cols * d))
+        prod = self._gfp._product(digits, mats.reshape(inner * d, cols * d))
         prod = prod.reshape(rows * cols, d)
-        if prod.dtype == np.float64 and self.order <= 2**53:
+        if prod.dtype.kind == "f" and self.order <= 2**53:
             # digits times powers of p sum to a code below 2^53: exact
             return (prod @ self._fpowers).astype(np.int64).reshape(rows, cols)
         return (prod.astype(np.int64, copy=False) @ self._powers).reshape(rows, cols)

@@ -12,7 +12,7 @@ table pass over the rows per pivot.  Large odd-characteristic matrices, at
 least 16 x 160 (_PANEL_MIN_ROWS, _PANEL_MIN_COLS, timed on five fields),
 are reduced in panels of 32 columns instead: the stepping loop reduces each
 panel, and the rest of the matrix is updated by two field.matmul products
-per panel, which run on float64 BLAS.  Over GF(5^2) a 128 x 256 matrix
+per panel, which run on float BLAS (see gf).  Over GF(5^2) a 128 x 256 matrix
 takes a third to a half of the stepping time, and a 512 x 1024 one a
 seventh (0.15 s instead of 1.08 s).  Characteristic 2 stays on the stepping
 loop: its products gather an (inner, rows, cols) table tensor, and panels

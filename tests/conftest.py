@@ -21,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from sumrankdec import example_case, linalg, sumrank
 from sumrankdec.code import InterleavedCode, LinearCode, random_instance
-from sumrankdec.gf import FieldTower
+from sumrankdec.gf import FieldTower, PrimeField
 from sumrankdec.linalg import Matrix
 from sumrankdec.sumrank import ErrorModel, LengthPartition
 
@@ -33,6 +33,20 @@ PROPERTY_TOWERS = [
     FieldTower.standard(3, 2),
     FieldTower.standard(5, 2),
     FieldTower.standard(2, 2, e=2),
+]
+
+
+# characteristic 2 and odd p, prime and extension fields, the two-level
+# GF(4) <= GF(16) and a prime above TABLE_LIMIT (inverses without a table)
+STACK_FIELDS = [
+    PrimeField(2),
+    PrimeField(5),
+    FieldTower.standard(2, 3).ext_field,
+    FieldTower.standard(5, 2).ext_field,
+    FieldTower.standard(2, 2, e=2).base_field,
+    FieldTower.standard(2, 2, e=2).ext_field,
+    FieldTower.standard(2, 12).ext_field,
+    PrimeField(2**31 - 1),
 ]
 
 

@@ -67,6 +67,16 @@ class TestTrial:
         assert payload["summary"]["failures"] == {}
         assert payload["summary"]["code_d"] >= 4
 
+    def test_records_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        out = tmp_path / "threads.json"
+        assert run(["trial", *BASE, "--k", "2", "--s", "2", "--t", "2", "--trials", "1",
+                    "--seed", "0", "--json-out", str(out)]) == 0
+        assert json.loads(out.read_text())["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "unset", "MKL_NUM_THREADS": "4"}
+
     def test_deterministic_summary(self, tmp_path):
         args = ["trial", *BASE, "--k", "2", "--s", "2", "--t", "2", "--trials", "10", "--seed", "3"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -316,6 +326,15 @@ class TestBench:
         assert rc == 0
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row
+
+    def test_header_records_blas_threads(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert run(["bench", "--p", "2", "--m", "2", "--sizes", "16", "--s", "2", "--t", "2",
+                    "--block-size", "4", "--reps", "1", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "BLAS threads: OPENBLAS_NUM_THREADS=unset  OMP_NUM_THREADS=2  MKL_NUM_THREADS=unset")
 
     def test_golden_grid(self, tmp_path):
         # the seeded code and instance draws of each cell are pinned through

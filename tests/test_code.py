@@ -44,6 +44,21 @@ class TestSyndrome:
         with pytest.raises(ValueError):
             syndrome(ref.code.H, Matrix.zeros(ref.tower.ext_field, 3, 5))
 
+    @pytest.mark.parametrize("p, m", [(5, 2), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("s", [2, 9])  # s = 9 > n - k: H is the right operand
+    def test_kept_digits(self, p, m, s):
+        tower = FieldTower.standard(p, m)
+        code = random_code(tower, LengthPartition((2,) * 6), 4, rng=np.random.default_rng(s))
+        f = tower.ext_field
+        if p == 2:
+            assert code.H_digits is None
+        else:
+            assert np.array_equal(code.H_digits, f.digit_form(code.H.array))
+        Y = Matrix.random(f, s, code.n, np.random.default_rng(p))
+        assert syndrome(code.H, Y, code.H_digits) == syndrome(code.H, Y) == code.H @ Y.T
+        with pytest.raises(ValueError):
+            syndrome(code.H, Matrix.zeros(f, s, code.n - 1), code.H_digits)
+
 
 class TestEncode:
     def test_zero_message(self, ref):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_TOWERS
+from conftest import PROPERTY_TOWERS, STACK_FIELDS
 from sumrankdec import gf
 from sumrankdec.gf import ExtField, FieldTower, PrimeField, default_modulus, is_irreducible
 from sumrankdec.linalg import Matrix, rank, right_kernel
@@ -682,6 +682,109 @@ class TestFloatReduction:
         b = np.array([[1, f.order - 2]])
         assert f.matmul(a, b).tolist() == _oracle_matmul(f, a, b)
         assert f.matmul(a, b)[:, 0].tolist() == a[:, 0].tolist()
+
+
+class TestFloat32Bound:
+    """GF(p) products on both sides of inner * (p-1)^2 = 2^24, checked
+    against the int64 route and the scalar oracle.  Over GF(257),
+    (p-1)^2 = 2^16: a GF(p) inner dimension of 255 runs in float32 and 256 in
+    float64, and all-(p-1) digits put every partial sum at its largest."""
+
+    P = 257
+
+    @staticmethod
+    def _int64_route(monkeypatch, f, a, b):
+        with monkeypatch.context() as mp:
+            mp.setattr(PrimeField, "_product_dtype", lambda self, inner: np.dtype(np.int64))
+            return f.matmul(a, b).tolist()
+
+    def test_threshold(self):
+        f = PrimeField(self.P)
+        assert 255 * 2**16 < 2**24 == 256 * 2**16
+        assert [f._product_dtype(k) for k in (0, 255, 256, 2**37 - 1, 2**37)] == [
+            np.float32, np.float32, np.float64, np.float64, np.int64]
+
+    @pytest.mark.parametrize("inner", [255, 256])
+    @pytest.mark.parametrize("degree_one", [False, True], ids=["prime", "ext"])
+    def test_all_top_digits(self, monkeypatch, inner, degree_one):
+        f = _above_table_limit(self.P, 1) if degree_one else PrimeField(self.P)
+        a = np.full((2, inner), self.P - 1)
+        b = np.full((inner, 3), self.P - 1)
+        b[0, 1] = 1  # one column one below the largest sum
+        out = f.matmul(a, b)
+        assert out.dtype == np.int64
+        assert out.tolist() == self._int64_route(monkeypatch, f, a, b) == _oracle_matmul(f, a, b)
+
+    @pytest.mark.parametrize("inner", [127, 128])
+    def test_two_digit_codes(self, monkeypatch, inner):
+        # GF(257^2) multiplies 2 * inner GF(p) terms: float32 at inner 127,
+        # float64 at 128; every digit of a is p - 1
+        f = _above_table_limit(self.P, 2)
+        rng = np.random.default_rng(inner)
+        a = np.full((2, inner), f.order - 1)
+        b = f.random(rng, (inner, 3))
+        b[:, 0] = f.order - 1
+        assert f.digit_form(a).dtype == (np.float32 if inner == 127 else np.float64)
+        out = f.matmul(a, b)
+        assert out.tolist() == self._int64_route(monkeypatch, f, a, b) == _oracle_matmul(f, a, b)
+
+    def test_odd_sum_above_the_bound(self):
+        # 259 (p-2)^2 = 16 841 475 is odd and above 2^24: float32 cannot hold it
+        f = PrimeField(self.P)
+        x = np.full((1, 259), self.P - 2)
+        assert f._product_dtype(259) == np.float64
+        assert f.matmul(x, x.T).tolist() == [[259 * (self.P - 2) ** 2 % self.P]]
+
+    def test_largest_float32_prime(self):
+        # (4092)^2 = 16 736 464 < 2^24: single products of GF(4093) run in
+        # float32 with partial sums just below 2^24, and their reduction
+        # c - p floor(c / p) must still be exact
+        f = PrimeField(4093)
+        assert f._product_dtype(1) == np.float32 and f._product_dtype(2) == np.float64
+        a = np.arange(f.p)[:, None]
+        b = np.array([[f.p - 1, f.p - 2, f.p // 2, 2, 1]])
+        assert f.matmul(a, b).tolist() == (a * b % f.p).tolist()
+
+
+def _as_ext(field):
+    """An odd-p field as an ExtField: a prime field as its degree-1 extension."""
+    return field if isinstance(field, ExtField) else _above_table_limit(field.p, 1)
+
+
+# the odd-p fields of STACK_FIELDS, as ExtFields, and GF(3^13) above TABLE_LIMIT
+DIGIT_FORM_FIELDS = [_as_ext(f) for f in STACK_FIELDS if f.char != 2] + [_above_table_limit(3, 13)]
+
+
+class TestDigitForm:
+    def test_characteristic_2(self):
+        assert FieldTower.standard(2, 3).ext_field.digit_form(np.ones((2, 3), dtype=np.int64)) is None
+
+    @pytest.mark.parametrize("field", DIGIT_FORM_FIELDS, ids=repr)
+    def test_layout(self, field):
+        rng = np.random.default_rng(0)
+        a = field.random(rng, (3, 4))
+        digits = field.digit_form(a)
+        d = field.pdigits
+        assert digits.shape == (3, 4 * d)
+        assert digits.dtype == field._gfp._product_dtype(4 * d)
+        assert np.array_equal(digits.reshape(3, 4, d).astype(np.int64) @ field._powers, a)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(DIGIT_FORM_FIELDS),
+        shape=st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 7)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(field=DIGIT_FORM_FIELDS[0], shape=(2, 3, 6), seed=0)  # cols > rows: swapped
+    @example(field=DIGIT_FORM_FIELDS[-1], shape=(1, 4, 5), seed=1)
+    @example(field=DIGIT_FORM_FIELDS[1], shape=(5, 3, 2), seed=2)  # a stays on the left
+    def test_matches_matmul(self, field, shape, seed):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(seed)
+        a, b = field.random(rng, (rows, inner)), field.random(rng, (inner, cols))
+        out = field.matmul(a, b, digits=field.digit_form(a))
+        assert out.dtype == np.int64 and np.array_equal(out, field.matmul(a, b))
+        assert out.tolist() == _oracle_matmul(field, a, b)
 
 
 class TestTables:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import eliminations, panel_reductions, reduced_stacks, stacked_eliminations
+from conftest import STACK_FIELDS, eliminations, panel_reductions, reduced_stacks, stacked_eliminations
 from sumrankdec import linalg
 from sumrankdec.gf import ExtField, FieldTower, PrimeField, default_modulus
 from sumrankdec.sumrank import LengthPartition, block_supports
@@ -31,18 +31,6 @@ from sumrankdec.linalg import (
     vstack,
 )
 
-# characteristic 2 and odd p, prime and extension fields, the two-level
-# GF(4) <= GF(16) and a prime above TABLE_LIMIT (inverses without a table)
-STACK_FIELDS = [
-    PrimeField(2),
-    PrimeField(5),
-    FieldTower.standard(2, 3).ext_field,
-    FieldTower.standard(5, 2).ext_field,
-    FieldTower.standard(2, 2, e=2).base_field,
-    FieldTower.standard(2, 2, e=2).ext_field,
-    FieldTower.standard(2, 12).ext_field,
-    PrimeField(2**31 - 1),
-]
 
 # GF(2) as a degree-1 extension, characteristic 2, odd p and the two-level
 # GF(4) <= GF(16)
