@@ -40,10 +40,10 @@ linear system for the error values (column-erasure decoding):
    row below is formed.  Inside the guarantee the exact dimensions add up
    to t_hat too, so the kept kernels are the exact ones.  Otherwise the
    check below the slice forms the rows below in one read, only on the
-   columns of the other blocks: the at most t error blocks, which check
-   those rows against the slice and are reduced again in full only if
-   their rank grows there, and blocks zero on the slice, blocks of length
-   1 among them (one nonzero test per column).  The whole slice path is
+   columns of the other blocks: the at most t error blocks, and blocks
+   zero on the slice, blocks of length 1 among them (one nonzero test per
+   column).  Those of length >= 2 not zero below are reduced again, slice
+   and rows below, in one stacked elimination.  The whole slice path is
    one function, sumrank._reduce_blocks, over a plain stacked elimination.
    The stage then costs O(l w^3 + t (n - k) w^2) operations in GF(q^m)
    instead of O(l (n - k) w^2), and forming h_sub O(t w n + t^2 w (n - k))

@@ -68,10 +68,7 @@ log(fac) + log(prow / pv), applied by an in-place XOR in characteristic 2
 or by the subtraction that sub uses in odd characteristic (one table
 lookup while q^2 <= TABLE_LIMIT).  PrimeField computes
 (a - fac * prow / pv) mod p, and above TABLE_LIMIT the step takes the
-element path.  A pv of the Python int 1 (the residual check of
-sumrank._reduce_blocks passes it for rows already normalised, and the
-single-matrix engine for a pivot of 1) skips the normalisation on every
-path; prow / pv is then an int64 copy of prow, which may be a view of a.
+element path.
 div(a, b) = a / b, and inv, raise ZeroDivisionError on a zero divisor (a
 check, not an assert, so also under python -O).
 """
@@ -286,12 +283,6 @@ def _unwrap(a: np.ndarray):
     return int(a) if a.ndim == 0 else a.astype(np.int64, copy=False)
 
 
-def _is_one(pv) -> bool:
-    """Whether an eliminate pivot is the Python int 1, a step that needs no
-    normalisation (the residual check of sumrank._reduce_blocks)."""
-    return type(pv) is int and pv == 1
-
-
 class PrimeField:
     """GF(p) with elements 0..p-1."""
 
@@ -343,13 +334,9 @@ class PrimeField:
 
         The int64 array a may be a view; fac and prow broadcast against
         it, and the pivots pv (nonzero, as the pivot search chose them)
-        against prow; a pv of the Python int 1 skips the normalisation.
-        Each product of two residues fits int64.
+        against prow.  Each product of two residues fits int64.
         """
-        if _is_one(pv):
-            prow = np.array(prow, dtype=np.int64)  # a copy: prow may be a view of a
-        else:
-            prow = np.asarray(prow, dtype=np.int64) * self._inverse(pv) % self.p
+        prow = np.asarray(prow, dtype=np.int64) * self._inverse(pv) % self.p
         a[...] = (a - fac * prow) % self.p
         return prow
 
@@ -672,25 +659,18 @@ class ExtField:
         The int64 array a may be a view; fac and prow broadcast against
         it, and the pivots pv (nonzero, as the pivot search chose them)
         against prow.  The step is one pass on logarithms (see the module
-        docstring); the returned rows are in the exp table's dtype, unless
-        pv is the Python int 1, which skips the normalisation and returns
-        an int64 copy of prow.  Above TABLE_LIMIT it takes the element path.
+        docstring); the returned rows are in the exp table's dtype.  Above
+        TABLE_LIMIT it takes the element path.
         """
-        one = _is_one(pv)
-        if one:
-            prow = np.array(prow, dtype=np.int64)  # a copy: prow may be a view of a
         if not self._ensure_tables():
-            if not one:
-                prow = self.div(prow, pv)
+            prow = self.div(prow, pv)
             prod = self._prod(np.asarray(fac, dtype=np.int64), prow)
         else:
             log, exp = self._log, self._exp
             lp = log.take(prow)
-            if not one:
-                lp += self.order - 1 - log.take(pv)
-                prow = exp.take(lp)
-                lp = log.take(prow)
-            prod = exp.take(log.take(fac) + lp)
+            lp += self.order - 1 - log.take(pv)
+            prow = exp.take(lp)
+            prod = exp.take(log.take(fac) + log.take(prow))
         if self.char == 2:
             a ^= prod
         else:

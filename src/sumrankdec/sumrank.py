@@ -169,16 +169,12 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
     member of full rank n_i on the slice is done.  The members zero or short
     on the slice, blocks of length 1 among them (a nonzero test per column),
     read their rows below in one take; one zero on the slice is zero unless
-    its rows below are not.  Each short member's rows below are checked
-    against the slice: a row below minus its entries in the pivot columns
-    times the slice's pivot rows (one eliminate pass per pivot column, exact
-    because the slice is in RREF) vanishes exactly when the row lies in the
-    slice's row space.  When all of them vanish, the member's row space is
-    the slice's, and so is its RREF, which is canonical for the row space.
-    Only members whose rank grows below the slice are reduced again in
-    full; their R keeps its leading 2w rows, as a member's RREF has at most
-    w nonzero rows.  A formed stack, and a source read whole, are reduced
-    in full, and t_hat changes nothing there.
+    its rows below are not.  The short members, and the zero ones of length
+    >= 2 nonzero below, are reduced once more, slice and rows below stacked
+    in one call; as an RREF is canonical for the row space, a member whose
+    rank does not grow below the slice gets the slice's R again.  A formed
+    stack, and a source read whole, are reduced in full, and t_hat changes
+    nothing there.
 
     Returns (ranks, deficient, R, piv, complete): the GF(q)-ranks of all
     batch * l expanded blocks, the members of length >= 2 short of full
@@ -221,32 +217,18 @@ def _reduce_blocks(tower: FieldTower, arr, partition: LengthPartition, t_hat: in
 
     def below():
         # the members short or zero on the slice read their rows below, in
-        # one take
+        # one take; one zero on the slice is zero unless its rows below are
+        # not, and one of length 1 nonzero there is done
         zero = np.flatnonzero(~nonzero)
         m = np.concatenate([live[short], zero])
         rest = rows(m, h, r) if m.size else np.zeros((0, r - h, w), dtype=np.int64)
-        ranks, Rm, pm = parts * nonzero, R[short], piv[short]
-        if zero.size:
-            # one zero on the slice is zero unless its rows below are not;
-            # one of length >= 2 nonzero there is short, with no pivots
-            ranks[zero] = parts[zero] * rest[len(Rm):].any(axis=(1, 2))
-            keep = ranks[m] > 1
-            m, rest = m[keep], rest[keep]
-            Rm = np.concatenate([Rm, np.zeros((len(m) - len(Rm), h, w), dtype=np.int64)])
-            pm = np.concatenate([pm, np.zeros((len(m) - len(pm), w), dtype=bool)])
-        # the residual check: each row below less its pivot-column entries
-        # times the slice's pivot rows; prows[:, j] is the pivot row of
-        # column j, zero if j is free
-        prows = Rm[np.arange(len(m))[:, None], np.cumsum(pm, axis=1) - 1] * pm[:, :, None]
-        res = rest.copy()
-        for col in np.flatnonzero(pm.any(axis=0)):
-            f.eliminate(res, rest[:, :, col, None], prows[:, None, col, :], 1)
-        grew = res.any(axis=(1, 2))
-        if grew.any():
-            # rank grows below the slice: reduce those members in full
-            full, pm[grew] = rref_stack(f, np.concatenate([top[m[grew]], rest[grew]], axis=1))
-            Rm[grew] = full[:, :h]
+        ranks = parts * nonzero
+        ranks[zero] = parts[zero] * rest[np.count_nonzero(short):].any(axis=(1, 2))
+        keep = ranks[m] > 1
+        m = m[keep]
+        Rm, pm = rref_stack(f, np.concatenate([top[m], rest[keep]], axis=1))
         still = pm.sum(axis=1) < ranks[m]
+        # a member's RREF has at most w nonzero rows
         return _over_base(tower, ranks, m[still], Rm[still, :w], pm[still])
 
     if h < r and not (

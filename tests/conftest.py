@@ -107,7 +107,8 @@ def reduced_stacks():
 
     The slice path of a row source of r > 4w rows and blocks of at most w
     columns reduces a (batch, 2w, w) slice first, then the full height of
-    the members whose rank grows below it.
+    the members short of full rank or zero on it (those zero below too
+    left out).
     """
     shapes: list[tuple[int, ...]] = []
     inner = sumrank.rref_stack
@@ -161,7 +162,7 @@ def panel_reductions(min_rows: int | None = None, min_cols: int | None = None,
 def stacked_eliminations():
     """Record (field, batch) of every stacked elimination that block_ranks
     and block_supports run: the GF(q^m) reductions (the slice, and the
-    members whose rank grows below it) and the GF(q) fallback."""
+    members short or zero on it at full height) and the GF(q) fallback."""
     calls: list = []
     inner = sumrank.rref_stack
 

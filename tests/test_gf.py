@@ -420,8 +420,8 @@ FUSED_FIELDS = (
 
 # The operand shapes of the pivot steps, (a, fac, prow) for
 # eliminate(a, fac, prow, pv) and the shape of pv (() for a Python int):
-# _reduce_steps, rref_stack (pivot 1 for members without a pivot) and
-# sumrank._reduce_blocks's residual check (pivot 1).
+# _reduce_steps, rref_stack (pivot 1 for members without a pivot) and a
+# stack stepped by one Python int pivot.
 ENGINE_SHAPES = [
     ((4, 5), (4, 1), (5,), ()),
     ((3, 4, 5), (3, 4, 1), (3, 1, 5), (3, 1, 1)),

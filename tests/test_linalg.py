@@ -458,8 +458,8 @@ class TestRrefStack:
     def test_tall_stacks_match_single_matrix_engine(self, tower, c, extra, members, seed):
         # block_supports on a row source on the slice path: the leading 2w
         # rows of the blocks of length >= 2 nonzero there are reduced first,
-        # once, and only the blocks whose rank grows below the slice again
-        # in full; a block zero on the slice that is nonzero below joins them
+        # once, and then, in one stack of full height, those short of full
+        # rank there and those zero there that are nonzero below
         f = tower.ext_field
         rng = np.random.default_rng(seed)
         kinds = [kind for kind, _ in members]
@@ -473,10 +473,10 @@ class TestRrefStack:
         assert source.reads[0] == (0, 2 * w) and complete is None
         live = sum(ni > 1 and kind not in ("zero", "zero_on_slice")
                    for kind, ni in zip(kinds, parts))
-        grew = sum(ni > 1 and kind in ("grows_below", "zero_on_slice")
-                   for kind, ni in zip(kinds, parts))
+        again = sum(ni > 1 and kind in ("in_span", "grows_below", "zero_on_slice")
+                    for kind, ni in zip(kinds, parts))
         ext = [shape for shape, (field, _) in zip(shapes, calls) if field == f]
-        assert ext == ([(live, 2 * w, w)] if live else []) + ([(grew, r, w)] if grew else [])
+        assert ext == ([(live, 2 * w, w)] if live else []) + [(again, r, w)]
         # the rows below are read once for each block zero or short of full
         # rank on the slice, and for no other block
         slices = [Matrix(f, blk[: 2 * w]) for blk in blocks]
@@ -488,10 +488,9 @@ class TestRrefStack:
     def test_fallback_at_annihilator_size(self):
         # GF(5^2), 64 blocks of 4 with 120 annihilator rows, as in a decode
         # at n = 256: the blocks zero on the slice reach no elimination of
-        # it, and only the two blocks whose rank grows below the slice, one
-        # of them zero there, are reduced in full; the rows below are read
-        # in one take, once for each of the five blocks zero or short on the
-        # slice
+        # it; the rows below are read in one take, once for each of the five
+        # blocks zero or short on the slice, and the four of them that are
+        # not zero below as well are reduced again at full height
         tower = FieldTower.standard(5, 2)
         f = tower.ext_field
         rng = np.random.default_rng(16)
@@ -501,7 +500,7 @@ class TestRrefStack:
         with reduced_stacks() as shapes, stacked_eliminations() as calls:
             B, dims, complete = block_supports(tower, source, LengthPartition([4] * 64))
         assert [shape for shape, (field, _) in zip(shapes, calls) if field == f] == [
-            (62, 8, 4), (2, 120, 4)]
+            (62, 8, 4), (4, 120, 4)]
         assert source.reads == [(0, 8), (8, 120)]
         assert source.blocks_read([4] * 64, 8) == {59: 1, 60: 1, 61: 1, 62: 1, 63: 1}
         assert complete is None
