@@ -106,9 +106,8 @@ def reduced_stacks():
     pass to rref_stack.
 
     The slice path of a row source of r > 4w rows and blocks of at most w
-    columns reduces a (batch, 2w, w) slice first, then the full height of
-    the members short of full rank or zero on it (those zero below too
-    left out).
+    columns reduces a (batch, 2w, w) slice first, then, at full height, the
+    members short of full rank on it and those zero on it but not below.
     """
     shapes: list[tuple[int, ...]] = []
     inner = sumrank.rref_stack
